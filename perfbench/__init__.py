@@ -1,0 +1,5 @@
+"""The B-LOG benchmark: seeded workloads driven through the public API.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
