@@ -48,6 +48,8 @@ class QueryResult:
     pruned: int = 0
     expansions_to_first: Optional[int] = None
     failures: int = 0
+    #: leaves cut off at ``max_depth``: neither failures nor learned from
+    depth_cutoffs: int = 0
     update_logs: list[UpdateLog] = field(default_factory=list)
     tree: Optional[OrTree] = None
 
@@ -217,9 +219,15 @@ class BLogEngine:
                 result.pruned += 1
                 continue
             before = tree.generated
+            cutoffs = tree.depth_cutoffs
             children = tree.expand(nid)
             result.expansions += 1
             result.generated += tree.generated - before
+            if tree.depth_cutoffs != cutoffs:
+                # the depth limit, not the program, ended this chain: it
+                # is no §5 failure, so nothing is learned from it
+                result.depth_cutoffs += 1
+                continue
             if not children:
                 result.failures += 1
                 outcome(False, nid)

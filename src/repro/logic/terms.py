@@ -14,6 +14,11 @@ separate :class:`Bindings` store (see :mod:`repro.logic.unify`), which
 matches the structure-sharing discussion in section 6 of the paper (the
 "very peculiar character of the logic variable").
 
+Every term knows its symbol count (``size``) and whether it is
+``ground`` (variable-free).  A :class:`Struct` computes both once, at
+construction, from its arguments, so a ground subterm can be shared by
+any number of resolvents instead of being walked and rebuilt.
+
 Helper constructors build Prolog lists (``'.'/2`` cells terminated by
 ``[]``) and rename clauses apart for resolution.
 """
@@ -44,9 +49,16 @@ __all__ = [
 
 
 class Term:
-    """Abstract base class of all terms."""
+    """Abstract base class of all terms.
+
+    ``size`` is the number of symbols in the term and ``ground`` is true
+    when it contains no variable.
+    """
 
     __slots__ = ()
+
+    size: int = 1
+    ground: bool = True
 
     @property
     def indicator(self) -> tuple[str, int]:
@@ -128,6 +140,8 @@ class Var(Term):
 
     __slots__ = ("name", "id")
 
+    ground = False
+
     def __init__(self, name: str = "_", vid: int | None = None):
         self.name = name
         self.id = next(_VAR_COUNTER) if vid is None else vid
@@ -153,16 +167,33 @@ def fresh_var(name: str = "_") -> Var:
 
 
 class Struct(Term):
-    """A compound term ``functor(arg1, ..., argn)`` with arity >= 1."""
+    """A compound term ``functor(arg1, ..., argn)`` with arity >= 1.
 
-    __slots__ = ("functor", "args", "_hash")
+    ``size`` and ``ground`` are computed from the arguments' cached
+    values at construction; the hash is computed on first use.
+    """
+
+    __slots__ = ("functor", "args", "size", "ground", "_hash")
 
     def __init__(self, functor: str, args: Sequence[Term]):
         if not args:
             raise ValueError("Struct needs at least one argument; use Atom")
         self.functor = functor
-        self.args = tuple(args)
-        self._hash = hash(("Struct", functor, self.args))
+        self.args = args = tuple(args)
+        size = 1
+        ground = True
+        for a in args:
+            size += a.size
+            if not a.ground:
+                ground = False
+        self.size = size
+        self.ground = ground
+        self._hash: int | None = None
+
+    def __reduce__(self):
+        # rebuild through the constructor: string hashes are seeded per
+        # process, so a cached hash must never cross a pickle boundary
+        return (Struct, (self.functor, self.args))
 
     @property
     def arity(self) -> int:
@@ -178,15 +209,18 @@ class Struct(Term):
             yield from a.walk()
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return other is self or (
             isinstance(other, Struct)
-            and other._hash == self._hash
+            and other.size == self.size
             and other.functor == self.functor
             and other.args == self.args
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(("Struct", self.functor, self.args))
+        return h
 
     def __repr__(self) -> str:
         return f"Struct({self.functor!r}, {list(self.args)!r})"
@@ -253,7 +287,7 @@ def term_vars(term: Term) -> list[Var]:
 
 def term_size(term: Term) -> int:
     """Number of symbols in ``term`` (atoms, ints, vars, functors)."""
-    return sum(1 for _ in term.walk())
+    return term.size
 
 
 def term_depth(term: Term) -> int:

@@ -14,10 +14,19 @@ applying the substitution (``resolve``), trading copying for
 independence — exactly the copy traffic the multiply-write memory of
 section 6 is designed to absorb (modeled in
 :mod:`repro.machine.memory`).
+
+Terms are immutable, so what no binding touched need not be copied:
+``resolve`` returns a ground term, or any term none of whose variables
+is bound, as the *same object*, and rebuilds a structure only along the
+paths that lead to a bound variable.  ``rename_apart`` likewise returns
+ground terms as they are, so facts are never copied.  Ground structure
+is shared between the resolvents of independent chains, which is safe
+because nothing can write into it.
 """
 
 from __future__ import annotations
 
+from operator import is_not
 from typing import Iterable, Optional
 
 from .terms import Atom, Int, Struct, Term, Var, fresh_var
@@ -100,11 +109,13 @@ class Bindings:
         return term
 
     def resolve(self, term: Term) -> Term:
-        """Apply the substitution fully, rebuilding structures."""
-        term = self.walk(term)
-        if isinstance(term, Struct):
-            return Struct(term.functor, tuple(self.resolve(a) for a in term.args))
-        return term
+        """Apply the substitution fully.
+
+        A structure is rebuilt only when one of its arguments changed;
+        a ground term, or one whose variables are all unbound, comes
+        back as the same object.
+        """
+        return _resolve(term, self.map, self.stats)
 
     def resolve_all(self, terms: Iterable[Term]) -> tuple[Term, ...]:
         return tuple(self.resolve(t) for t in terms)
@@ -118,6 +129,23 @@ class Bindings:
     def as_dict(self) -> dict[int, Term]:
         """Resolved view keyed by variable id."""
         return {vid: self.resolve(t) for vid, t in self.map.items()}
+
+
+def _resolve(term: Term, bmap: dict[int, Term], stats: Optional[UnifyStats]) -> Term:
+    while isinstance(term, Var):
+        if stats is not None:
+            stats.deref_ops += 1
+        nxt = bmap.get(term.id)
+        if nxt is None:
+            return term
+        term = nxt
+    if term.ground or not isinstance(term, Struct):
+        return term
+    args = term.args
+    new_args = [a if a.ground else _resolve(a, bmap, stats) for a in args]
+    if any(map(is_not, args, new_args)):
+        return Struct(term.functor, new_args)
+    return term
 
 
 def occurs_in(var: Var, term: Term, bindings: Bindings) -> bool:
@@ -187,8 +215,11 @@ def rename_apart(term: Term, mapping: Optional[dict[int, Var]] = None) -> Term:
     """Return ``term`` with every variable replaced by a fresh one.
 
     A shared ``mapping`` lets several terms (e.g. a clause head and its
-    body goals) be renamed consistently.
+    body goals) be renamed consistently.  Ground subterms are returned
+    as they are.
     """
+    if term.ground:
+        return term
     if mapping is None:
         mapping = {}
 
@@ -199,7 +230,7 @@ def rename_apart(term: Term, mapping: Optional[dict[int, Var]] = None) -> Term:
                 nv = fresh_var(t.name)
                 mapping[t.id] = nv
             return nv
-        if isinstance(t, Struct):
+        if isinstance(t, Struct) and not t.ground:
             return Struct(t.functor, tuple(go(a) for a in t.args))
         return t
 

@@ -1,13 +1,20 @@
 """The explicit OR-tree of section 2 (figure 3).
 
 Every node holds a *resolvent*: the remaining goal list with the
-substitution applied and reified (independent copies, no shared binding
-store — the copy-heavy representation the paper's multiply-write memory
-is designed for).  The root holds the query; expanding a node performs
-one resolution step on its leftmost goal, producing one child per
-matching clause (the OR fan-out).  A node with an empty resolvent is a
+substitution applied and reified (no shared binding store — the
+copy-heavy representation the paper's multiply-write memory is designed
+for).  The root holds the query; expanding a node performs one
+resolution step on its leftmost goal, producing one child per matching
+clause (the OR fan-out).  A node with an empty resolvent is a
 **solution**; a node whose selected goal matches nothing is a
 **failure** leaf.
+
+Copying: terms are immutable, so whatever a step's bindings did not
+touch (ground subterms, goals without bound variables) is shared with
+the parent in memory rather than rebuilt.  ``words_copied`` still
+charges every child the full logical size of its resolvent and answer,
+so the §6 traffic model is unchanged; reading a size is O(1) because
+every term caches it.
 
 Each tree arc is labeled with an :class:`ArcKey` identifying the
 *database pointer* it crossed (section 5 stores weights "on pointers in
@@ -31,6 +38,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Sequence
 
+from ..logic import terms as _terms
 from ..logic.builtins import BuiltinError, call_builtin, is_builtin
 from ..logic.parser import parse_query
 from ..logic.program import Program
@@ -79,7 +87,7 @@ def canonical_goal(goal: Term) -> Term:
                 nv = Var(f"_C{counter[0]}", vid=-counter[0])
                 mapping[t.id] = nv
             return nv
-        if isinstance(t, Struct):
+        if isinstance(t, Struct) and not t.ground:
             return Struct(t.functor, tuple(go(a) for a in t.args))
         return t
 
@@ -311,7 +319,7 @@ class OrTree:
                 g = node.goals[ix]
                 if not isinstance(g, Struct):
                     return (0.0, ix)
-                ground = sum(1 for a in g.args if not term_vars(a))
+                ground = sum(1 for a in g.args if a.ground)
                 return (-ground / g.arity, ix)
         else:  # fewest-candidates
             def score(ix: int) -> tuple:
@@ -331,11 +339,14 @@ class OrTree:
         body_sources: tuple[tuple[int, int], ...],
         key: ArcKey,
     ) -> int:
-        new_goals = tuple(b.resolve(g) for g in body + node.goals[1:])
+        new_goals = body + node.goals[1:]
+        answer = node.answer
+        if b.map:  # with nothing bound, every term resolves to itself
+            new_goals = tuple(b.resolve(g) for g in new_goals)
+            answer = tuple(b.resolve(a) for a in answer)
         new_sources = body_sources + node.goal_sources[1:]
-        answer = tuple(b.resolve(a) for a in node.answer)
-        from ..logic.terms import term_size
-
+        # looked up on the module at call time, so it can be wrapped
+        term_size = _terms.term_size
         self.words_copied += sum(term_size(g) for g in new_goals) + sum(
             term_size(a) for a in answer
         )
@@ -438,11 +449,12 @@ class OrTree:
             solutions = []
             mark = b.mark()
             for _ in call_builtin(goal, b):
-                solutions.append({vid: b.resolve(t) for vid, t in b.map.items()})
+                # the raw map: _make_child resolves through it
+                solutions.append(dict(b.map))
             b.undo_to(mark)
             for sol in solutions:
                 cb = Bindings()
-                cb.map = dict(sol)
+                cb.map = sol
                 children.append(self._make_child(node, cb, (), (), key))
         except BuiltinError:
             return []

@@ -24,7 +24,8 @@ Graceful drain (what SIGTERM means here):
    (its learning is the whole point of the service; §5's merge is the
    commit point), each merge WAL-journaled as usual.
 4. **final checkpoint + stop** — the durable stores snapshot, lanes
-   close, and the process can exit 0.
+   close, and the process can exit 0.  Established connections stay
+   open and answer ``stopped`` until their clients hang up.
 
 Signal wiring uses ``loop.add_signal_handler`` so the handler runs on
 the event loop (no async-signal-safety games); platforms without it
@@ -186,7 +187,9 @@ class ServiceLifecycle:
                     merged += 1
                 else:
                     unmerged += 1
-            await svc.stop()  # final checkpoint happens inside
+            # final checkpoint happens inside; established connections
+            # stay open and keep answering (``stopped``)
+            await svc.stop(close_connections=False)
         finally:
             svc.telemetry.registry.histogram("blog_drain_seconds").observe(
                 time.monotonic() - t0

@@ -233,6 +233,8 @@ class BLogService:
         self.stats_agg = ServiceStats(registry=registry)
         self._req_counter = 0
         self._tcp_server: Optional[asyncio.base_events.Server] = None
+        #: open TCP connections: handler task -> its writer
+        self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.checkpoint_interval = (
             float(checkpoint_interval) if checkpoint_interval else None
@@ -288,7 +290,11 @@ class BLogService:
             await self._tcp_server.wait_closed()
             self._tcp_server = None
 
-    async def stop(self) -> None:
+    async def stop(self, close_connections: bool = True) -> None:
+        """Stop serving.  Open TCP connections are closed and their
+        handlers awaited, unless ``close_connections`` is false (the
+        drain keeps them, so clients read ``stopped`` replies until they
+        hang up)."""
         if self._checkpoint_task is not None:
             self._checkpoint_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -296,6 +302,8 @@ class BLogService:
             self._checkpoint_task = None
         await self.close_ingress()
         await self.pool.stop()
+        if close_connections:
+            await self._close_connections()
         if self._durable:
             await self.checkpoint()  # the final checkpoint: nothing is lost
             for ds in self._durable.values():
@@ -306,6 +314,15 @@ class BLogService:
             self._wal_io = None
         self.telemetry.close()
         self.lifecycle.transition(LifecycleState.STOPPED)
+
+    async def _close_connections(self) -> None:
+        """Hang up on every client still connected and wait for the
+        handlers to see the end of their stream and finish."""
+        if not self._connections:
+            return
+        for writer in self._connections.values():
+            writer.close()
+        await asyncio.wait(list(self._connections))
 
     # -- durability (recovery, journaling, checkpoints) ---------------------
     def _recover(self) -> None:
@@ -973,8 +990,20 @@ class BLogService:
         per line, always with an ``"ok"`` field.
         """
         await self.start()
-        self._tcp_server = await asyncio.start_server(self._handle_client, host, port)
+        self._tcp_server = await asyncio.start_server(self._accept, host, port)
         return self._tcp_server
+
+    def _accept(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Serve a new connection in a task the service owns.  (Handed a
+        coroutine, asyncio 3.11 wraps it in a task whose done callback
+        reports a *cancelled* handler as an unhandled error.)"""
+        task = asyncio.get_running_loop().create_task(
+            self._handle_client(reader, writer)
+        )
+        self._connections[task] = writer
+        task.add_done_callback(self._connections.pop)
 
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

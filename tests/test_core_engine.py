@@ -100,6 +100,22 @@ class TestAdaptiveLearning:
         # the rule-2 pointer itself stays unknown (it is not leafmost)
         assert store.is_unknown(ArcKey("pointer", (-1, 0, 1)))
 
+    def test_depth_cutoff_is_not_learned_as_failure(self):
+        """A chain the depth limit cut short is no §5 failure: no arc
+        goes INFINITE, and the cutoff is counted apart from failures."""
+        nat = Program.from_source("nat(0).\nnat(s(X)) :- nat(X).\n")
+        eng = BLogEngine(nat, BLogConfig(max_depth=2))
+        res = eng.query("nat(s(s(s(0))))")
+        assert not res.solved
+        assert not any(eng.store.is_infinite(k) for k in eng.store.keys())
+        assert all(log.kind != "failure" for log in res.update_logs)
+        assert res.failures == 0
+        assert res.depth_cutoffs == 1
+        # a real failure under the same limit is still learned
+        res = eng.query("nat(s(a))")
+        assert res.failures == 1 and res.depth_cutoffs == 0
+        assert any(eng.store.is_infinite(k) for k in eng.store.keys())
+
     def test_update_logs_recorded(self, figure1):
         eng = BLogEngine(figure1)
         res = eng.query("gf(sam, G)")

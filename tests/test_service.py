@@ -456,6 +456,50 @@ class TestTcpEndpoint:
         assert not bad["ok"]
         assert not garbage["ok"] and "bad json" in garbage["error"]
 
+    @pytest.mark.parametrize("how", ["stop", "drain"])
+    def test_stop_with_idle_connection_is_quiet(self, capfd, how):
+        """stop() closes the connections it still holds and waits for
+        their handlers; a drain leaves them open until the loop winds
+        down and cancels them.  Either way nothing reaches the loop's
+        exception handler or stderr."""
+        reported = []
+
+        async def body():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: reported.append(ctx)
+            )
+            svc = make_service()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(b'{"op": "health"}\n')
+            await writer.drain()
+            assert json.loads(await reader.readline())["ok"]
+            # the connection is still open and idle
+            hung_up = None
+            if how == "drain":
+                await svc.lifecycle.drain(timeout=5.0)  # keeps the connection
+            else:
+                await svc.stop()
+                try:
+                    hung_up = await asyncio.wait_for(reader.read(), 5) == b""
+                except asyncio.TimeoutError:
+                    hung_up = False
+            # cancel whatever still runs, as asyncio.run does on the way out
+            for task in asyncio.all_tasks():
+                if task is not asyncio.current_task():
+                    task.cancel()
+            await asyncio.sleep(0.1)
+            writer.close()
+            await writer.wait_closed()
+            return hung_up
+
+        hung_up = run(body())
+        assert reported == []
+        assert capfd.readouterr().err == ""
+        if how == "stop":
+            assert hung_up, "stop() left the client connection open"
+
 
 class TestLifecycle:
     """PR 5: graceful lifecycle — health/ready, drain, signal wiring."""

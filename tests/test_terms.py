@@ -1,5 +1,11 @@
 """Unit tests for the term algebra."""
 
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.logic import (
@@ -90,6 +96,51 @@ class TestStruct:
         t = Struct("f", (Struct("g", (Atom("a"),)), Atom("b")))
         names = [getattr(x, "functor", getattr(x, "name", None)) for x in t.walk()]
         assert names == ["f", "g", "a", "b"]
+
+    def test_cached_size_and_ground(self):
+        g = Struct("f", (Atom("a"), make_list([Int(1), Int(2)])))
+        assert (g.size, g.ground) == (7, True)
+        t = Struct("f", (g, Struct("h", (Var("X"),))))
+        assert (t.size, t.ground) == (10, False)
+        assert (Atom("a").size, Atom("a").ground) == (1, True)
+        assert (Int(3).size, Int(3).ground) == (1, True)
+        assert (Var("X").size, Var("X").ground) == (1, False)
+
+    def test_pickle_roundtrip_recomputes_cached_fields(self):
+        t = Struct("f", (Atom("sam"), Struct("g", (Var("X", vid=7),))))
+        hash(t)
+        u = pickle.loads(pickle.dumps(t))
+        assert u == t and hash(u) == hash(t)
+        assert (u.size, u.ground) == (t.size, t.ground)
+
+    def test_unpickled_struct_matches_fresh_one_under_another_hash_seed(self):
+        """A pickled Struct must not carry its hash into a process whose
+        string hashing is seeded differently (a ``spawn`` child)."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        dump = (
+            "import pickle, sys\n"
+            "from repro.logic.terms import Atom, Struct\n"
+            "t = Struct('f', (Atom('sam'),))\n"
+            "hash(t)\n"
+            "sys.stdout.buffer.write(pickle.dumps(t))\n"
+        )
+        load = (
+            "import pickle, sys\n"
+            "from repro.logic.terms import Atom, Struct\n"
+            "t = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = Struct('f', (Atom('sam'),))\n"
+            "assert t == fresh, 'pickled != fresh'\n"
+            "assert {fresh: 1}.get(t) == 1, 'dict lookup missed'\n"
+        )
+
+        def run(code, seed, data=None):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            return subprocess.run(
+                [sys.executable, "-c", code], input=data, env=env,
+                capture_output=True, check=True, timeout=60,
+            ).stdout
+
+        run(load, "2", run(dump, "1"))
 
 
 class TestLists:
