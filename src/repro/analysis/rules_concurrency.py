@@ -64,7 +64,7 @@ class StoreMutationRule(Rule):
     #: unambiguous mutator method/function names
     MUTATORS = frozenset({"set_known", "set_infinite", "apply_delta"})
     #: merge APIs that write a global store
-    MERGE_APIS = frozenset({"merge_conservative", "merge_strong"})
+    MERGE_APIS = frozenset({"merge_conservative", "merge_strong", "merge_delta"})
     #: generic names only flagged when the receiver looks like a store
     STORE_GUARDED = frozenset({"forget", "clear"})
     #: module prefixes (or exact files) allowed to mutate
@@ -121,9 +121,10 @@ class BlockingAsyncRule(Rule):
     The whole service multiplexes on one event loop; ``time.sleep`` or a
     sync pipe read inside a coroutine freezes every in-flight request.
     Blocking work belongs on the worker/IO executors
-    (:meth:`~repro.service.workers.WorkerPool.run_sync`,
-    ``loop.run_in_executor``), which is exactly how the lane backends
-    ship their pipe roundtrips off the loop.
+    (``loop.run_in_executor``), which is exactly how both lane backends
+    ship their work off the loop: a thread lane's ``LaneWorker.handle``
+    and a process lane's pipe roundtrip
+    (:meth:`~repro.service.workers.LaneBackend.call`).
     """
 
     code = "BLG002"

@@ -1,9 +1,12 @@
 """IPC-contract rule: pickle-unsafe payloads on lane pipes.
 
-* **BLG003** — everything crossing a process-lane pipe is pickled
-  (:meth:`~repro.service.workers.ProcessLaneBackend.call`); an object
-  that cannot be pickled fails *at send time*, mid-request, and the
-  backend treats the broken roundtrip like a dead worker.  The classic
+* **BLG003** — every lane message may cross a process-lane pipe, which
+  pickles it (:meth:`~repro.service.workers.ProcessLaneBackend._exchange`);
+  an object that cannot be pickled fails *at send time*, mid-request,
+  and the backend treats the broken roundtrip like a dead worker.  The
+  thread backend hands the same messages over unpickled, so a bad
+  payload would pass every thread-lane test and only fail on process
+  lanes — hence a static check.  The classic
   offenders are statically visible: lambdas, locally-defined functions
   and classes (closures), generator expressions, and open file handles.
 """
@@ -25,7 +28,8 @@ class PickleSafetyRule(Rule):
 
     Checked payload expressions: the argument of ``pickle.dumps(...)``
     (and bare ``dumps(...)`` when imported from pickle) and the message
-    argument of ``remote_call(lane, msg, ...)``.  A payload is flagged
+    argument of ``lane_call(lane, msg, ...)``, the one call every lane
+    message goes through on either backend.  A payload is flagged
     when its expression tree contains a lambda, a generator expression,
     an ``open(...)`` call, or a name bound in the *enclosing function*
     to a nested ``def``/``class``/lambda or an ``open(...)`` result —
@@ -103,8 +107,8 @@ class PickleSafetyRule(Rule):
             if isinstance(call.func, ast.Name)
             else None
         )
-        if name == "remote_call" and len(call.args) >= 2:
-            return call.args[1]  # remote_call(lane, msg, timeout)
+        if name == "lane_call" and len(call.args) >= 2:
+            return call.args[1]  # lane_call(lane, msg, timeout)
         return None
 
     # -- what counts as unpicklable ----------------------------------------

@@ -23,16 +23,25 @@ from typing import Optional, Sequence
 
 from ..logic.program import Program
 from ..logic.solver import Solver
-from ..logic.terms import Term
+from ..logic.terms import Term, reset_var_counter
 from ..ortree.tree import NodeStatus, OrTree
+from ..weights.persist import apply_delta, store_delta
+from ..weights.store import WeightStore
+from .engine import BLogEngine
 
 __all__ = [
     "ParallelAnswer",
     "or_parallel_solve",
     "or_split",
     "run_engine_query",
+    "LaneWorker",
     "lane_worker_main",
 ]
+
+#: how often (seconds) an idle lane child checks that its parent lives
+ORPHAN_CHECK_S = 0.5
+#: first variable id a lane child allocates (see lane_worker_main)
+CHILD_VAR_IDS = 1 << 48
 
 
 @dataclass
@@ -156,15 +165,104 @@ def or_parallel_solve(
     return result
 
 
-# -- lane workers: the long-lived child behind a process lane ---------------
+# -- lane workers: one implementation of the lane protocol -----------------
 #
-# The serving layer's process backend spawns one of these per lane: a
-# warm subprocess that holds the lane's programs, a mirror of each
-# program's global weight store (caught up by deltas, never reshipped
-# whole), and the session-local engines of every session routed to the
-# lane.  The parent speaks length-prefixed pickles over a duplex pipe,
-# one request at a time (lanes are serial queues, so there is never a
-# second in-flight request to interleave with).
+# The serving layer runs one LaneWorker per lane.  It holds the lane's
+# programs, a mirror of each program's global weight store (caught up by
+# deltas, never reshipped whole), and the session-local engines of every
+# session routed to the lane.  The parent speaks to it in dicts, one
+# request at a time (lanes are serial queues, so there is never a second
+# in-flight request to interleave with): a thread lane calls
+# ``worker.handle(msg)`` in process (queries on its executor), a process
+# lane pickles the same dicts over a duplex pipe to ``lane_worker_main``
+# in a child.
+
+
+class LaneWorker:
+    """The lane side of the §5 session protocol.  Ops:
+
+    * ``load_program`` — install a program + configs, create an empty
+      global-store mirror for it;
+    * ``sync_store`` — apply a weight delta to a program's mirror;
+    * ``open_session`` — begin a session (local store = mirror copy);
+    * ``query`` — run already-parsed goals on the named session's engine;
+    * ``close_session`` — return the session's touched-keys delta (the
+      parent merges it into the true global store);
+    * ``shutdown`` — acknowledge (the child loop then exits).
+
+    :meth:`handle` never raises for a failing op: any exception becomes
+    an ``{"ok": False, "error": ...}`` reply, the same on both
+    transports.
+    """
+
+    def __init__(self, lane: int, processes: int = 1) -> None:
+        self.lane = lane
+        #: process count for the ``procpool`` engine (1 inside a lane
+        #: child: daemonic processes cannot fork a pool)
+        self.processes = processes
+        self.programs: dict[str, tuple[Program, object, object]] = {}
+        self.mirrors: dict[str, WeightStore] = {}
+        #: (program, session) -> (engine, local-store generation at open)
+        self.sessions: dict[tuple[str, str], tuple[BLogEngine, int]] = {}
+
+    def handle(self, msg: dict) -> dict:
+        op = msg.get("op")
+        method = getattr(self, f"_op_{op}", None)
+        if method is None:
+            return {"ok": False, "error": f"unknown lane op {op!r}"}
+        try:
+            return method(msg)
+        except Exception as exc:  # noqa: BLE001 — shipped to the parent
+            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+
+    def _op_load_program(self, msg: dict) -> dict:
+        name, config = msg["name"], msg["config"]
+        self.programs[name] = (msg["program"], config, msg["machine_config"])
+        self.mirrors[name] = WeightStore(n=config.n, a=config.a)
+        return {"ok": True}
+
+    def _op_sync_store(self, msg: dict) -> dict:
+        return {"ok": True, "applied": apply_delta(self.mirrors[msg["name"]], msg["delta"])}
+
+    def _op_open_session(self, msg: dict) -> dict:
+        name = msg["name"]
+        program, config, _ = self.programs[name]
+        engine = BLogEngine(program, config, global_store=self.mirrors[name])
+        engine.begin_session()
+        self.sessions[(name, msg["session"])] = (engine, engine.store.generation)
+        return {"ok": True}
+
+    def _op_query(self, msg: dict) -> dict:
+        key = (msg["name"], msg["session"])
+        if key not in self.sessions:
+            raise KeyError(f"session {key[1]!r} of {key[0]!r} is not open on lane {self.lane}")
+        engine, _ = self.sessions[key]
+        program, config, machine_config = self.programs[key[0]]
+        attrs: dict = {}
+        answers, expansions = run_engine_query(
+            msg["engine"],
+            engine,
+            program,
+            config,
+            machine_config,
+            msg["goals"],
+            msg.get("max_solutions"),
+            processes=self.processes,
+            attrs=attrs,
+        )
+        # engine counters ride the reply so the parent can attach them
+        # to the request's engine span (telemetry)
+        return {"ok": True, "answers": answers, "expansions": expansions, "engine_attrs": attrs}
+
+    def _op_close_session(self, msg: dict) -> dict:
+        state = self.sessions.pop((msg["name"], msg["session"]), None)
+        if state is None:
+            return {"ok": True, "delta": None}
+        engine, base_generation = state
+        return {"ok": True, "delta": store_delta(engine.store, since=base_generation)}
+
+    def _op_shutdown(self, msg: dict) -> dict:
+        return {"ok": True}
 
 
 def run_engine_query(
@@ -180,16 +278,13 @@ def run_engine_query(
 ) -> tuple[list[dict[str, str]], Optional[int]]:
     """Run one query on the chosen engine against a session's engine state.
 
-    Shared by the thread backend (called on a worker thread with the
-    router's engine) and the lane worker (called in the child with its
-    own engine); both sides stringify bindings the same way so answers
-    are backend-independent.
+    Called by :meth:`LaneWorker.handle` for the ``query`` op, on both
+    lane transports, so answers are backend-independent.
 
     ``attrs``, when given, is filled with engine-level counters
     (expansions, pruned chains, solution bounds, machine makespan …) for
-    the telemetry layer: the thread backend reads the dict directly, the
-    lane worker ships it back inside the pickled reply, so the same
-    attributes land on the request's ``engine`` span either way.
+    the telemetry layer; the worker returns it in its reply, so the
+    same attributes land on the request's ``engine`` span either way.
     """
     if engine_used == "blog":
         result = blog_engine.query(goals, max_solutions=max_solutions)
@@ -248,117 +343,45 @@ def run_engine_query(
 
 
 def lane_worker_main(conn, lane: int) -> None:  # pragma: no cover — subprocess
-    """Main loop of a process-lane worker (runs in the child).
+    """Main loop of a process-lane child: one pickled dict in, one
+    :meth:`LaneWorker.handle` reply out, until ``shutdown`` or until
+    the parent is gone.
 
-    Protocol: the parent sends one pickled dict per request and reads
-    one pickled dict back.  Ops:
-
-    * ``ping`` — liveness/pid probe;
-    * ``load_program`` — install a program + configs, create an empty
-      global-store mirror for it;
-    * ``sync_store`` — apply a weight delta to a program's mirror;
-    * ``open_session`` — begin a session (local store = mirror copy);
-    * ``query`` — execute on the named session's engine;
-    * ``close_session`` — return the session's touched-keys delta (the
-      parent merges it into the true global store);
-    * ``abandon_session`` — drop a session without a delta;
-    * ``shutdown`` — acknowledge and exit.
-
-    Any exception inside an op becomes an ``{"ok": False}`` reply; the
-    loop only exits on EOF (parent gone) or ``shutdown``.
+    The parent counts as gone when the pipe reaches EOF *or* the child
+    is re-parented.  EOF alone is not enough: under ``fork`` every
+    child inherits parent ends of lane pipes (its own among them), so
+    a SIGKILLed server leaves pipes with a live writer and no EOF ever
+    arrives.  The re-parenting check works under ``fork`` and
+    ``spawn`` alike.
     """
     import os
     import signal
 
-    from ..logic.parser import parse_query
-    from ..weights.persist import apply_delta, store_delta
-    from ..weights.store import WeightStore
-    from .engine import BLogEngine
-
     # The parent owns lifecycle; a stray terminal SIGINT (e.g. during
     # pytest) must not kill lanes before the parent can shut them down.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-
-    programs: dict[str, tuple[Program, object, object]] = {}
-    mirrors: dict[str, WeightStore] = {}
-    sessions: dict[tuple[str, str], tuple[BLogEngine, int]] = {}
-
-    def handle(msg: dict) -> dict:
-        op = msg["op"]
-        if op == "ping":
-            return {"ok": True, "pid": os.getpid(), "lane": lane}
-        if op == "load_program":
-            name = msg["name"]
-            config = msg["config"]
-            programs[name] = (msg["program"], config, msg["machine_config"])
-            mirrors[name] = WeightStore(n=config.n, a=config.a)
-            return {"ok": True}
-        if op == "sync_store":
-            applied = apply_delta(mirrors[msg["name"]], msg["delta"])
-            return {"ok": True, "applied": applied}
-        if op == "open_session":
-            name, session = msg["name"], msg["session"]
-            program, config, _ = programs[name]
-            engine = BLogEngine(program, config, global_store=mirrors[name])
-            engine.begin_session()
-            sessions[(name, session)] = (engine, engine.store.generation)
-            return {"ok": True}
-        if op == "query":
-            name, session = msg["name"], msg["session"]
-            engine, _ = sessions[(name, session)]
-            program, config, machine_config = programs[name]
-            goals = parse_query(msg["query"])
-            attrs: dict = {}
-            answers, expansions = run_engine_query(
-                msg["engine"],
-                engine,
-                program,
-                config,
-                machine_config,
-                goals,
-                msg.get("max_solutions"),
-                processes=1,
-                attrs=attrs,
-            )
-            # engine counters ride the pickled reply so the parent can
-            # attach them to the request's engine span (telemetry)
-            return {
-                "ok": True,
-                "answers": answers,
-                "expansions": expansions,
-                "engine_attrs": attrs,
-            }
-        if op == "close_session":
-            name, session = msg["name"], msg["session"]
-            state = sessions.pop((name, session), None)
-            if state is None:
-                return {"ok": True, "delta": None}
-            engine, base_generation = state
-            delta = store_delta(engine.store, since=base_generation)
-            return {"ok": True, "delta": delta}
-        if op == "abandon_session":
-            dropped = sessions.pop((msg["name"], msg["session"]), None) is not None
-            return {"ok": True, "dropped": dropped}
-        if op == "shutdown":
-            return {"ok": True, "shutdown": True}
-        return {"ok": False, "error": f"unknown lane op {op!r}"}
-
+    # query goals arrive parsed, their variable ids drawn from the
+    # parent's counter: draw this process's fresh ids (renaming clauses
+    # apart) from a range the parent never reaches, so they cannot collide
+    reset_var_counter(CHILD_VAR_IDS)
+    parent = os.getppid()
+    worker = LaneWorker(lane)
     while True:
         try:
+            while not conn.poll(ORPHAN_CHECK_S):
+                if os.getppid() != parent:
+                    return  # the server died without hanging up
             msg = pickle.loads(conn.recv_bytes())
         # parent hung up: the child's only move is to exit; the parent
         # side counts the lane reset
         except (EOFError, OSError):  # blogcheck: ignore[BLG005]
             return
-        try:
-            reply = handle(msg)
-        except Exception as exc:  # noqa: BLE001 — shipped to the parent
-            reply = {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+        reply = worker.handle(msg)
         try:
             conn.send_bytes(pickle.dumps(reply))
         # reply pipe gone: parent died or reset the lane; the parent
         # already treats the silence as WorkerDied
         except (BrokenPipeError, OSError):  # blogcheck: ignore[BLG005]
             return
-        if reply.get("shutdown"):
+        if msg.get("op") == "shutdown":
             return

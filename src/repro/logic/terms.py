@@ -123,10 +123,11 @@ class Int(Term):
 _VAR_COUNTER = itertools.count(1)
 
 
-def reset_var_counter() -> None:
-    """Reset the global variable id counter (for reproducible tests)."""
+def reset_var_counter(start: int = 1) -> None:
+    """Reset the global variable id counter (for reproducible tests, or
+    to move a process's fresh ids into a range of its own)."""
     global _VAR_COUNTER
-    _VAR_COUNTER = itertools.count(1)
+    _VAR_COUNTER = itertools.count(start)
 
 
 class Var(Term):

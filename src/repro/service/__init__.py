@@ -3,9 +3,10 @@
 ``BLogService`` multiplexes many clients over named programs with
 session-affinity routing (one session, one lane, one local weight
 store), a bounded worker pool with deadlines and retry over a
-pluggable lane backend (``thread``: shared GIL-bound executor;
-``process``: one warm subprocess per lane with delta-synced weight
-mirrors — real parallelism), a generation-guarded answer cache,
+pluggable lane backend (one lane protocol, two transports: ``thread``
+runs each lane's worker on a shared GIL-bound executor; ``process``
+runs it in one warm subprocess per lane — real parallelism; both hold
+delta-synced weight mirrors), a generation-guarded answer cache,
 queue-depth backpressure, and per-request tracing — in-process via
 ``await service.submit(...)`` or over a line-JSON TCP endpoint via
 ``serve_tcp``.
@@ -22,7 +23,7 @@ from .cache import (
 from .lifecycle import LifecycleState, NotServing, ServiceLifecycle
 from .router import SessionRouter, SessionState
 from .server import BLogService, ProgramEntry, QueryRequest, QueryResponse
-from .stats import ServiceStats, TraceEvent, format_lane_stats, format_stats, percentile
+from .stats import format_lane_stats, format_stats, percentile
 from .telemetry import (
     JsonlTraceLog,
     MetricsRegistry,
@@ -37,6 +38,7 @@ from .workers import (
     BACKENDS,
     Job,
     LaneBackend,
+    LaneView,
     ProcessLaneBackend,
     QueryTimeout,
     ThreadLaneBackend,
@@ -61,8 +63,6 @@ __all__ = [
     "ProgramEntry",
     "QueryRequest",
     "QueryResponse",
-    "ServiceStats",
-    "TraceEvent",
     "format_stats",
     "format_lane_stats",
     "percentile",
@@ -72,6 +72,7 @@ __all__ = [
     "WorkerPool",
     "BACKENDS",
     "LaneBackend",
+    "LaneView",
     "ThreadLaneBackend",
     "ProcessLaneBackend",
     "Telemetry",

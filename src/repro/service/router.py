@@ -10,21 +10,20 @@ sessions are free to run in parallel (their local stores share
 nothing until merge time).
 
 :class:`SessionRouter` implements exactly that: a session id hashes to
-a fixed lane (a serial execution queue owned by the worker pool), and
-the router owns the per-session state — a :class:`BLogEngine` with an
-open session whose local store lives for the session's lifetime.  The
+a fixed lane (a serial execution queue owned by the worker pool).  The
 hash is ``crc32``, not Python's randomized ``hash``, so placement is
 stable across runs and processes.
 
-With the *process* lane backend the session's engine and local store
-live in the lane's subprocess, not here; the router then tracks a
-:class:`SessionState` with ``engine=None`` for accounting, ships
-weight-store **deltas** (what changed since the lane's mirror last
-synced — :func:`~repro.weights.persist.store_delta` — never the whole
-store), and merges the touched-keys delta a lane returns at session
-close.  When a lane subprocess dies, every session routed to it dies
-with it: :meth:`drop_lane` discards their states without merging, so
-an abandoned session can never leak into the global store.
+The session's engine and local store live in the lane's
+:class:`~repro.core.procpool.LaneWorker` (a thread lane's or a lane
+child's, alike); the router keeps a :class:`SessionState` for
+accounting, ships weight-store **deltas** to the lane's mirror (what
+changed since the mirror last synced —
+:func:`~repro.weights.persist.store_delta` — never the whole store),
+and merges the touched-keys delta a lane returns at session close.
+When a lane is reset (its worker lost), every session routed to it is
+lost with it: :meth:`drop_lane` discards their states without merging,
+so an abandoned session can never leak into the global store.
 """
 
 from __future__ import annotations
@@ -34,11 +33,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..core.config import BLogConfig
-from ..core.engine import BLogEngine
-from ..logic.program import Program
-from ..weights.persist import delta_store, store_delta
-from ..weights.session import MergeReport, merge_conservative, merge_strong
+from ..weights.persist import store_delta
+from ..weights.session import MergeReport, merge_delta
 from ..weights.store import WeightStore
 
 if TYPE_CHECKING:  # telemetry imports stats; keep this edge type-only
@@ -49,63 +45,30 @@ __all__ = ["SessionState", "SessionRouter"]
 
 @dataclass
 class SessionState:
-    """One live session: its engine (holding the local store, for thread
-    lanes; ``None`` when the state lives in a lane subprocess) and
-    accounting."""
+    """One live session's parent-side accounting (its engine and local
+    store live in the lane worker)."""
 
     program: str
     session: str
-    engine: Optional[BLogEngine]
     lane: int
-    remote: bool = False  # True: engine/local store live in the lane child
     created_at: float = field(default_factory=time.monotonic)
     queries: int = 0
 
-    @property
-    def local_store(self) -> Optional[WeightStore]:
-        return self.engine.store if self.engine is not None else None
-
 
 class SessionRouter:
-    """Maps sessions to lanes and owns per-session engine state."""
+    """Maps sessions to lanes and keeps per-session accounting."""
 
-    def __init__(self, n_lanes: int, registry: Optional["MetricsRegistry"] = None):
+    def __init__(self, n_lanes: int, registry: "MetricsRegistry"):
         if n_lanes < 1:
             raise ValueError("need at least one lane")
         self.n_lanes = int(n_lanes)
         self._sessions: dict[tuple[str, str], SessionState] = {}
         self.sessions_opened = 0
         self.sessions_merged = 0
-        self._m_opened = (
-            registry.counter("blog_sessions_opened_total") if registry else None
-        )
-        self._m_merged = (
-            registry.counter("blog_sessions_merged_total") if registry else None
-        )
-        self._m_abandoned = (
-            registry.counter("blog_sessions_abandoned_total") if registry else None
-        )
-        self._m_live = registry.gauge("blog_sessions_open") if registry else None
-
-    def _count_open(self) -> None:
-        self.sessions_opened += 1
-        if self._m_opened is not None:
-            self._m_opened.inc()
-        if self._m_live is not None:
-            self._m_live.set(len(self._sessions))
-
-    def _count_merge(self) -> None:
-        self.sessions_merged += 1
-        if self._m_merged is not None:
-            self._m_merged.inc()
-        if self._m_live is not None:
-            self._m_live.set(len(self._sessions))
-
-    def _count_abandoned(self, n: int = 1) -> None:
-        if self._m_abandoned is not None and n:
-            self._m_abandoned.inc(n)
-        if self._m_live is not None:
-            self._m_live.set(len(self._sessions))
+        self._m_opened = registry.counter("blog_sessions_opened_total")
+        self._m_merged = registry.counter("blog_sessions_merged_total")
+        self._m_abandoned = registry.counter("blog_sessions_abandoned_total")
+        self._m_live = registry.gauge("blog_sessions_open")
 
     # -- placement ---------------------------------------------------------
     def lane_for(self, session: str) -> int:
@@ -116,74 +79,20 @@ class SessionRouter:
     def get(self, program: str, session: str) -> Optional[SessionState]:
         return self._sessions.get((program, session))
 
-    def open(
-        self,
-        program_name: str,
-        session: str,
-        program: Program,
-        global_store: WeightStore,
-        config: BLogConfig,
-    ) -> SessionState:
-        """The session's state, opening it on first touch.
-
-        Opening copies the global store into the session-local store
-        (the §5 session begin).  Must be called from the event-loop
-        thread, which is the only mutator of global stores.
-        """
-        key = (program_name, session)
-        state = self._sessions.get(key)
-        if state is None:
-            engine = BLogEngine(program, config, global_store=global_store)
-            engine.begin_session()
-            state = SessionState(
-                program=program_name,
-                session=session,
-                engine=engine,
-                lane=self.lane_for(session),
-            )
-            self._sessions[key] = state
-            self._count_open()
-        return state
-
-    def close(
-        self, program_name: str, session: str, conservative: bool = True
-    ) -> Optional[MergeReport]:
-        """End a session: merge its local store into the global store
-        (bumping the store generation if anything was learned) and drop
-        the state.  Returns None for a session that was never opened.
-
-        The caller (the service) is responsible for running this on the
-        session's lane so it cannot race an in-flight query of the same
-        session, and on the event-loop thread because it writes the
-        global store.
-        """
-        state = self._sessions.pop((program_name, session), None)
-        if state is None:
-            return None
-        if state.engine is None:  # remote session: close_remote owns the merge
-            return None
-        report = state.engine.end_session(conservative=conservative)
-        self._count_merge()
-        return report
-
-    # -- process-lane sessions ---------------------------------------------
-    def open_remote(self, program_name: str, session: str) -> SessionState:
-        """The state of a session whose engine lives in a lane subprocess,
-        opening it on first touch.  Pure parent-side accounting — the
-        caller is responsible for telling the lane child to open its
-        engine (and for shipping it the store delta first)."""
+    def open(self, program_name: str, session: str) -> SessionState:
+        """The session's state, opening it on first touch.  Pure
+        parent-side accounting — the caller tells the lane worker to open
+        its engine (after shipping it the store delta)."""
         key = (program_name, session)
         state = self._sessions.get(key)
         if state is None:
             state = SessionState(
-                program=program_name,
-                session=session,
-                engine=None,
-                lane=self.lane_for(session),
-                remote=True,
+                program=program_name, session=session, lane=self.lane_for(session)
             )
             self._sessions[key] = state
-            self._count_open()
+            self.sessions_opened += 1
+            self._m_opened.inc()
+            self._m_live.set(len(self._sessions))
         return state
 
     def store_sync(
@@ -204,7 +113,7 @@ class SessionRouter:
             return None
         return store_delta(global_store, since=synced_generation)
 
-    def close_remote(
+    def close(
         self,
         program_name: str,
         session: str,
@@ -213,56 +122,42 @@ class SessionRouter:
         alpha: float = 0.5,
         conservative: bool = True,
     ) -> Optional[MergeReport]:
-        """End a process-lane session: merge the touched-keys delta its
-        lane child shipped back into the global store (same §5 policy as
-        a thread-lane merge) and drop the state.  ``delta=None`` (the
-        child had no such session, e.g. it respawned) just drops the
-        state — an abandoned session is never merged.
+        """End a session: merge the touched-keys delta its lane worker
+        shipped back into the global store (bumping the store generation
+        if anything was learned) and drop the state.  ``delta=None`` (the
+        worker had no such session, e.g. its lane was reset) just drops
+        the state — an abandoned session is never merged.
+
+        The caller runs this on the session's lane, so it cannot race an
+        in-flight query of the same session, and on the event-loop
+        thread, because it writes the global store.
         """
-        state = self._sessions.pop((program_name, session), None)
-        if state is None:
+        if self._sessions.pop((program_name, session), None) is None:
             return None
+        self._m_live.set(len(self._sessions))
         if delta is None:
             return None
-        local = delta_store(delta)
-        if conservative:
-            report = merge_conservative(global_store, local, alpha)
-        else:
-            report = merge_strong(global_store, local)
-        self._count_merge()
+        report = merge_delta(global_store, delta, alpha, conservative)
+        self.sessions_merged += 1
+        self._m_merged.inc()
         return report
 
     def drop_lane(self, lane: int) -> int:
         """Abandon every session routed to ``lane`` (no merges).
 
-        Called when a lane subprocess dies or is killed after a
-        timeout: the child held these sessions' engines and local
-        stores, so there is nothing trustworthy left to merge.  The
-        next query of each session opens a fresh state.
+        Called when a lane is reset (its worker died, or was replaced
+        after a timeout): the lost worker held these sessions' engines
+        and local stores, so there is nothing trustworthy left to merge.
+        The next query of each session opens a fresh state.
         """
         doomed = [k for k, s in self._sessions.items() if s.lane == lane]
         for k in doomed:
             del self._sessions[k]
-        self._count_abandoned(len(doomed))
+        self._m_abandoned.inc(len(doomed))
+        self._m_live.set(len(self._sessions))
         return len(doomed)
 
-    def abandon(self, program_name: str, session: str) -> bool:
-        """Drop a session *without* merging.
-
-        Used after a timed-out query: the abandoned worker thread may
-        still be running and mutating the session-local store, so that
-        store can never be trusted for a merge nor handed to another
-        query.  The next query of the same session opens a fresh state.
-        """
-        dropped = self._sessions.pop((program_name, session), None) is not None
-        if dropped:
-            self._count_abandoned()
-        return dropped
-
     # -- introspection -----------------------------------------------------
-    def live_sessions(self) -> list[SessionState]:
-        return list(self._sessions.values())
-
     def open_session_keys(self) -> list[tuple[str, str]]:
         """``(program, session)`` for every live session — what a graceful
         drain walks to merge surviving sessions before the final

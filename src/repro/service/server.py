@@ -12,19 +12,19 @@ of named programs, each with its own global weight store, and serves
 Concurrency contract (who touches what, from where):
 
 * The **event loop thread** is the only mutator of global weight
-  stores: sessions open (copy global → local) and merge (local →
-  global) there, serialized per lane.
-* **Worker threads** (``backend="thread"``) execute queries and touch
-  only the session-local store of the session they were routed for;
-  the router's lane affinity guarantees at most one in-flight query
-  per session.
-* **Lane subprocesses** (``backend="process"``) hold their sessions'
-  engines and local stores outright; the loop ships them weight-store
-  *deltas* on session open and merges the touched-keys delta they
-  return at close.  A dead or hung child is killed, respawned warm,
-  and the in-flight query replayed exactly once against a freshly
-  opened session; every other session that lived in the dead child is
-  abandoned, never merged.
+  stores: it ships store deltas to lanes on session open and merges
+  the touched-keys delta a lane returns at session close, serialized
+  per lane.
+* Each lane's **worker** (:class:`~repro.core.procpool.LaneWorker`)
+  holds the lane's store mirrors and its sessions' engines and local
+  stores, and executes their queries — on a worker thread
+  (``backend="thread"``) or in a warm lane subprocess
+  (``backend="process"``); the same protocol either way.  The router's
+  lane affinity guarantees at most one in-flight request per lane.  A
+  lane whose worker dies or misses a deadline is reset (fresh worker),
+  and the in-flight query is replayed exactly once against a freshly
+  opened session after a death; every other session that lived in the
+  lost worker is abandoned, never merged.
 * The answer cache and stats are loop-thread-only.
 
 Request lifecycle: admission (bounded pending, explicit
@@ -49,10 +49,8 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..core.config import BLogConfig
-from ..core.procpool import run_engine_query
 from ..logic.parser import ParseError, parse_query
 from ..logic.program import Program
-from ..logic.terms import Term
 from ..machine.blog_machine import MachineConfig
 from ..weights.persist import store_delta
 from ..weights.session import MergeReport
@@ -61,14 +59,17 @@ from ..weights.wal import DurableStore
 from .admission import AdmissionController, Overloaded
 from .cache import AnswerCache, cache_key, canonical_query, slot_names
 from .lifecycle import LifecycleState, NotServing, ServiceLifecycle
-from .router import SessionRouter, SessionState
-from .stats import ServiceStats, TraceEvent
+from .router import SessionRouter
+from .stats import ServiceStats
 from .telemetry import Telemetry, Trace
 from .workers import Job, QueryTimeout, WorkerDied, WorkerPool
 
 __all__ = ["QueryRequest", "QueryResponse", "ProgramEntry", "BLogService"]
 
 ENGINES = ("blog", "machine", "procpool")
+#: longest TCP request line accepted (bytes, newline included); a longer
+#: line gets an error reply and is skipped, the connection lives on
+LINE_LIMIT = 1 << 16
 
 
 @dataclass
@@ -223,14 +224,16 @@ class BLogService:
             )
         registry = self.telemetry.registry
         self.router = SessionRouter(self.n_workers, registry=registry)
-        self.pool = WorkerPool(self.n_workers, backend=backend, mp_context=mp_context)
+        self.pool = WorkerPool(
+            self.n_workers, backend=backend, mp_context=mp_context,
+            processes=self.processes,
+        )
         self.lane_resets = 0
         self.sessions_abandoned = 0
-        if backend == "process":
-            self.pool.backend.on_lane_reset = self._on_lane_reset
+        self.pool.backend.on_lane_reset = self._on_lane_reset
         self.admission = AdmissionController(max_pending, registry=registry)
         self.cache = AnswerCache(cache_capacity, registry=registry)
-        self.stats_agg = ServiceStats(registry=registry)
+        self.stats_agg = ServiceStats(registry)
         self._req_counter = 0
         self._tcp_server: Optional[asyncio.base_events.Server] = None
         #: open TCP connections: handler task -> its writer
@@ -425,7 +428,7 @@ class BLogService:
 
         Every request — served, failed, or rejected — owns exactly one
         root span; the phases (admission, cache, queue, lane-dispatch,
-        engine, and on the process backend respawn/replay) hang off it.
+        engine, and after a lane reset respawn/replay) hang off it.
         """
         rid = request.request_id or self._next_id()
         trace = self.telemetry.tracer.start_trace(
@@ -438,18 +441,7 @@ class BLogService:
         try:
             if not self.lifecycle.accepting:
                 trace.end(ok=False, outcome="not-serving")
-                self.stats_agg.record_rejection(
-                    TraceEvent(
-                        request_id=rid,
-                        program=request.program,
-                        session=request.session,
-                        engine_requested=request.engine,
-                        engine_used="rejected",
-                        ok=False,
-                        total_s=trace.root.duration_s,
-                        error="not-serving",
-                    )
-                )
+                self.stats_agg.record_rejection(trace.root.duration_s)
                 raise NotServing(
                     f"service is {self.lifecycle.state.value}, not accepting queries"
                 )
@@ -458,19 +450,7 @@ class BLogService:
                     self.admission.acquire()
             except Overloaded:
                 trace.end(ok=False, outcome="rejected")
-                self.stats_agg.record_rejection(
-                    TraceEvent(
-                        request_id=rid,
-                        program=request.program,
-                        session=request.session,
-                        engine_requested=request.engine,
-                        engine_used="rejected",
-                        ok=False,
-                        queue_wait_s=trace.root.duration_s,
-                        total_s=trace.root.duration_s,
-                        error="overloaded",
-                    )
-                )
+                self.stats_agg.record_rejection(trace.root.duration_s)
                 raise
             try:
                 return await self._admitted(request, rid, trace)
@@ -494,7 +474,7 @@ class BLogService:
                 request, rid, error=f"unknown engine {request.engine!r}", trace=trace
             )
         try:
-            goals = self._parse(request.query)
+            goals = parse_query(request.query)
         except ParseError as exc:
             return self._finish(
                 request, rid, error=f"syntax error: {exc}", trace=trace
@@ -533,100 +513,47 @@ class BLogService:
         timeout = request.timeout if request.timeout is not None else self.default_timeout
         lane = self.router.lane_for(request.session)
 
-        if self.backend == "process":
-            # Session state lives in the lane subprocess; everything —
-            # opening included — happens inside the job so a replay
-            # after a worker death re-opens against the fresh child.
-            async def run(job: Job):
-                trace.span_at(
-                    "queue",
-                    job.enqueued_at,
-                    job.started_at or job.enqueued_at,
-                    lane=lane,
-                )
-                with trace.span("lane-dispatch", lane=lane, backend="process"):
-                    attempts = 0
-                    while True:
-                        attempts += 1
-                        replay_cm = (
-                            trace.span("replay", lane=lane)
-                            if attempts > 1
-                            else contextlib.nullcontext()
-                        )
-                        try:
-                            with replay_cm:
-                                await self._remote_prepare(
-                                    lane, entry, request.session, trace=trace
-                                )
-                                with trace.span(
-                                    "engine", engine=engine_used, backend="process"
-                                ) as engine_span:
-                                    reply = await self.pool.remote_call(
-                                        lane,
-                                        {
-                                            "op": "query",
-                                            "name": entry.name,
-                                            "session": request.session,
-                                            "engine": engine_used,
-                                            "query": request.query,
-                                            "max_solutions": request.max_solutions,
-                                        },
-                                        timeout,
-                                    )
-                                    for k, v in (
-                                        reply.get("engine_attrs") or {}
-                                    ).items():
-                                        engine_span.set(k, v)
-                                return reply["answers"], reply.get("expansions")
-                        except WorkerDied:
-                            self._record_respawn(trace, lane)
-                            if attempts > 1:
-                                raise
-                            job.retries += 1
-                        except QueryTimeout:
-                            self._record_respawn(trace, lane)
-                            raise
+        query = {
+            "op": "query",
+            "name": entry.name,
+            "session": request.session,
+            "engine": engine_used,
+            "goals": goals,
+            "max_solutions": request.max_solutions,
+        }
 
-        else:
-            state = self.router.open(
-                entry.name, request.session, entry.program,
-                entry.global_store, self.config,
+        # Everything — opening the session included — happens inside the
+        # job, so a replay after a lane reset re-opens against the fresh
+        # worker.
+        async def run(job: Job):
+            trace.span_at(
+                "queue", job.enqueued_at, job.started_at or job.enqueued_at, lane=lane
             )
-            state.queries += 1
-
-            async def run(job: Job):  # type: ignore[no-redef]
-                trace.span_at(
-                    "queue",
-                    job.enqueued_at,
-                    job.started_at or job.enqueued_at,
-                    lane=lane,
-                )
-                with trace.span("lane-dispatch", lane=lane, backend="thread"):
-                    attrs: dict = {}
-                    with trace.span(
-                        "engine", engine=engine_used, backend="thread"
-                    ) as engine_span:
-                        result = await self.pool.run_sync(
-                            job,
-                            lambda: self._execute(
-                                engine_used, state, entry, goals, request, attrs
-                            ),
-                            timeout,
-                            lane=lane,
-                            trace=trace,
-                        )
-                        for k, v in attrs.items():
-                            engine_span.set(k, v)
-                    return result
+            with trace.span("lane-dispatch", lane=lane, backend=self.backend):
+                while True:
+                    replay = job.retries > 0
+                    replay_cm = trace.span("replay", lane=lane) if replay else None
+                    try:
+                        with replay_cm or contextlib.nullcontext():
+                            await self._prepare(lane, entry, request.session, trace)
+                            with trace.span(
+                                "engine", engine=engine_used, backend=self.backend
+                            ) as engine_span:
+                                reply = await self.pool.lane_call(lane, query, timeout)
+                                for k, v in reply["engine_attrs"].items():
+                                    engine_span.set(k, v)
+                            return reply["answers"], reply["expansions"]
+                    except (WorkerDied, QueryTimeout) as exc:
+                        self._record_respawn(trace, lane)
+                        if isinstance(exc, QueryTimeout) or replay:
+                            raise
+                        job.retries += 1
 
         job = self.pool.submit(lane, run)
         try:
             answers, expansions = await job.future
         except QueryTimeout as exc:
-            # The worker thread cannot be killed and may still be
-            # mutating this session's local store — abandon the session
-            # so the tainted store is never merged or queried again.
-            self.router.abandon(entry.name, request.session)
+            # the lane was reset: this session's learning is abandoned
             return self._finish(
                 request, rid, error=str(exc), engine_used=engine_used,
                 degraded=degraded, job=job, trace=trace,
@@ -656,48 +583,40 @@ class BLogService:
             degraded=degraded, job=job, expansions=expansions, trace=trace,
         )
 
-    # -- process-lane plumbing (event-loop only) ---------------------------
+    # -- lane plumbing (event-loop only) -----------------------------------
     def _on_lane_reset(self, lane: int) -> None:
-        """A lane subprocess was killed/respawned: its child-side session
-        state is gone, so the sessions routed there are abandoned —
-        dropped without merging (their learning died with the child)."""
+        """A lane's worker was replaced (death or missed deadline): the
+        sessions it held are gone, so the sessions routed there are
+        abandoned — dropped without merging (their learning died with
+        the worker)."""
         self.lane_resets += 1
         self.telemetry.registry.counter("blog_lane_resets_total").inc()
         self.sessions_abandoned += self.router.drop_lane(lane)
 
     def _record_respawn(self, trace: Trace, lane: int) -> None:
-        """Attach a ``respawn`` span for the kill+respawn the backend just
+        """Attach a ``respawn`` span for the lane reset the backend just
         performed (its interval was stamped inside the reset)."""
-        reset = getattr(self.pool.lane_process(lane), "last_reset", None)
-        now = self.telemetry.tracer.clock()
-        start, end = reset if reset is not None else (now, now)
-        trace.span_at("respawn", start, end, lane=lane)
+        reset = self.pool.lane(lane).last_reset
+        if reset is not None:
+            trace.span_at("respawn", *reset, lane=lane)
 
-    async def _remote_prepare(
-        self,
-        lane: int,
-        entry: ProgramEntry,
-        session: str,
-        trace: Optional[Trace] = None,
+    async def _prepare(
+        self, lane: int, entry: ProgramEntry, session: str, trace: Trace
     ) -> None:
-        """Bring a lane child up to date for one session's query: install
-        the program (once per child epoch), ship the global-store delta
-        its mirror is missing, and open the session child-side.  All
-        three are idempotent per child and skipped when already done —
-        the steady-state cost is the delta check, an integer compare.
+        """Bring a lane's worker up to date for one session's query:
+        install the program (once per worker epoch), ship the
+        global-store delta its mirror is missing, and open the session
+        there.  All three are idempotent per worker and skipped when
+        already done — the steady-state cost is the delta check, an
+        integer compare.
 
         Runs inside the session's lane job, so it cannot interleave with
         other work on the same lane.
         """
-        span_cm = (
-            trace.span("prepare", lane=lane)
-            if trace is not None
-            else contextlib.nullcontext()
-        )
-        with span_cm as prepare_span:
-            lp = self.pool.lane_process(lane)
-            if entry.name not in lp.loaded:
-                await self.pool.remote_call(
+        with trace.span("prepare", lane=lane) as span:
+            view = self.pool.lane(lane)
+            if entry.name not in view.loaded:
+                await self.pool.lane_call(
                     lane,
                     {
                         "op": "load_program",
@@ -708,33 +627,31 @@ class BLogService:
                     },
                     self.default_timeout,
                 )
-                lp.loaded.add(entry.name)
-                lp.synced_gen.pop(entry.name, None)
-                if prepare_span is not None:
-                    prepare_span.set("loaded_program", True)
+                view.loaded.add(entry.name)
+                view.synced_gen.pop(entry.name, None)
+                span.set("loaded_program", True)
             delta = self.router.store_sync(
-                entry.global_store, lp.synced_gen.get(entry.name)
+                entry.global_store, view.synced_gen.get(entry.name)
             )
             if delta is not None:
-                await self.pool.remote_call(
+                await self.pool.lane_call(
                     lane,
                     {"op": "sync_store", "name": entry.name, "delta": delta},
                     self.default_timeout,
                 )
-                lp.synced_gen[entry.name] = entry.global_store.generation
-                if prepare_span is not None:
-                    prepare_span.set("synced_store", True)
-            state = self.router.open_remote(entry.name, session)
-            state.queries += 1
-            if (entry.name, session) not in lp.open_sessions:
-                await self.pool.remote_call(
+                # the generation the delta was cut at: a merge on another
+                # lane during the await is still missing from this mirror
+                view.synced_gen[entry.name] = delta["generation"]
+                span.set("synced_store", True)
+            self.router.open(entry.name, session).queries += 1
+            if (entry.name, session) not in view.open_sessions:
+                await self.pool.lane_call(
                     lane,
                     {"op": "open_session", "name": entry.name, "session": session},
                     self.default_timeout,
                 )
-                lp.open_sessions.add((entry.name, session))
-                if prepare_span is not None:
-                    prepare_span.set("opened_session", True)
+                view.open_sessions.add((entry.name, session))
+                span.set("opened_session", True)
 
     async def end_session(
         self, program: str, session: str, conservative: bool = True
@@ -743,11 +660,11 @@ class BLogService:
         generation) and drop the session state.
 
         The merge runs as a job on the session's own lane, so it
-        serializes behind any in-flight query of that session; the merge
-        body itself executes on the event loop (global stores are
-        loop-thread-only).  For process lanes the lane child ships back
-        the session's touched-keys delta and the merge applies it here;
-        if the child died, the session is abandoned (None), never merged.
+        serializes behind any in-flight query of that session.  The lane
+        worker ships back the session's touched-keys delta and the merge
+        applies it here, on the event loop (global stores are
+        loop-thread-only); if the worker was lost, the session is
+        abandoned (None), never merged.
         """
         if self.router.get(program, session) is None:
             return None
@@ -755,70 +672,53 @@ class BLogService:
         if entry is None:
             return None
         lane = self.router.lane_for(session)
+
+        async def merge() -> Optional[MergeReport]:
+            view = self.pool.lane(lane)
+            delta = None
+            # not open in the worker: the lane was reset since — abandoned
+            if (program, session) in view.open_sessions:
+                try:
+                    reply = await self.pool.lane_call(
+                        lane,
+                        {"op": "close_session", "name": program, "session": session},
+                        self.default_timeout,
+                    )
+                except WorkerDied:
+                    # the worker died holding the local store: the lane
+                    # reset already dropped the router state — abandoned
+                    return None
+                view.open_sessions.discard((program, session))
+                delta = reply["delta"]
+            return self.router.close(
+                program,
+                session,
+                delta,
+                entry.global_store,
+                alpha=entry.config.alpha,
+                conservative=conservative,
+            )
+
+        async def run(job: Job) -> Optional[MergeReport]:
+            trace.span_at(
+                "queue", job.enqueued_at, job.started_at or job.enqueued_at, lane=lane
+            )
+            with trace.span("merge", lane=lane, backend=self.backend) as span:
+                pre_generation = entry.global_store.generation
+                report = await merge()
+                span.set("merged", report is not None)
+                if report is not None:
+                    report.generation = entry.global_store.generation
+                    # durable before acknowledged: the journal append
+                    # (fsync included) completes before this job — and
+                    # therefore the client's end_session reply — resolves
+                    await self._journal_merge(entry, session, pre_generation, trace)
+                return report
+
         trace = self.telemetry.tracer.start_trace(
             self._next_id(), name="end_session", program=program, session=session
         )
         try:
-            if self.backend == "process":
-
-                async def merge(job: Job) -> Optional[MergeReport]:
-                    lp = self.pool.lane_process(lane)
-                    if (program, session) not in lp.open_sessions:
-                        # parent knows the session but the child lost it
-                        # (respawn since): abandoned, nothing to merge
-                        self.router.close_remote(
-                            program, session, None, entry.global_store
-                        )
-                        return None
-                    try:
-                        reply = await self.pool.remote_call(
-                            lane,
-                            {"op": "close_session", "name": program, "session": session},
-                            self.default_timeout,
-                        )
-                        delta = reply.get("delta")
-                    except WorkerDied:
-                        # the child died holding the local store: the lane
-                        # reset already dropped the router state — abandoned
-                        return None
-                    lp.open_sessions.discard((program, session))
-                    return self.router.close_remote(
-                        program,
-                        session,
-                        delta,
-                        entry.global_store,
-                        alpha=entry.config.alpha,
-                        conservative=conservative,
-                    )
-
-            else:
-
-                async def merge(job: Job) -> Optional[MergeReport]:  # type: ignore[no-redef]
-                    return self.router.close(
-                        program, session, conservative=conservative
-                    )
-
-            async def run(job: Job) -> Optional[MergeReport]:
-                trace.span_at(
-                    "queue",
-                    job.enqueued_at,
-                    job.started_at or job.enqueued_at,
-                    lane=lane,
-                )
-                with trace.span("merge", lane=lane, backend=self.backend) as span:
-                    pre_generation = entry.global_store.generation
-                    report = await merge(job)
-                    span.set("merged", report is not None)
-                    if report is not None:
-                        report.generation = entry.global_store.generation
-                        # durable before acknowledged: the journal append
-                        # (fsync included) completes before this job — and
-                        # therefore the client's end_session reply — resolves
-                        await self._journal_merge(
-                            entry, session, pre_generation, trace
-                        )
-                    return report
-
             # submit() itself can raise (pool shutting down): keep it under
             # the same try/finally as the await, or the trace leaks open
             job = self.pool.submit(lane, run)
@@ -857,39 +757,7 @@ class BLogService:
         """The registry's text exposition (the ``metrics`` TCP verb)."""
         return self.telemetry.registry.expose()
 
-    # -- execution (worker threads) ----------------------------------------
-    def _execute(
-        self,
-        engine_used: str,
-        state: SessionState,
-        entry: ProgramEntry,
-        goals: tuple[Term, ...],
-        request: QueryRequest,
-        attrs: Optional[dict] = None,
-    ) -> tuple[list[dict[str, str]], Optional[int]]:
-        """Run one query on the chosen engine.  Worker-thread code: may
-        touch only the session-local store (``state.engine.store``).
-        The same executor runs inside a lane subprocess for the process
-        backend (:func:`~repro.core.procpool.run_engine_query`), which is
-        what makes the two backends answer-identical.  ``attrs`` (a plain
-        dict the loop thread reads only after the job resolves) receives
-        the engine counters for the request's ``engine`` span."""
-        return run_engine_query(
-            engine_used,
-            state.engine,
-            entry.program,
-            entry.config,
-            entry.machine_config,
-            goals,
-            request.max_solutions,
-            processes=self.processes,
-            attrs=attrs,
-        )
-
     # -- plumbing ----------------------------------------------------------
-    def _parse(self, query: str) -> tuple[Term, ...]:
-        return parse_query(query)
-
     def _next_id(self) -> str:
         self._req_counter += 1
         return f"q{self._req_counter}"
@@ -898,6 +766,7 @@ class BLogService:
         self,
         request: QueryRequest,
         rid: str,
+        trace: Trace,
         answers: Optional[list[dict[str, str]]] = None,
         error: Optional[str] = None,
         cache_hit: bool = False,
@@ -905,70 +774,50 @@ class BLogService:
         degraded: bool = False,
         job: Optional[Job] = None,
         expansions: Optional[int] = None,
-        trace: Optional[Trace] = None,
     ) -> QueryResponse:
-        """Build the response, finish its root span, and record its trace
-        event.
+        """Build the response, finish its root span, and record the
+        outcome in the registry.
 
-        Durations are populated on *every* exit path: with a trace, the
-        wall time is measured root-span-start → now, so cache hits and
-        early errors report real latency instead of zero; without a job
-        (no lane work happened) the whole wall time counts as queue
-        wait.  Engine time is the sum of the request's ``engine`` spans.
+        Durations are populated on *every* exit path: the wall time is
+        measured root-span-start → now, so cache hits and early errors
+        report real latency instead of zero; without a job (no lane work
+        happened) the whole wall time counts as queue wait.  Engine time
+        is the sum of the request's ``engine`` spans.
         """
-        now = time.monotonic()
         ok = error is None
-        if trace is not None:
-            total_s = max(0.0, now - trace.root.start_s)
-            engine_s = sum(
-                s.duration_s for s in trace.find("engine") if s.end_s is not None
-            )
-            if job is not None:
-                queue_wait = job.queue_wait_s
-            else:
-                queue_wait = max(0.0, total_s - engine_s)
-        else:  # legacy path (no tracer): the pre-telemetry arithmetic
-            queue_wait = job.queue_wait_s if job is not None else 0.0
-            engine_s = 0.0
-            if job is not None and job.started_at is not None:
-                engine_s = now - job.started_at
-            total_s = queue_wait + engine_s
-        event = TraceEvent(
-            request_id=rid,
-            program=request.program,
-            session=request.session,
-            engine_requested=request.engine,
-            engine_used=engine_used or request.engine,
+        engine_used = engine_used or request.engine
+        retries = job.retries if job is not None else 0
+        total_s = max(0.0, time.monotonic() - trace.root.start_s)
+        engine_s = sum(s.duration_s for s in trace.find("engine") if s.end_s is not None)
+        queue_wait = job.queue_wait_s if job is not None else max(0.0, total_s - engine_s)
+        trace.end(
             ok=ok,
             answers=len(answers or ()),
             cache_hit=cache_hit,
+            engine_used=engine_used,
             degraded=degraded,
-            retries=job.retries if job is not None else 0,
+            retries=retries,
+            **({"request_error": error} if error is not None else {}),
+        )
+        self.stats_agg.record(
+            ok=ok,
+            engine_used=engine_used,
+            cache_hit=cache_hit,
+            degraded=degraded,
+            retries=retries,
+            total_s=total_s,
             queue_wait_s=queue_wait,
             engine_s=engine_s,
-            total_s=total_s,
         )
-        event.error = error
-        if trace is not None:
-            trace.end(
-                ok=ok,
-                answers=len(answers or ()),
-                cache_hit=cache_hit,
-                engine_used=engine_used or request.engine,
-                degraded=degraded,
-                retries=event.retries,
-                **({"request_error": error} if error is not None else {}),
-            )
-        self.stats_agg.record(event)
         return QueryResponse(
             request_id=rid,
             ok=ok,
             answers=list(answers or ()),
             error=error,
             cached=cache_hit,
-            engine=engine_used or request.engine,
+            engine=engine_used,
             degraded=degraded,
-            retries=event.retries,
+            retries=retries,
             expansions=expansions,
             queue_wait_ms=queue_wait * 1000.0,
             engine_ms=engine_s * 1000.0,
@@ -990,7 +839,9 @@ class BLogService:
         per line, always with an ``"ok"`` field.
         """
         await self.start()
-        self._tcp_server = await asyncio.start_server(self._accept, host, port)
+        self._tcp_server = await asyncio.start_server(
+            self._accept, host, port, limit=LINE_LIMIT
+        )
         return self._tcp_server
 
     def _accept(
@@ -1010,10 +861,14 @@ class BLogService:
     ) -> None:
         try:
             while True:
-                line = await reader.readline()
-                if not line:
+                line = await _read_request_line(reader)
+                if line == b"":
                     break
-                reply = await self._dispatch_line(line)
+                if line is None:
+                    self.telemetry.registry.counter("blog_oversized_lines_total").inc()
+                    reply = {"ok": False, "error": f"request line over {LINE_LIMIT} bytes"}
+                else:
+                    reply = await self._dispatch_line(line)
                 writer.write((json.dumps(reply) + "\n").encode("utf-8"))
                 await writer.drain()
         except (ConnectionResetError, BrokenPipeError):
@@ -1082,3 +937,20 @@ class BLogService:
                 "state": self.lifecycle.state.value,
             }
         return {"ok": False, "error": f"unknown op {op!r}"}
+
+
+async def _read_request_line(reader: asyncio.StreamReader) -> Optional[bytes]:
+    """The next request line (``b""`` at end of stream), or None for a
+    line over the reader's limit: that line is read to its end and
+    dropped, so the connection can go on with the next one."""
+    oversized = False
+    while True:
+        try:
+            line = await reader.readuntil(b"\n")
+        except asyncio.IncompleteReadError as exc:
+            line = exc.partial  # end of stream: the last, unterminated line
+        except asyncio.LimitOverrunError as exc:
+            await reader.readexactly(exc.consumed)  # already buffered
+            oversized = True
+            continue
+        return None if oversized else line

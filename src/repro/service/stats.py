@@ -1,28 +1,25 @@
-"""Per-request trace events and service-level aggregation.
+"""Service-level aggregation over the metrics registry.
 
-Every request the service finishes (served, failed, or timed out)
-produces one :class:`TraceEvent` recording where its time went — queue
-wait, engine time — and what happened to it (cache hit, degradation,
-retries).  :class:`ServiceStats` folds the stream of events into the
-numbers an operator actually watches: p50/p95 latency, throughput,
-cache hit rate, per-engine counts, and overload rejections.
+Every request the service finishes (served, failed, or timed out) is
+recorded twice and only twice: its span tree (where its time went) and
+the registry series :class:`ServiceStats` folds it into.  The summary
+an operator watches — p50/p95 latency, throughput, cache hit rate,
+per-engine counts, rejections — is read back from those series.
 
-Nothing here is asynchronous: the service records events from the
-event-loop thread only, so plain counters suffice.
+Nothing here is asynchronous: the service records from the event-loop
+thread only, so plain counters suffice.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # telemetry imports this module; keep the edge type-only
     from .telemetry import MetricsRegistry
 
 __all__ = [
-    "TraceEvent",
     "ServiceStats",
     "percentile",
     "format_stats",
@@ -53,112 +50,95 @@ def percentile(values: list[float], q: float) -> float:
     return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
-@dataclass
-class TraceEvent:
-    """Where one request's time went, and what happened to it."""
-
-    request_id: str
-    program: str
-    session: str
-    engine_requested: str
-    engine_used: str  # "cache" for cache hits
-    ok: bool
-    answers: int = 0
-    cache_hit: bool = False
-    degraded: bool = False  # machine -> blog fallback under load
-    retries: int = 0
-    queue_wait_s: float = 0.0
-    engine_s: float = 0.0
-    total_s: float = 0.0
-    error: Optional[str] = None
-    done_at: float = field(default_factory=time.monotonic)
-
-
 class ServiceStats:
-    """Aggregates trace events into operator-facing counters.
+    """Folds finished requests into the metrics registry and reads the
+    operator summary back from it.
 
-    With a :class:`~repro.service.telemetry.MetricsRegistry` attached,
-    every recorded event is also folded into registry series
-    (``blog_requests_total``, latency histograms, per-engine counts) so
-    the ``metrics`` exposition and this summary always agree; the
-    summary's own p50/p95 output is computed from the event list exactly
-    as before.
+    Counts are exact registry counters; latency percentiles come from
+    bounded histogram reservoirs, so memory stays fixed however long
+    the service runs.  Latency figures cover served (ok) requests only,
+    from their own histograms.
     """
 
-    def __init__(self, registry: Optional["MetricsRegistry"] = None):
-        self.events: list[TraceEvent] = []
-        self.rejected = 0
-        #: rejection trace events (kept apart from ``events`` so the
-        #: served/error counts and latency percentiles are unchanged);
-        #: populated so *every* exit path carries measured durations
-        self.rejections: list[TraceEvent] = []
-        self._started_at = time.monotonic()
+    def __init__(self, registry: "MetricsRegistry"):
+        self._registry = registry
         self._first_done: Optional[float] = None
         self._last_done: Optional[float] = None
-        self._registry = registry
 
     # -- recording ---------------------------------------------------------
-    def record(self, event: TraceEvent) -> None:
-        self.events.append(event)
+    def record(
+        self,
+        ok: bool,
+        engine_used: str,
+        cache_hit: bool,
+        degraded: bool,
+        retries: int,
+        total_s: float,
+        queue_wait_s: float,
+        engine_s: float,
+    ) -> None:
+        done = time.monotonic()
         if self._first_done is None:
-            self._first_done = event.done_at
-        self._last_done = event.done_at
+            self._first_done = done
+        self._last_done = done
         reg = self._registry
-        if reg is None:
-            return
         reg.counter("blog_requests_total").inc()
-        reg.counter("blog_requests_engine_total", engine=event.engine_used).inc()
-        if not event.ok:
+        reg.counter("blog_requests_engine_total", engine=engine_used).inc()
+        if not ok:
             reg.counter("blog_errors_total").inc()
-        if event.cache_hit:
+        if cache_hit:
             reg.counter("blog_request_cache_hits_total").inc()
-        if event.degraded:
+        if degraded:
             reg.counter("blog_degraded_total").inc()
-        if event.retries:
-            reg.counter("blog_retries_total").inc(event.retries)
-        reg.histogram("blog_request_seconds").observe(event.total_s)
-        reg.histogram("blog_queue_wait_seconds").observe(event.queue_wait_s)
-        if not event.cache_hit:
-            reg.histogram("blog_engine_seconds").observe(event.engine_s)
+        if retries:
+            reg.counter("blog_retries_total").inc(retries)
+        reg.histogram("blog_request_seconds").observe(total_s)
+        reg.histogram("blog_queue_wait_seconds").observe(queue_wait_s)
+        if not cache_hit:
+            reg.histogram("blog_engine_seconds").observe(engine_s)
+        if ok:
+            reg.histogram("blog_served_seconds").observe(total_s)
+            reg.histogram("blog_served_queue_wait_seconds").observe(queue_wait_s)
 
-    def record_rejection(self, event: Optional[TraceEvent] = None) -> None:
-        self.rejected += 1
-        if event is not None:
-            self.rejections.append(event)
-            if self._registry is not None:
-                self._registry.histogram("blog_rejection_seconds").observe(
-                    event.total_s
-                )
+    def record_rejection(self, total_s: float) -> None:
+        self._registry.histogram("blog_rejection_seconds").observe(total_s)
 
     # -- reading -----------------------------------------------------------
     def summary(self) -> dict:
         """One flat dict of everything: counts, latency, throughput."""
-        served = [e for e in self.events if e.ok]
-        errors = [e for e in self.events if not e.ok]
-        hits = sum(1 for e in self.events if e.cache_hit)
-        lookups = len(self.events)
-        lat = [e.total_s * 1000.0 for e in served]
-        waits = [e.queue_wait_s * 1000.0 for e in served]
+        reg = self._registry
+
+        def count(name: str) -> int:
+            counter = reg.get(name)
+            return int(counter.value) if counter is not None else 0
+
+        lookups = count("blog_requests_total")
+        errors = count("blog_errors_total")
+        served = lookups - errors
+        hits = count("blog_request_cache_hits_total")
+        rejections = reg.get("blog_rejection_seconds")
+        lat = reg.get("blog_served_seconds")
+        waits = reg.get("blog_served_queue_wait_seconds")
         span = 0.0
         if self._first_done is not None and self._last_done is not None:
             span = self._last_done - self._first_done
-        by_engine: dict[str, int] = {}
-        for e in self.events:
-            by_engine[e.engine_used] = by_engine.get(e.engine_used, 0) + 1
         return {
-            "served": len(served),
-            "errors": len(errors),
-            "rejected": self.rejected,
+            "served": served,
+            "errors": errors,
+            "rejected": rejections.count if rejections else 0,
             "cache_hits": hits,
             "cache_hit_rate": hits / lookups if lookups else 0.0,
-            "retries": sum(e.retries for e in self.events),
-            "degraded": sum(1 for e in self.events if e.degraded),
-            "p50_ms": percentile(lat, 50.0),
-            "p95_ms": percentile(lat, 95.0),
-            "mean_ms": sum(lat) / len(lat) if lat else 0.0,
-            "p95_queue_wait_ms": percentile(waits, 95.0),
-            "throughput_qps": len(served) / span if span > 0 else float(len(served)),
-            "by_engine": by_engine,
+            "retries": count("blog_retries_total"),
+            "degraded": count("blog_degraded_total"),
+            "p50_ms": lat.quantile(0.5) * 1000.0 if lat else 0.0,
+            "p95_ms": lat.quantile(0.95) * 1000.0 if lat else 0.0,
+            "mean_ms": lat.sum / lat.count * 1000.0 if lat else 0.0,
+            "p95_queue_wait_ms": waits.quantile(0.95) * 1000.0 if waits else 0.0,
+            "throughput_qps": served / span if span > 0 else float(served),
+            "by_engine": {
+                labels["engine"]: int(series.value)
+                for labels, series in reg.series("blog_requests_engine_total")
+            },
         }
 
 

@@ -1,22 +1,22 @@
 """Structured tracing and metrics for the B-LOG service.
 
 The service layer (admission → cache → lane dispatch → engine → merge)
-answers *what* happened through :class:`~repro.service.stats.ServiceStats`;
-this module answers *where the time went*, per request, across both lane
-backends:
+records each request's outcome in exactly two places, both here: its
+span tree (*where the time went*) and the metrics registry (*what
+happened*, folded by :class:`~repro.service.stats.ServiceStats`):
 
 * **Spans** — a span is one named phase of a request (``admission``,
   ``queue``, ``lane-dispatch``, ``engine``, ``cache``, ``merge``, plus
-  ``respawn``/``replay`` on the process backend) with a start, an end, a
+  ``respawn``/``replay`` after a lane reset) with a start, an end, a
   parent, and free-form attributes.  Every request the service finishes
   owns exactly one root span; the phases hang off it as a tree.  Engine
   counters (expansions, pruned chains, solution bounds) flow up as span
-  attributes from both thread and process lanes — process lanes ship
-  them back inside the pickled reply.
+  attributes inside the lane worker's reply, on both lane backends.
 * **Metrics** — a zero-dependency registry of counters, gauges, and
   bounded-reservoir histograms with a Prometheus-flavoured text
-  exposition (the ``metrics`` TCP verb).  The registry is the substrate
-  :class:`ServiceStats` folds onto; the p50/p95 summary is unchanged.
+  exposition (the ``metrics`` TCP verb).  ``stats()`` reads its counts
+  from the registry's exact counters and its percentiles from the
+  bounded reservoirs, so nothing grows with the request count.
 * **Exports** — an optional JSONL trace log (one line per span, size
   rotation) and a slow-query log that dumps the full span tree of any
   request over a configurable threshold.
@@ -73,6 +73,8 @@ METRIC_CATALOG: dict[str, str] = {
     "blog_queue_wait_seconds": "histogram",
     "blog_engine_seconds": "histogram",
     "blog_rejection_seconds": "histogram",
+    "blog_served_seconds": "histogram",
+    "blog_served_queue_wait_seconds": "histogram",
     # sessions (router.py)
     "blog_sessions_opened_total": "counter",
     "blog_sessions_merged_total": "counter",
@@ -91,6 +93,7 @@ METRIC_CATALOG: dict[str, str] = {
     # transport (server.py)
     "blog_lane_resets_total": "counter",
     "blog_client_disconnects_total": "counter",
+    "blog_oversized_lines_total": "counter",
     # durability + lifecycle (server.py, lifecycle.py)
     "blog_wal_appends_total": "counter",
     "blog_wal_fsync_seconds": "histogram",
@@ -462,6 +465,15 @@ class MetricsRegistry:
 
     def histogram(self, name: str, reservoir: int = 512, **labels: str) -> Histogram:
         return self._get("histogram", name, labels, reservoir=reservoir)
+
+    def get(self, name: str, **labels: str) -> Any:
+        """The series, or None if it was never registered (reading does
+        not register one)."""
+        return self._series.get((name, tuple(sorted((k, str(v)) for k, v in labels.items()))))
+
+    def series(self, name: str) -> list[tuple[dict[str, str], Any]]:
+        """Every series registered under ``name``, with its labels."""
+        return [(dict(key[1]), s) for key, s in self._series.items() if key[0] == name]
 
     # -- exposition --------------------------------------------------------
     @staticmethod

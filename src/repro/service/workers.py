@@ -8,54 +8,59 @@ what makes session-local weight stores safe without locks — a session's
 queries can never run concurrently with each other (nor with that
 session's end-of-session merge, which is enqueued on the same lane).
 
-What actually executes a lane's work is a :class:`LaneBackend`:
+Every lane runs the same lane protocol — one
+:class:`~repro.core.procpool.LaneWorker` holding the lane's programs,
+its per-program weight-store mirrors and its sessions' engines — and
+the server speaks to it through one call, ``call(lane, msg, timeout)``.
+A :class:`LaneBackend` only decides how the worker is reached:
 
-* ``thread`` — the historical backend: synchronous engine code runs on
-  a shared :class:`~concurrent.futures.ThreadPoolExecutor` (one thread
-  per lane).  Cheap, zero serialization, but the GIL serializes the
-  CPU-bound engine work, so cache-off throughput is flat no matter how
-  many lanes exist (measured as E16).
+* ``thread`` — the worker lives in this process and messages are
+  handed over without serialization; queries run on a shared
+  :class:`~concurrent.futures.ThreadPoolExecutor` (one thread per
+  lane).  Cheap, but the GIL serializes the CPU-bound engine work, so
+  cache-off throughput is flat no matter how many lanes exist
+  (measured as E16).
 * ``process`` — each lane owns a warm, long-lived worker subprocess
-  (spawned once at pool start, reused across queries) holding the
-  lane's programs and session-local weight stores; the event loop
-  speaks to it over a pickled request/response pipe.  Genuinely
-  independent execution state, the way the paper's MIMD processors
-  are independent — measured as E17.
+  (spawned once at pool start, reused across queries), and the same
+  messages travel pickled over a pipe.  Genuinely independent
+  execution state, the way the paper's MIMD processors are
+  independent — measured as E17.
 
-Failure handling:
+Failure handling is one rule on both backends:
 
-* **timeout** — thread: the await is abandoned and the request fails
-  with :class:`QueryTimeout` (the worker thread cannot be killed; it
-  finishes into a dropped future).  process: the lane subprocess *is*
-  killed and respawned — the lane is immediately healthy again, at the
-  cost of the child-side sessions that lived in it (the reset callback
-  lets the router drop them so they are never merged).
-* **worker death** — an execution that raises :class:`WorkerDied` (a
-  SIGKILLed lane subprocess, an injected fault) is retried exactly once;
-  a second death fails the request.  For process lanes the dead child
-  is respawned before the retry, and the retry replays the in-flight
-  query against a freshly opened session.
+* **timeout** or **worker death** resets the lane — a process lane's
+  child is killed and respawned; a thread cannot be killed, so a thread
+  lane swaps in a fresh worker and a stuck thread keeps only the old
+  one.  Either way the lane is immediately healthy again, at the cost
+  of the sessions that lived in its worker (the reset callback lets the
+  router drop them so they are never merged).
+* A timeout then fails the request with :class:`QueryTimeout`; a
+  :class:`WorkerDied` (a SIGKILLed lane subprocess, an injected fault)
+  is replayed exactly once by the server, against a freshly opened
+  session; a second death fails the request.
 
 Queue-wait per job is measured here (enqueue → start) and surfaced to
-the stats layer, as are per-lane respawn and IPC byte counters.
+the stats layer, as are per-lane call, respawn and IPC byte counters.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import multiprocessing as mp
 import pickle
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Optional
+from typing import Any, Awaitable, Callable, Optional, Union
+
+from ..core.procpool import LaneWorker, lane_worker_main
 
 __all__ = [
     "WorkerDied",
     "QueryTimeout",
     "Job",
     "WorkerPool",
+    "LaneView",
     "LaneBackend",
     "ThreadLaneBackend",
     "ProcessLaneBackend",
@@ -93,95 +98,183 @@ class Job:
 # -- backends ---------------------------------------------------------------
 
 
+@dataclass
+class LaneView:
+    """The parent's view of one lane: what its current worker holds
+    (maintained by the server) and the lane's counters.  Both backends
+    keep one per lane; a reset starts a new epoch with empty views."""
+
+    lane: int
+    epoch: int = 0  # bumped per worker (re)start; resets the views below
+    respawns: int = 0
+    calls: int = 0
+    #: monotonic (start, end) of the most recent reset — the service
+    #: turns this into a ``respawn`` span on the request whose failure
+    #: triggered it
+    last_reset: Optional[tuple[float, float]] = None
+    loaded: set[str] = field(default_factory=set)  # program names installed
+    synced_gen: dict[str, int] = field(default_factory=dict)  # program -> mirror gen
+    open_sessions: set[tuple[str, str]] = field(default_factory=set)
+
+    def new_epoch(self) -> None:
+        self.epoch += 1
+        self.loaded = set()
+        self.synced_gen = {}
+        self.open_sessions = set()
+
+
 class LaneBackend:
-    """How a lane's work is executed; see the module docstring."""
+    """How a lane's :class:`~repro.core.procpool.LaneWorker` is reached;
+    see the module docstring.  Subclasses supply the transport
+    (:meth:`_exchange`) and a fresh worker on reset (:meth:`_restart`);
+    deadlines, resets and counters are shared."""
 
     kind: str = "?"
-    #: called with the lane index after a lane loses its worker (process
-    #: backend: kill/respawn); declared on the base so the service can
-    #: install its hook without knowing which backend it got
-    on_lane_reset: Optional[Callable[[int], None]] = None
+
+    def __init__(self) -> None:
+        self.lanes: list[LaneView] = []
+        #: called with the lane index after a reset, before the
+        #: triggering exception propagates; the service drops the
+        #: lane's router sessions there so a lost worker is never merged
+        self.on_lane_reset: Optional[Callable[[int], None]] = None
 
     async def start(self, n_lanes: int) -> None:
-        raise NotImplementedError
+        """Bring up one worker per lane (subclasses), with fresh views."""
+        self.lanes = [LaneView(i, epoch=1) for i in range(n_lanes)]
 
     async def stop(self) -> None:
         raise NotImplementedError
 
-    def lane_stats(self) -> list[dict]:
-        """Per-lane operator counters (backend, respawns, IPC bytes)."""
+    def _restart(self, lane: int) -> None:
+        """Bring up a fresh worker for ``lane`` (discarding any old one)."""
         raise NotImplementedError
+
+    def _exchange(self, lane: int, msg: dict) -> Union[dict, Awaitable[dict]]:
+        """Send ``msg`` to the lane's worker: the reply if it is already
+        there, else an awaitable of it.  Raises (or the awaitable raises)
+        :class:`WorkerDied` if the worker is lost mid-request."""
+        raise NotImplementedError
+
+    def _reset(self, lane: int) -> None:
+        view = self.lanes[lane]
+        t0 = time.monotonic()
+        self._restart(lane)
+        view.new_epoch()
+        view.respawns += 1
+        view.last_reset = (t0, time.monotonic())
+        if self.on_lane_reset is not None:
+            self.on_lane_reset(lane)
+
+    async def call(self, lane: int, msg: dict, timeout: Optional[float]) -> dict:
+        """One lane-protocol request/response.
+
+        * deadline missed → the lane is reset (a stuck worker cannot be
+          un-stuck), then :class:`QueryTimeout`;
+        * worker lost → the lane is reset, then :class:`WorkerDied` so
+          the caller can replay exactly once;
+        * an ``{"ok": False}`` reply → :class:`RuntimeError`.
+        """
+        try:
+            reply = self._exchange(lane, msg)
+            if not isinstance(reply, dict):  # in flight: wait under the deadline
+                reply = await asyncio.wait_for(reply, timeout)
+        except asyncio.TimeoutError:
+            self._reset(lane)
+            raise QueryTimeout(
+                f"lane {lane} request exceeded its {timeout:g}s deadline "
+                f"(lane reset)"
+            ) from None
+        except WorkerDied:
+            self._reset(lane)
+            raise
+        self.lanes[lane].calls += 1
+        if not reply.get("ok", False):
+            raise RuntimeError(reply.get("error", "lane worker error"))
+        return reply
+
+    def _transport_stats(self, lane: int) -> dict:
+        return {}
+
+    def lane_stats(self) -> list[dict]:
+        """Per-lane operator counters (backend, calls, respawns, IPC)."""
+        return [
+            {
+                "lane": view.lane,
+                "backend": self.kind,
+                "calls": view.calls,
+                "respawns": view.respawns,
+                "ipc_bytes_out": 0,
+                "ipc_bytes_in": 0,
+                **self._transport_stats(view.lane),
+            }
+            for view in self.lanes
+        ]
 
 
 class ThreadLaneBackend(LaneBackend):
-    """One worker thread per lane on a shared executor (GIL-bound)."""
+    """One in-process :class:`LaneWorker` per lane (GIL-bound).  Messages
+    are handed over as they are, never pickled.  Queries run on a shared
+    executor (one thread per lane); the session bookkeeping ops are
+    store copies and deltas, cheaper than a thread hop, and run inline
+    on the loop — safe, because the lane is serial: no query of this
+    worker is in flight while its lane job runs them."""
 
     kind = "thread"
 
-    def __init__(self) -> None:
+    def __init__(self, processes: int = 1) -> None:
+        super().__init__()
+        self.processes = processes
         self.executor: Optional[ThreadPoolExecutor] = None
-        self._n_lanes = 0
-        self._calls: list[int] = []
+        self.workers: list[LaneWorker] = []
 
     async def start(self, n_lanes: int) -> None:
-        self._n_lanes = n_lanes
-        self._calls = [0] * n_lanes
         self.executor = ThreadPoolExecutor(
             max_workers=n_lanes, thread_name_prefix="blog-worker"
         )
+        self.workers = [LaneWorker(i, self.processes) for i in range(n_lanes)]
+        await super().start(n_lanes)
 
     async def stop(self) -> None:
         if self.executor is not None:
             self.executor.shutdown(wait=False, cancel_futures=True)
             self.executor = None
 
-    def count_call(self, lane: int) -> None:
-        if 0 <= lane < len(self._calls):
-            self._calls[lane] += 1
+    def _restart(self, lane: int) -> None:
+        # a thread cannot be killed: a stuck one keeps the old worker,
+        # and nothing reads that worker again
+        self.workers[lane] = LaneWorker(lane, self.processes)
 
-    def lane_stats(self) -> list[dict]:
-        return [
-            {
-                "lane": i,
-                "backend": self.kind,
-                "calls": self._calls[i] if i < len(self._calls) else 0,
-                "respawns": 0,
-                "ipc_bytes_out": 0,
-                "ipc_bytes_in": 0,
-            }
-            for i in range(self._n_lanes)
-        ]
+    def _exchange(self, lane: int, msg: dict) -> Union[dict, Awaitable[dict]]:
+        worker = self.workers[lane]
+        if msg["op"] != "query":
+            return worker.handle(msg)
+        return asyncio.get_running_loop().run_in_executor(self.executor, worker.handle, msg)
 
 
 class _LaneProcess:
-    """Parent-side handle of one lane subprocess: pipe, counters, and the
-    parent's view of what the child currently holds."""
+    """Parent-side handle of one lane subprocess: process, pipe, bytes."""
 
     def __init__(self, lane: int, ctx) -> None:
         self.lane = lane
         self._ctx = ctx
         self.proc = None
         self.conn = None
-        self.epoch = 0  # bumped per (re)spawn; resets the views below
-        self.respawns = 0
-        #: monotonic (start, end) of the most recent kill+respawn — the
-        #: service turns this into a ``respawn`` span on the request
-        #: whose failure triggered the reset
-        self.last_reset: Optional[tuple[float, float]] = None
-        self.calls = 0
         self.bytes_out = 0
         self.bytes_in = 0
-        # what the current child has been told, maintained by the server:
-        self.loaded: set[str] = set()  # program names installed
-        self.synced_gen: dict[str, int] = {}  # program -> mirror generation
-        self.open_sessions: set[tuple[str, str]] = set()
         # parent ends of pipes whose reader thread may still be blocked in
         # recv when the lane is reset; closed at pool stop, not mid-read
         self.retired_conns: list = []
 
     def spawn(self) -> None:
-        from ..core.procpool import lane_worker_main
-
+        if self.proc is not None and self.proc.is_alive():
+            self.proc.kill()
+            self.proc.join(timeout=5.0)
+        if self.conn is not None:
+            # a timed-out reader thread may still be blocked inside
+            # recv_bytes on this connection; closing it under the reader
+            # races fd reuse, so retire it and close at pool stop (the
+            # dead child's end is closed, so the reader gets EOF anyway)
+            self.retired_conns.append(self.conn)
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         self.proc = self._ctx.Process(
             target=lane_worker_main,
@@ -192,31 +285,12 @@ class _LaneProcess:
         self.proc.start()
         child_conn.close()  # the child's copy is the only live one now
         self.conn = parent_conn
-        self.epoch += 1
-        self.loaded = set()
-        self.synced_gen = {}
-        self.open_sessions = set()
 
     def roundtrip(self, payload: bytes) -> bytes:
         """Blocking send+recv (runs on the pool's IO executor)."""
         conn = self.conn
         conn.send_bytes(payload)
         return conn.recv_bytes()
-
-    def reset(self) -> None:
-        """Kill the child (if any) and bring up a fresh one."""
-        if self.proc is not None and self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join(timeout=5.0)
-        if self.conn is not None:
-            # a timed-out reader thread may still be blocked inside
-            # recv_bytes on this connection; closing it under the reader
-            # races fd reuse, so retire it and close at pool stop (the
-            # dead child's end is closed, so the reader gets EOF anyway)
-            self.retired_conns.append(self.conn)
-            self.conn = None
-        self.respawns += 1
-        self.spawn()
 
     def shutdown(self) -> None:
         if self.proc is None:
@@ -243,104 +317,65 @@ class _LaneProcess:
             self.conn = None
         self.proc = None
 
-    @property
-    def pid(self) -> Optional[int]:
-        return self.proc.pid if self.proc is not None else None
-
 
 class ProcessLaneBackend(LaneBackend):
-    """One warm, long-lived subprocess per lane, spoken to over a pipe."""
+    """One warm, long-lived subprocess per lane running
+    :func:`~repro.core.procpool.lane_worker_main`, spoken to in pickled
+    messages over a pipe."""
 
     kind = "process"
 
     def __init__(self, mp_context: Optional[str] = None) -> None:
+        super().__init__()
         if mp_context is None:
             mp_context = (
                 "fork" if "fork" in mp.get_all_start_methods() else "spawn"
             )
         self._ctx = mp.get_context(mp_context)
         self.mp_context = mp_context
-        self.lanes: list[_LaneProcess] = []
+        self.children: list[_LaneProcess] = []
         self._io: Optional[ThreadPoolExecutor] = None
-        #: the reset hook fires before the triggering exception
-        #: propagates; the service drops the lane's router sessions
-        #: there so a lost child is never merged
-        self.on_lane_reset = None
 
     async def start(self, n_lanes: int) -> None:
         self._io = ThreadPoolExecutor(
             max_workers=n_lanes, thread_name_prefix="blog-lane-io"
         )
-        self.lanes = [_LaneProcess(i, self._ctx) for i in range(n_lanes)]
-        for lp in self.lanes:
-            lp.spawn()
+        self.children = [_LaneProcess(i, self._ctx) for i in range(n_lanes)]
+        for child in self.children:
+            child.spawn()
+        await super().start(n_lanes)
 
     async def stop(self) -> None:
-        for lp in self.lanes:
-            lp.shutdown()
-        self.lanes = []
+        for child in self.children:
+            child.shutdown()
         if self._io is not None:
             self._io.shutdown(wait=False, cancel_futures=True)
             self._io = None
 
-    def _reset(self, lane: int) -> None:
-        lp = self.lanes[lane]
-        t0 = time.monotonic()
-        lp.reset()
-        lp.last_reset = (t0, time.monotonic())
-        if self.on_lane_reset is not None:
-            self.on_lane_reset(lane)
+    def _restart(self, lane: int) -> None:
+        self.children[lane].spawn()  # kills the old child first
 
-    async def call(
-        self, lane: int, msg: dict, timeout: Optional[float]
-    ) -> dict:
-        """One request/response roundtrip with the lane's child.
-
-        * deadline missed → the child is killed and respawned (the lane
-          must come back healthy; a hung child cannot be un-hung), then
-          :class:`QueryTimeout`;
-        * pipe breaks (child died) → respawn, then :class:`WorkerDied`
-          so the caller can replay exactly once.
-        """
-        lp = self.lanes[lane]
+    async def _exchange(self, lane: int, msg: dict) -> dict:
+        child = self.children[lane]
         payload = pickle.dumps(msg)
         loop = asyncio.get_running_loop()
         try:
-            raw = await asyncio.wait_for(
-                loop.run_in_executor(self._io, lp.roundtrip, payload), timeout
-            )
-        except asyncio.TimeoutError:
-            self._reset(lane)
-            raise QueryTimeout(
-                f"lane {lane} request exceeded its {timeout:g}s deadline "
-                "(worker respawned)"
-            ) from None
+            raw = await loop.run_in_executor(self._io, child.roundtrip, payload)
         except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
-            self._reset(lane)
             raise WorkerDied(
                 f"lane {lane} subprocess died mid-request: {type(exc).__name__}"
             ) from None
-        lp.calls += 1
-        lp.bytes_out += len(payload)
-        lp.bytes_in += len(raw)
-        reply = pickle.loads(raw)
-        if not reply.get("ok", False):
-            raise RuntimeError(reply.get("error", "lane worker error"))
-        return reply
+        child.bytes_out += len(payload)
+        child.bytes_in += len(raw)
+        return pickle.loads(raw)
 
-    def lane_stats(self) -> list[dict]:
-        return [
-            {
-                "lane": lp.lane,
-                "backend": self.kind,
-                "calls": lp.calls,
-                "respawns": lp.respawns,
-                "ipc_bytes_out": lp.bytes_out,
-                "ipc_bytes_in": lp.bytes_in,
-                "pid": lp.pid,
-            }
-            for lp in self.lanes
-        ]
+    def _transport_stats(self, lane: int) -> dict:
+        child = self.children[lane]
+        return {
+            "ipc_bytes_out": child.bytes_out,
+            "ipc_bytes_in": child.bytes_in,
+            "pid": child.proc.pid if child.proc is not None else None,
+        }
 
 
 # -- the pool ---------------------------------------------------------------
@@ -354,17 +389,17 @@ class WorkerPool:
         n_lanes: int,
         backend: str = "thread",
         mp_context: Optional[str] = None,
+        processes: int = 1,
     ):
         if n_lanes < 1:
             raise ValueError("need at least one lane")
         if backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, not {backend!r}")
         self.n_lanes = int(n_lanes)
-        self.backend_name = backend
         if backend == "process":
             self.backend: LaneBackend = ProcessLaneBackend(mp_context)
         else:
-            self.backend = ThreadLaneBackend()
+            self.backend = ThreadLaneBackend(processes)
         self._queues: list[asyncio.Queue] = []
         self._tasks: list[asyncio.Task] = []
         self.started = False
@@ -401,9 +436,6 @@ class WorkerPool:
         self._queues[lane].put_nowait(job)
         return job
 
-    def depth(self, lane: int) -> int:
-        return self._queues[lane].qsize() if self.started else 0
-
     def pending_jobs(self) -> int:
         """Jobs enqueued but not yet resolved (drain watches this)."""
         return sum(q.qsize() for q in self._queues) if self.started else 0
@@ -434,65 +466,14 @@ class WorkerPool:
     def lane_stats(self) -> list[dict]:
         return self.backend.lane_stats()
 
-    # -- thread-backend execution ------------------------------------------
-    async def run_sync(
-        self,
-        job: Job,
-        fn: Callable[[], Any],
-        timeout: Optional[float],
-        lane: Optional[int] = None,
-        trace=None,
-    ) -> Any:
-        """Run ``fn`` on the thread executor with a deadline and one retry
-        on :class:`WorkerDied`; meant to be called from a job's ``run``.
-        With a trace attached, the retry attempt is wrapped in a
-        ``replay`` span (mirroring the process backend's replay path)."""
-        backend = self.backend
-        assert isinstance(backend, ThreadLaneBackend) and backend.executor is not None
-        loop = asyncio.get_running_loop()
-        attempts = 0
-        while True:
-            attempts += 1
-            span_cm = (
-                trace.span("replay", lane=lane)
-                if trace is not None and attempts > 1
-                else contextlib.nullcontext()
-            )
-            try:
-                with span_cm:
-                    if lane is not None:
-                        backend.count_call(lane)
-                    return await asyncio.wait_for(
-                        loop.run_in_executor(backend.executor, fn), timeout
-                    )
-            except asyncio.TimeoutError:
-                raise QueryTimeout(
-                    f"query exceeded its {timeout:g}s deadline"
-                ) from None
-            except WorkerDied:
-                if attempts > 1:
-                    raise
-                job.retries += 1
+    # -- the lane protocol ------------------------------------------------
+    def lane(self, lane: int) -> LaneView:
+        """The parent's view of ``lane`` (what its worker holds)."""
+        return self.backend.lanes[lane]
 
-    # -- process-backend execution -----------------------------------------
-    async def remote_call(
-        self, lane: int, msg: dict, timeout: Optional[float]
-    ) -> dict:
-        """One pickled request/response with a process lane's child."""
-        backend = self.backend
-        assert isinstance(backend, ProcessLaneBackend)
-        return await backend.call(lane, msg, timeout)
-
-    def lane_process(self, lane: int) -> _LaneProcess:
-        backend = self.backend
-        assert isinstance(backend, ProcessLaneBackend)
-        return backend.lanes[lane]
-
-    def lane_pid(self, lane: int) -> Optional[int]:
-        """PID of a process lane's child (None for the thread backend)."""
-        if isinstance(self.backend, ProcessLaneBackend):
-            return self.backend.lanes[lane].pid
-        return None
+    async def lane_call(self, lane: int, msg: dict, timeout: Optional[float]) -> dict:
+        """One lane-protocol request/response with ``lane``'s worker."""
+        return await self.backend.call(lane, msg, timeout)
 
     # -- lane loop ---------------------------------------------------------
     async def _lane_main(self, queue: asyncio.Queue) -> None:

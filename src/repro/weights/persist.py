@@ -168,10 +168,10 @@ def apply_delta(store: WeightStore, delta: dict) -> int:
 def delta_store(delta: dict) -> WeightStore:
     """A standalone store holding just a delta's non-tombstone entries.
 
-    Shaped for :func:`~repro.weights.session.merge_conservative`: the
+    Shaped for :func:`~repro.weights.session.merge_delta`: the
     end-of-session merge iterates the local store's keys, and for a
-    process-lane session the "local store" the parent sees *is* the
-    delta the lane shipped back.  UNKNOWN tombstones are omitted —
+    served session the "local store" the parent sees *is* the delta the
+    lane worker shipped back.  UNKNOWN tombstones are omitted —
     both merge policies treat a local UNKNOWN as "session learned
     nothing here".
     """

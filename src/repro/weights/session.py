@@ -32,9 +32,16 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from ..ortree.tree import ArcKey
+from .persist import delta_store
 from .store import WeightState, WeightStore
 
-__all__ = ["MergeReport", "merge_conservative", "merge_strong", "SessionManager"]
+__all__ = [
+    "MergeReport",
+    "merge_conservative",
+    "merge_strong",
+    "merge_delta",
+    "SessionManager",
+]
 
 
 @dataclass
@@ -120,6 +127,26 @@ def merge_strong(
             global_store.set_known(key, local.value)
             report.adopted += 1
     return report
+
+
+def merge_delta(
+    global_store: WeightStore,
+    delta: dict,
+    alpha: float = 0.5,
+    conservative: bool = True,
+) -> MergeReport:
+    """Merge a session's touched-keys delta (what a lane worker ships
+    back at session close, see :func:`~repro.weights.persist.store_delta`)
+    into the global store, under either policy.
+
+    The delta holds exactly the keys the session wrote, in the order it
+    wrote them, so this is :meth:`SessionManager.end_session` applied at
+    a distance: same reports, same store, same generations.
+    """
+    local = delta_store(delta)
+    if conservative:
+        return merge_conservative(global_store, local, alpha)
+    return merge_strong(global_store, local)
 
 
 class SessionManager:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.procpool import LaneWorker
 from repro.logic import Program
 from repro.workloads import FIGURE1_SOURCE, family_program
 
@@ -35,3 +36,24 @@ def section5_program() -> Program:
         e. f. g. h.
         """
     )
+
+
+@pytest.fixture
+def on_lane_query(monkeypatch):
+    """``on_lane_query(wrap)`` routes every lane worker's ``query`` op
+    through ``wrap(real, worker, msg)`` — the fault-injection seam for
+    in-process (thread) lanes.  It patches the class, so the fresh
+    worker a lane reset swaps in is patched too; ``monkeypatch.undo()``
+    lifts it."""
+
+    def install(wrap) -> None:
+        real = LaneWorker.handle
+
+        def handle(worker, msg):
+            if msg["op"] == "query":
+                return wrap(real, worker, msg)
+            return real(worker, msg)
+
+        monkeypatch.setattr(LaneWorker, "handle", handle)
+
+    return install

@@ -123,8 +123,8 @@ class TestPickleSafety:
         result = lint_snippet(tmp_path, "repro/service/bad2.py", src)
         assert codes(result) == ["BLG003"]
 
-    def test_flags_remote_call_payload(self, tmp_path):
-        src = "async def f(pool, lane):\n    await pool.remote_call(lane, {'f': lambda: 1}, 1.0)\n"
+    def test_flags_lane_call_payload(self, tmp_path):
+        src = "async def f(pool, lane):\n    await pool.lane_call(lane, {'f': lambda: 1}, 1.0)\n"
         result = lint_snippet(tmp_path, "repro/service/bad3.py", src)
         assert codes(result) == ["BLG003"]
 

@@ -1,9 +1,14 @@
-"""Unit tests for the OS-process OR-parallel backend."""
+"""Unit tests for the OS-process OR-parallel backend and the lane worker."""
 
 import pytest
 
-from repro.core import or_parallel_solve, or_split
+from repro.core import BLogConfig, BLogEngine, or_parallel_solve, or_split
+from repro.core.procpool import LaneWorker
 from repro.logic import Solver
+from repro.logic.parser import parse_query
+from repro.machine.blog_machine import MachineConfig
+from repro.weights.persist import store_delta
+from repro.weights.store import WeightStore
 from repro.workloads import synthetic_tree
 
 
@@ -73,3 +78,94 @@ class TestEdgeCases:
         goal = Struct("gf", (LocalAtom("sam"), fresh_var("G")))
         with pytest.raises(ValueError, match="not picklable"):
             or_parallel_solve(figure1, (goal,), processes=2)
+
+
+# -- the lane worker: the one implementation of the lane protocol ------------
+
+
+class TestLaneWorker:
+    """Every op of :class:`LaneWorker`, driven in-process (the same
+    object a thread lane runs and a process lane's child loop wraps)."""
+
+    @pytest.fixture
+    def worker(self, figure1):
+        w = LaneWorker(lane=3)
+        reply = w.handle(
+            {
+                "op": "load_program",
+                "name": "fam",
+                "program": figure1,
+                "config": BLogConfig(),
+                "machine_config": MachineConfig(n_processors=2),
+            }
+        )
+        assert reply == {"ok": True}
+        return w
+
+    @staticmethod
+    def query(worker, session="s", goals="gf(sam, G)", engine="blog", **kw):
+        return worker.handle(
+            {"op": "query", "name": "fam", "session": session, "engine": engine,
+             "goals": parse_query(goals), **kw}
+        )
+
+    def test_load_program_installs_an_empty_mirror(self, worker):
+        assert "fam" in worker.programs
+        assert len(worker.mirrors["fam"]) == 0
+
+    def test_sync_store_applies_a_delta_to_the_mirror(self, worker, figure1):
+        source = WeightStore()
+        engine = BLogEngine(figure1, global_store=source)
+        engine.query("gf(sam, G)")
+        reply = worker.handle(
+            {"op": "sync_store", "name": "fam", "delta": store_delta(source)}
+        )
+        assert reply == {"ok": True, "applied": len(source)}
+        mirror = worker.mirrors["fam"]
+        assert mirror.generation == source.generation
+        assert mirror.snapshot() == source.snapshot()
+
+    def test_open_query_close_roundtrip(self, worker):
+        assert worker.handle({"op": "open_session", "name": "fam", "session": "s"}) == {
+            "ok": True
+        }
+        reply = self.query(worker)
+        assert reply["ok"]
+        assert sorted(a["G"] for a in reply["answers"]) == ["den", "doug"]
+        assert reply["expansions"] == reply["engine_attrs"]["expansions"] > 0
+        closed = worker.handle({"op": "close_session", "name": "fam", "session": "s"})
+        assert closed["ok"]
+        # the delta carries what the session learned; the mirror is untouched
+        assert closed["delta"]["entries"]
+        assert len(worker.mirrors["fam"]) == 0
+        assert ("fam", "s") not in worker.sessions
+
+    def test_max_solutions_and_machine_engine(self, worker):
+        worker.handle({"op": "open_session", "name": "fam", "session": "s"})
+        one = self.query(worker, max_solutions=1)
+        assert one["ok"] and len(one["answers"]) == 1
+        machine = self.query(worker, engine="machine")
+        assert machine["ok"] and "makespan" in machine["engine_attrs"]
+
+    def test_close_of_an_unopened_session_has_no_delta(self, worker):
+        reply = worker.handle({"op": "close_session", "name": "fam", "session": "x"})
+        assert reply == {"ok": True, "delta": None}
+
+    def test_query_on_an_unopened_session_is_an_error_reply(self, worker):
+        reply = self.query(worker, session="never-opened")
+        assert reply["ok"] is False
+        assert "not open on lane 3" in reply["error"]
+
+    def test_engine_failure_is_an_error_reply(self, worker):
+        worker.handle({"op": "open_session", "name": "fam", "session": "s"})
+        reply = self.query(worker, engine="nope")
+        assert reply == {"ok": False, "error": "ValueError: unknown engine 'nope'"}
+
+    def test_unknown_op_is_an_error_reply(self, worker):
+        assert worker.handle({"op": "ping"}) == {
+            "ok": False, "error": "unknown lane op 'ping'"
+        }
+        assert worker.handle({})["ok"] is False
+
+    def test_shutdown_is_acknowledged(self, worker):
+        assert worker.handle({"op": "shutdown"}) == {"ok": True}

@@ -261,16 +261,20 @@ class TestSessionAffinity:
             await svc.submit(
                 QueryRequest("family", "gf(sam, G)", session="b", cache=False)
             )
-            sa = svc.router.get("family", "a")
-            sb = svc.router.get("family", "b")
-            return sa, sb
+            engines = [
+                svc.pool.backend.workers[svc.router.lane_for(s)].sessions[("family", s)][0]
+                for s in ("a", "b")
+            ]
+            return engines, svc.programs["family"].global_store
 
-        # thread-pinned: pokes the in-parent local stores, which live in
-        # the lane child under the process backend
-        sa, sb = run(with_service(body, backend="thread"))
-        assert sa.local_store is not sb.local_store
-        # neither session has merged: the global store is untouched
-        assert len(sa.engine.sessions.global_store) == 0
+        # thread-pinned: pokes the lane workers' local stores, which live
+        # in the lane child under the process backend
+        (ea, eb), global_store = run(with_service(body, backend="thread"))
+        assert ea.store is not eb.store
+        # neither session has merged: the global store (and so the lane
+        # mirror each session copied) is untouched
+        assert len(global_store) == 0
+        assert len(ea.sessions.global_store) == len(eb.sessions.global_store) == 0
 
 
 class TestCacheLifecycle:
@@ -312,45 +316,45 @@ class TestCacheLifecycle:
 
 
 class TestFailureHandling:
-    """Thread-pinned: these tests monkeypatch ``svc._execute``, which only
-    runs in-process for thread lanes (process lanes execute in the lane
-    child — their failure modes are exercised by test_service_faults.py)."""
+    """Thread-pinned: these tests patch
+    :class:`~repro.core.procpool.LaneWorker` (``on_lane_query``), whose
+    instances run in-process only for thread lanes (process lanes run
+    theirs in the lane child — their failure modes are exercised by
+    test_service_faults.py)."""
 
-    def test_timeout_fails_request_and_abandons_session(self):
+    def test_timeout_fails_request_and_abandons_session(self, monkeypatch, on_lane_query):
         async def body(svc):
-            real = svc._execute
-
-            def slow(*a, **k):
+            def slow(real, worker, msg):
                 time.sleep(0.5)
-                return real(*a, **k)
+                return real(worker, msg)
 
-            svc._execute = slow
+            on_lane_query(slow)
             resp = await svc.submit(
                 QueryRequest("family", "gf(sam, G)", session="slowpoke", timeout=0.05)
             )
-            svc._execute = real
+            monkeypatch.undo()
             follow_up = await svc.submit(
                 QueryRequest("family", "gf(curt, G)", session="slowpoke")
             )
-            return resp, follow_up, svc.router.get("family", "slowpoke")
+            return resp, follow_up, svc.router.get("family", "slowpoke"), svc.stats()
 
-        resp, follow_up, state = run(with_service(body, backend="thread"))
+        resp, follow_up, state, stats = run(with_service(body, backend="thread"))
         assert not resp.ok and "deadline" in resp.error
+        assert stats["lane_resets"] == 1  # a timeout resets the lane
         assert follow_up.ok  # a fresh session state served the next query
         assert state is not None and state.queries == 1  # reopened, not reused
 
-    def test_worker_death_is_retried_once(self):
+    def test_worker_death_is_retried_once(self, on_lane_query):
         async def body(svc):
-            real = svc._execute
             deaths = {"n": 0}
 
-            def flaky(*a, **k):
+            def flaky(real, worker, msg):
                 if deaths["n"] == 0:
                     deaths["n"] += 1
                     raise WorkerDied("simulated crash")
-                return real(*a, **k)
+                return real(worker, msg)
 
-            svc._execute = flaky
+            on_lane_query(flaky)
             return await svc.submit(QueryRequest("family", "gf(sam, G)"))
 
         resp = run(with_service(body, backend="thread"))
@@ -358,12 +362,12 @@ class TestFailureHandling:
         assert resp.retries == 1
         assert sorted(a["G"] for a in resp.answers) == ["den", "doug"]
 
-    def test_second_death_fails_the_request(self):
+    def test_second_death_fails_the_request(self, on_lane_query):
         async def body(svc):
-            def doomed(*a, **k):
+            def doomed(real, worker, msg):
                 raise WorkerDied("persistent crash")
 
-            svc._execute = doomed
+            on_lane_query(doomed)
             return await svc.submit(QueryRequest("family", "gf(sam, G)"))
 
         resp = run(with_service(body, backend="thread"))
@@ -371,13 +375,13 @@ class TestFailureHandling:
         assert "worker died twice" in resp.error
         assert resp.retries == 1
 
-    def test_overloaded_rejection_when_queue_full(self):
+    def test_overloaded_rejection_when_queue_full(self, on_lane_query):
         async def body(svc):
-            def slow(*a, **k):
+            def slow(real, worker, msg):
                 time.sleep(0.2)
-                return [], None
+                return {"ok": True, "answers": [], "expansions": None, "engine_attrs": {}}
 
-            svc._execute = slow
+            on_lane_query(slow)
             reqs = [
                 svc.submit(
                     QueryRequest("family", "gf(sam, G)", session=f"c{i}")
@@ -455,6 +459,38 @@ class TestTcpEndpoint:
         assert stats["ok"] and stats["stats"]["served"] >= 2
         assert not bad["ok"]
         assert not garbage["ok"] and "bad json" in garbage["error"]
+
+    def test_oversized_line_gets_error_reply_and_connection_survives(self):
+        """A request line over the 64 KiB line limit is answered with an
+        error and skipped; later lines on the same connection are served
+        (it used to drop the connection with no reply and no metric)."""
+
+        async def body():
+            svc = make_service()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            # one huge line, then one just past the limit, then a good one
+            for line in (
+                json.dumps({"query": "gf(sam, G)", "pad": "x" * 100_000}),
+                "y" * 70_000,
+                json.dumps({"program": "family", "query": "gf(sam, G)"}),
+            ):
+                writer.write((line + "\n").encode())
+                await writer.drain()
+                replies.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            oversized = svc.telemetry.registry.counter("blog_oversized_lines_total").value
+            await svc.stop()
+            return replies, oversized
+
+        (huge, long, good), oversized = run(body())
+        assert not huge["ok"] and "request line over" in huge["error"]
+        assert not long["ok"] and "request line over" in long["error"]
+        assert good["ok"] and sorted(a["G"] for a in good["answers"]) == ["den", "doug"]
+        assert oversized == 2
 
     @pytest.mark.parametrize("how", ["stop", "drain"])
     def test_stop_with_idle_connection_is_quiet(self, capfd, how):

@@ -12,7 +12,9 @@ claims, with real SIGKILLs instead of monkeypatched exceptions:
   *never* merged into the global store (§5's conservative contract
   extended to crashes);
 * a hung child (deadline missed) is killed and respawned, and the lane
-  serves the very next query.
+  serves the very next query;
+* a SIGKILLed *server* leaves no lane child running (under both the
+  ``fork`` and the ``spawn`` start method).
 
 SIGKILL timing is inherently racy (the victim query may finish before
 the signal lands), so the mid-query scenarios check the kill actually
@@ -21,8 +23,13 @@ bounded by a fixed attempt budget.
 """
 
 import asyncio
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +59,7 @@ async def make_service(programs=None, **kw):
 
 def kill_lane_child(svc: BLogService, lane: int) -> None:
     """SIGKILL a lane's subprocess and wait until it is truly dead."""
-    proc = svc.pool.lane_process(lane).proc
+    proc = svc.pool.backend.children[lane].proc
     os.kill(proc.pid, signal.SIGKILL)
     proc.join(timeout=5.0)
     assert not proc.is_alive()
@@ -348,3 +355,71 @@ class TestHungChild:
         assert stats["lane_resets"] >= 1
         assert follow_up.ok  # the lane came back healthy
         assert len(follow_up.answers) == NQUEENS_ANSWERS
+
+
+#: a process-lane server that prints its lane PIDs, then idles
+_ORPHAN_SERVER = """
+import asyncio, sys
+from repro.service import BLogService, QueryRequest
+from repro.workloads import family_program
+
+async def main():
+    svc = BLogService({"family": family_program()}, n_workers=2,
+                      backend="process", mp_context=sys.argv[1])
+    await svc.start()
+    assert (await svc.submit(QueryRequest("family", "gf(sam, G)"))).ok
+    print(*(lane["pid"] for lane in svc.pool.lane_stats()), flush=True)
+    await asyncio.sleep(120)
+
+asyncio.run(main())
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while ``pid`` runs (a zombie awaiting its reaper has exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+    except OSError:  # no procfs: fall back to a signal-0 probe
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return False
+        return True
+
+
+class TestOrphanedLanes:
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_lane_children_exit_when_the_server_is_sigkilled(self, method):
+        """A SIGKILLed server cannot shut its lanes down; every lane child
+        must notice on its own and exit within a few seconds."""
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method here")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+        server = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_SERVER, method],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids: list[int] = []
+        try:
+            pids = [int(p) for p in server.stdout.readline().split()]
+            assert len(pids) == 2, "server did not report its lane PIDs"
+            assert all(_alive(pid) for pid in pids)
+            server.kill()
+            server.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _alive(pid)]
+            assert not survivors, f"lane children outlived the server: {survivors}"
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=10)
+            server.stdout.close()
+            for pid in pids:  # never leak an orphan, even when failing
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -4,11 +4,14 @@ and the regression pins for the queue-wait fix (durations populated on
 cache-hit and overload exit paths, not only served queries)."""
 
 import asyncio
+import gc
 import json
+import time
+import tracemalloc
 
 import pytest
 
-from repro.service import BLogService, Overloaded, QueryRequest
+from repro.service import BLogService, Overloaded, QueryRequest, WorkerDied
 from repro.service.telemetry import (
     JsonlTraceLog,
     MetricsRegistry,
@@ -271,7 +274,8 @@ class TestTraceLog:
 class TestDurationsOnEveryExitPath:
     """Cache-hit short-circuits and overload rejections must carry real
     measured durations, not zeros (the pre-fix behaviour recorded 0.0
-    for every request that never reached a lane)."""
+    for every request that never reached a lane).  The outcome record is
+    the request's span tree plus the registry series."""
 
     def test_cache_hit_records_wall_time_and_queue_wait(self):
         async def body():
@@ -286,17 +290,26 @@ class TestDurationsOnEveryExitPath:
                 hit = await svc.submit(
                     QueryRequest("family", "gf(sam, G)", session="s")
                 )
-                return first, hit, svc.stats_agg.events[-1]
+                registry = svc.telemetry.registry
+                return (
+                    first, hit, svc.telemetry.tracer.finished[-1],
+                    registry.histogram("blog_request_seconds"),
+                    registry.histogram("blog_queue_wait_seconds"),
+                )
             finally:
                 await svc.stop()
 
-        first, hit, event = run(body())
+        first, hit, trace, total, wait = run(body())
         assert first.ok and hit.ok and hit.cached
-        assert event.cache_hit
-        assert event.total_s > 0.0  # was 0.0 before the fix
-        assert event.queue_wait_s > 0.0
-        assert event.total_s >= event.queue_wait_s
-        assert hit.queue_wait_ms > 0.0
+        assert trace.root.attributes["cache_hit"]
+        assert trace.root.duration_s > 0.0  # was 0.0 before the fix
+        # the hit is the last observation of both histograms
+        assert total.count == wait.count == 2
+        hit_total, hit_wait = total.reservoir[-1], wait.reservoir[-1]
+        assert hit_total > 0.0
+        assert hit_wait > 0.0
+        assert hit_total >= hit_wait
+        assert hit.queue_wait_ms == pytest.approx(hit_wait * 1000.0)
 
     def test_overload_rejection_records_duration(self):
         async def body():
@@ -312,20 +325,20 @@ class TestDurationsOnEveryExitPath:
                 with pytest.raises(Overloaded):
                     await svc.submit(QueryRequest("family", "gf(sam, G)"))
                 svc.admission.release()
-                return svc.stats_agg
+                return svc.stats(), svc.telemetry.tracer.finished[-1], svc.telemetry.registry
             finally:
                 await svc.stop()
 
-        agg = run(body())
-        assert agg.rejected == 1
-        assert len(agg.rejections) == 1
-        event = agg.rejections[0]
-        assert event.error == "overloaded" and not event.ok
-        assert event.total_s > 0.0
-        assert event.queue_wait_s == pytest.approx(event.total_s)
+        stats, trace, registry = run(body())
+        assert stats["rejected"] == 1
+        assert stats["served"] == stats["errors"] == 0  # not a served request
+        assert trace.root.attributes["outcome"] == "rejected"
+        assert trace.root.attributes["ok"] is False
+        assert trace.root.duration_s > 0.0
         # the rejection's duration also lands in the registry histogram
-        hist = agg._registry.histogram("blog_rejection_seconds")
-        assert hist.count == 1 and hist.sum == pytest.approx(event.total_s)
+        hist = registry.histogram("blog_rejection_seconds")
+        assert hist.count == 1
+        assert 0.0 < hist.sum <= trace.root.duration_s
 
     def test_error_exit_paths_record_durations(self):
         async def body():
@@ -336,10 +349,138 @@ class TestDurationsOnEveryExitPath:
             try:
                 bad_prog = await svc.submit(QueryRequest("nope", "gf(sam, G)"))
                 bad_syntax = await svc.submit(QueryRequest("family", "gf(sam,"))
-                return bad_prog, bad_syntax, list(svc.stats_agg.events)
+                return (
+                    bad_prog, bad_syntax, list(svc.telemetry.tracer.finished),
+                    svc.telemetry.registry.histogram("blog_request_seconds"),
+                )
             finally:
                 await svc.stop()
 
-        bad_prog, bad_syntax, events = run(body())
+        bad_prog, bad_syntax, traces, total = run(body())
         assert not bad_prog.ok and not bad_syntax.ok
-        assert all(e.total_s > 0.0 for e in events)
+        assert len(traces) == 2
+        assert all(not t.root.attributes["ok"] for t in traces)
+        assert all(t.root.duration_s > 0.0 for t in traces)
+        assert total.count == 2 and total.min > 0.0
+
+
+# -- the outcome record is bounded, and stats() stays exact -------------------
+
+
+class TestBoundedOutcomeRecord:
+    #: requests that fill the tracer's 512-trace ring and every reservoir
+    WARM = 700
+    MORE = 3000
+    #: traced-memory budget for MORE cache hits once warm; one retained
+    #: record per request (~400 B each) would need ~1.2 MB
+    BUDGET = 200_000
+
+    def test_cache_hits_past_the_trace_ring_add_no_memory(self):
+        async def body():
+            svc = BLogService(
+                {"family": family_program()}, n_workers=1, backend="thread"
+            )
+            await svc.start()
+            tracemalloc.start()
+            try:
+                for _ in range(self.WARM):
+                    assert (await svc.submit(QueryRequest("family", "gf(sam, G)"))).ok
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                for _ in range(self.MORE):
+                    assert (await svc.submit(QueryRequest("family", "gf(sam, G)"))).cached
+                gc.collect()
+                after = tracemalloc.get_traced_memory()[0]
+                return after - before, svc.stats()
+            finally:
+                tracemalloc.stop()
+                await svc.stop()
+
+        grown, stats = run(body())
+        assert stats["served"] == self.WARM + self.MORE
+        assert grown < self.BUDGET, f"{grown} bytes retained by {self.MORE} requests"
+
+    def test_stats_counts_stay_exact_past_the_reservoir(self, on_lane_query):
+        hits = 600  # more observations than a histogram reservoir holds
+
+        async def body():
+            svc = BLogService(
+                {"family": family_program()},
+                n_workers=1,
+                max_pending=1,
+                degrade_pending=0,
+                backend="thread",
+            )
+            await svc.start()
+            try:
+                for _ in range(1 + hits):  # one miss, then cache hits
+                    await svc.submit(QueryRequest("family", "gf(sam, G)"))
+                for _ in range(7):
+                    await svc.submit(QueryRequest("nope", "gf(sam, G)"))
+                svc.admission.acquire()  # occupy the whole bound
+                for _ in range(5):
+                    with pytest.raises(Overloaded):
+                        await svc.submit(QueryRequest("family", "gf(sam, G)"))
+                svc.admission.release()
+                for _ in range(4):  # machine falls back to blog under load
+                    await svc.submit(
+                        QueryRequest("family", "gf(sam, G)", engine="machine", cache=False)
+                    )
+
+                died = set()
+
+                def die_once(real, worker, msg):
+                    if msg["session"] not in died:
+                        died.add(msg["session"])
+                        raise WorkerDied("injected")
+                    return real(worker, msg)
+
+                on_lane_query(die_once)
+                for i in range(3):  # each dies once, then replays
+                    resp = await svc.submit(
+                        QueryRequest("family", "gf(sam, G)", session=f"d{i}", cache=False)
+                    )
+                    assert resp.ok and resp.retries == 1
+                return svc.stats()
+            finally:
+                await svc.stop()
+
+        stats = run(body())
+        assert stats["served"] == 1 + hits + 4 + 3
+        assert stats["errors"] == 7
+        assert stats["rejected"] == 5
+        assert stats["cache_hits"] == hits
+        assert stats["retries"] == 3
+        assert stats["degraded"] == 4
+        assert stats["by_engine"] == {"cache": hits, "blog": 1 + 7 + 4 + 3}
+
+    def test_latency_figures_cover_served_requests_only(self, on_lane_query):
+        async def body():
+            svc = BLogService(
+                {"family": family_program()}, n_workers=2, backend="thread"
+            )
+            await svc.start()
+            try:
+                def stall(real, worker, msg):
+                    if msg["session"] != "default":
+                        time.sleep(0.3)
+                    return real(worker, msg)
+
+                on_lane_query(stall)
+                for i in range(3):  # three slow failures: deadline misses
+                    resp = await svc.submit(
+                        QueryRequest("family", "gf(sam, G)", session=f"t{i}",
+                                     cache=False, timeout=0.1)
+                    )
+                    assert not resp.ok
+                await asyncio.sleep(0.4)  # let the stuck threads finish
+                assert (await svc.submit(QueryRequest("family", "gf(sam, G)"))).ok
+                return svc.stats()
+            finally:
+                await svc.stop()
+
+        stats = run(body())
+        assert stats["served"] == 1 and stats["errors"] == 3
+        # with the three 100 ms failures counted, every figure would be >= 100
+        for figure in ("p50_ms", "p95_ms", "mean_ms"):
+            assert stats[figure] < 100.0, figure
