@@ -15,9 +15,7 @@ on weight identities by construction.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterator, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from ..logic.parser import Clause
 from ..logic.program import Program
@@ -25,6 +23,9 @@ from ..logic.terms import Atom, Struct, Term
 from ..ortree.tree import ArcKey
 from ..weights.store import WeightStore
 from .blocks import Block, NamedPointer
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["LinkedDatabase", "fact_graph"]
 
@@ -172,6 +173,8 @@ class LinkedDatabase:
 
     def as_graph(self) -> "nx.DiGraph":
         """Block-level pointer graph (for SPD paging experiments)."""
+        import networkx as nx
+
         g = nx.DiGraph()
         for b in self:
             g.add_node(b.block_id, indicator=b.indicator, words=b.size_words)
@@ -192,6 +195,8 @@ def fact_graph(program: Program) -> "nx.MultiDiGraph":
     binary facts with atomic arguments participate (exactly the shape
     of the paper's example database).
     """
+    import networkx as nx
+
     g = nx.MultiDiGraph()
     for clause in program.facts():
         head = clause.head

@@ -24,8 +24,9 @@ Variables with the same name within one clause share a
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Optional, Sequence
+from typing import ClassVar, NamedTuple, Sequence
 
 from .terms import NIL, Atom, Int, Struct, Term, Var, make_list
 
@@ -51,91 +52,61 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # atom, var, int, punct, end
+class Token(NamedTuple):
+    """One token; ``kind`` is atom, var, int, punct or end."""
+
+    kind: str
     text: str
     line: int
     col: int
 
 
-_PUNCT2 = (":-", "?-", "\\+", "\\=", "=<", ">=", "=:=", "=\\=", "==", "\\==", "//", "->")
-_PUNCT1 = "()[]|,.!;+-*/<>="
+# One alternative per token class, tried in this order at each position.
+# Only decimal digits (``\d``, what ``int()`` accepts) make an int.  A word
+# may start with any word character but a digit; the loop refuses the
+# ones that are not letters (``²``, ``½``), as it refuses ``@``.
+_TOKEN = re.compile(
+    r"(?P<layout>[ \t\r\n]+)"
+    r"|(?P<comment>%[^\n]*|/\*.*?\*/)"
+    r"|(?P<quoted>'[^']*')"
+    r"|(?P<open>/\*|')"
+    r"|(?P<int>\d+)"
+    r"|(?P<word>[^\W\d]\w*)"
+    r"|(?P<punct>=:=|=\\=|\\==|:-|\?-|\\\+|\\=|=<|>=|==|//|->|[()\[\]|,.!;+\-*/<>=])"
+    r"|(?P<bad>.)",
+    re.S,
+)
+_UNTERMINATED = {"/*": "unterminated block comment", "'": "unterminated quoted atom"}
 
 
 def tokenize(src: str) -> list[Token]:
     """Tokenize ``src`` into a list of tokens ending with an ``end`` token."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and src[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = src[i]
-        if c in " \t\r\n":
-            advance(1)
+    add = toks.append
+    new = tuple.__new__  # Token(...) without the NamedTuple __new__ frame
+    line, start = 1, 0  # start: offset of the current line's first character
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        col = m.start() - start + 1
+        if kind == "punct" or kind == "int":
+            add(new(Token, (kind, text, line, col)))
             continue
-        if c == "%":
-            while i < n and src[i] != "\n":
-                advance(1)
+        if kind == "word":
+            c = text[0]
+            if c != "_" and not c.isalpha():
+                raise ParseError(f"unexpected character {c!r}", line, col)
+            add(new(Token, ("var" if c == "_" or c.isupper() else "atom", text, line, col)))
             continue
-        if src.startswith("/*", i):
-            end = src.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated block comment", line, col)
-            advance(end + 2 - i)
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and src[j] != "'":
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated quoted atom", line, col)
-            toks.append(Token("atom", src[i + 1 : j], line, col))
-            advance(j + 1 - i)
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], line, col))
-            advance(j - i)
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            word = src[i:j]
-            kind = "var" if (c == "_" or c.isupper()) else "atom"
-            toks.append(Token(kind, word, line, col))
-            advance(j - i)
-            continue
-        matched = False
-        # Longest punctuation first, but a '.' followed by layout/EOF is a
-        # clause terminator even when a 3-char operator could start here.
-        for p in sorted(_PUNCT2, key=len, reverse=True):
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                advance(len(p))
-                matched = True
-                break
-        if matched:
-            continue
-        if c in _PUNCT1:
-            toks.append(Token("punct", c, line, col))
-            advance(1)
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("end", "", line, col))
+        if kind == "quoted":
+            add(new(Token, ("atom", text[1:-1], line, col)))
+        elif kind == "open":
+            raise ParseError(_UNTERMINATED[text], line, col)
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        if "\n" in text:
+            line += text.count("\n")
+            start = m.start() + text.rindex("\n") + 1
+    add(Token("end", "", line, len(src) - start + 1))
     return toks
 
 

@@ -60,8 +60,12 @@ class Program:
     def __init__(self, clauses: Iterable[Clause] = ()):
         self._clauses: list[Clause] = []
         self._alive: list[bool] = []
+        self._retracted = False
         self._by_pred: dict[tuple[str, int], list[int]] = defaultdict(list)
-        self._by_first_arg: dict[tuple, list[int]] = defaultdict(list)
+        # per indicator: the variable-first-argument clauses, and per key
+        # the keyed clauses merged with them, each list in source order
+        self._var_first: dict[tuple[str, int], list[int]] = defaultdict(list)
+        self._keyed: dict[tuple[str, int], dict[tuple, list[int]]] = defaultdict(dict)
         self.stats = IndexStats()
         for c in clauses:
             self.add(c)
@@ -80,8 +84,15 @@ class Program:
         ind = clause.indicator
         self._by_pred[ind].append(cid)
         key = _first_arg_key(clause.head)
-        if key is not None:
-            self._by_first_arg[(ind, key)].append(cid)
+        keyed = self._keyed[ind]
+        if key is None:
+            self._var_first[ind].append(cid)
+            for bucket in keyed.values():
+                bucket.append(cid)
+        elif key in keyed:
+            keyed[key].append(cid)
+        else:
+            keyed[key] = [*self._var_first.get(ind, ()), cid]
         return cid
 
     def add_source(self, src: str) -> list[int]:
@@ -91,6 +102,7 @@ class Program:
     def retract(self, cid: int) -> None:
         """Logically remove clause ``cid`` (ids stay stable)."""
         self._alive[cid] = False
+        self._retracted = True
 
     # -- access -------------------------------------------------------------
     def __len__(self) -> int:
@@ -116,36 +128,35 @@ class Program:
             if any(self._alive[c] for c in cids)
         ]
 
+    def _live(self, bucket: list[int]) -> list[int]:
+        if self._retracted:
+            return [c for c in bucket if self._alive[c]]
+        return bucket[:]
+
     def clauses_for(self, indicator: tuple[str, int]) -> list[int]:
         """Ids of live clauses whose head matches ``indicator``, in order."""
-        return [c for c in self._by_pred.get(indicator, ()) if self._alive[c]]
+        return self._live(self._by_pred.get(indicator, []))
 
     def candidates(self, goal: Term) -> list[int]:
         """Ids of clauses that might resolve ``goal`` (indexing filter).
 
         The goal's first argument must already be dereferenced by the
         caller for indexing to help; an unbound first argument falls
-        back to the full predicate bucket.
+        back to the full predicate bucket.  A bound one selects the
+        clauses with that key or a variable first argument, in source
+        order, without looking at any other clause.
         """
-        self.stats.lookups += 1
+        stats = self.stats
+        stats.lookups += 1
         ind = goal.indicator
         key = _first_arg_key(goal)
         if key is None:
             out = self.clauses_for(ind)
-            self.stats.candidates += len(out)
-            return out
-        self.stats.first_arg_hits += 1
-        # Clauses whose first arg matches the key, plus clauses whose own
-        # first argument is a variable (they match anything).  Preserve
-        # source order by merging.
-        keyed = set(self._by_first_arg.get((ind, key), ()))
-        out = []
-        for cid in self._by_pred.get(ind, ()):
-            if not self._alive[cid]:
-                continue
-            if cid in keyed or _first_arg_key(self._clauses[cid].head) is None:
-                out.append(cid)
-        self.stats.candidates += len(out)
+        else:
+            stats.first_arg_hits += 1
+            bucket = self._keyed.get(ind, {}).get(key)
+            out = self._live(self._var_first.get(ind, []) if bucket is None else bucket)
+        stats.candidates += len(out)
         return out
 
     # -- introspection ------------------------------------------------------

@@ -8,9 +8,12 @@ structure as a graph object for programmatic analysis.
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .tree import NodeStatus, OrTree
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["to_dot", "to_networkx"]
 
@@ -52,6 +55,8 @@ def to_dot(tree: OrTree, title: str = "OR-tree") -> str:
 
 def to_networkx(tree: OrTree) -> "nx.DiGraph":
     """The tree as a networkx digraph with node/arc attributes."""
+    import networkx as nx
+
     g = nx.DiGraph()
     for node in tree.nodes:
         g.add_node(

@@ -49,7 +49,7 @@ from ..logic.unify import Bindings, rename_apart, unify
 __all__ = ["ArcKey", "NodeStatus", "OrNode", "OrArc", "OrTree", "canonical_goal"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArcKey:
     """Identity of a database pointer crossed by a tree arc.
 

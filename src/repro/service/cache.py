@@ -87,7 +87,14 @@ def cache_key(
     the same canonical text but report different bindings, so they must
     not share a line.
     """
-    text, names = canonical_query(goals)
+    return canonical_cache_key(program, canonical_query(goals), max_solutions)
+
+
+def canonical_cache_key(
+    program: str, canonical: tuple[str, tuple[str, ...]], max_solutions: Optional[int]
+) -> tuple:
+    """:func:`cache_key` of a query :func:`canonical_query` already ran on."""
+    text, names = canonical
     mask = tuple(n == "_" for n in names)
     return (program, text, mask, max_solutions)
 

@@ -57,7 +57,7 @@ from ..weights.session import MergeReport
 from ..weights.store import WeightStore
 from ..weights.wal import DurableStore
 from .admission import AdmissionController, Overloaded
-from .cache import AnswerCache, cache_key, canonical_query, slot_names
+from .cache import AnswerCache, canonical_cache_key, canonical_query, slot_names
 from .lifecycle import LifecycleState, NotServing, ServiceLifecycle
 from .router import SessionRouter
 from .stats import ServiceStats
@@ -487,8 +487,9 @@ class BLogService:
         # whatever names this asker used (gf(sam, G) can serve
         # gf(sam, Who)).
         generation = entry.global_store.generation
-        key = cache_key(entry.name, goals, request.max_solutions)
-        slots = slot_names(canonical_query(goals)[1])
+        canonical = canonical_query(goals)
+        key = canonical_cache_key(entry.name, canonical, request.max_solutions)
+        slots = slot_names(canonical[1])
         if request.cache:
             with trace.span("cache") as cache_span:
                 canon = self.cache.get(key, generation)

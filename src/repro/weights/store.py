@@ -34,7 +34,7 @@ class WeightState(enum.Enum):
     INFINITE = "infinite"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeightEntry:
     state: WeightState
     value: float

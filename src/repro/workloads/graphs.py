@@ -9,11 +9,14 @@ diameter for depth-bound experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..logic.program import Program
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["GraphInstance", "random_digraph_program", "grid_program"]
 
@@ -33,6 +36,8 @@ class GraphInstance:
 
     def reachable_from(self, node: str) -> set[str]:
         """Ground truth via networkx (oracle for tests)."""
+        import networkx as nx
+
         return set(nx.descendants(self.graph, node))
 
 
@@ -45,6 +50,8 @@ def random_digraph_program(
     search (edges only go from lower to higher node index); cyclic
     instances exercise the engine's depth bound instead.
     """
+    import networkx as nx
+
     rng = np.random.default_rng(seed)
     g = nx.DiGraph()
     names = [f"n{i}" for i in range(n_nodes)]
@@ -65,6 +72,8 @@ def random_digraph_program(
 
 def grid_program(width: int = 4, height: int = 4) -> GraphInstance:
     """A directed grid (right/down moves): diameter = width+height-2."""
+    import networkx as nx
+
     g = nx.DiGraph()
     facts = []
 

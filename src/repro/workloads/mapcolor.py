@@ -9,11 +9,14 @@ independence detector and join plans on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..logic.program import Program
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["MapInstance", "map_coloring_program", "AUSTRALIA"]
 
@@ -53,6 +56,8 @@ def map_coloring_program(
     region; the body generates colors (independent goals) and checks
     every adjacency with ``\\=`` (shared-variable goals).
     """
+    import networkx as nx
+
     adjacency = adjacency if adjacency is not None else AUSTRALIA
     colors = colors if colors is not None else ["red", "green", "blue"]
     g = nx.Graph()

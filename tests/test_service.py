@@ -201,6 +201,19 @@ class TestBasicServing:
         resp = run(with_service(body))
         assert not resp.ok and "syntax error" in resp.error
 
+    def test_non_decimal_digit_is_a_syntax_error(self):
+        """``²`` is a digit to ``str.isdigit`` but not to ``int()``.  It used
+        to escape submit as a bare ValueError, with no error counted."""
+
+        async def body(svc):
+            resp = await svc.submit(QueryRequest("family", "f(², X)"))
+            return resp, svc.stats()["errors"]
+
+        resp, errors = run(with_service(body))
+        assert not resp.ok and "syntax error" in resp.error
+        assert "unexpected character '²'" in resp.error
+        assert errors == 1
+
     def test_procpool_engine(self):
         async def body(svc):
             return await svc.submit(
@@ -491,6 +504,31 @@ class TestTcpEndpoint:
         assert not long["ok"] and "request line over" in long["error"]
         assert good["ok"] and sorted(a["G"] for a in good["answers"]) == ["den", "doug"]
         assert oversized == 2
+
+    def test_non_decimal_digit_gets_a_reply_and_connection_survives(self):
+        """A query holding ``²`` used to kill the connection's handler: the
+        client got no reply, and every later line read ``b''``."""
+
+        async def body():
+            svc = make_service()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            for query in ("f(², X)", "gf(sam, G)"):
+                writer.write((json.dumps({"program": "family", "query": query}) + "\n").encode())
+                await writer.drain()
+                replies.append(await asyncio.wait_for(reader.readline(), 10))
+            writer.close()
+            await writer.wait_closed()
+            await svc.stop()
+            return replies
+
+        bad, good = run(body())
+        assert bad and good, "the connection closed without a reply"
+        bad, good = json.loads(bad), json.loads(good)
+        assert not bad["ok"] and "syntax error" in bad["error"]
+        assert good["ok"] and sorted(a["G"] for a in good["answers"]) == ["den", "doug"]
 
     @pytest.mark.parametrize("how", ["stop", "drain"])
     def test_stop_with_idle_connection_is_quiet(self, capfd, how):

@@ -1,9 +1,12 @@
 """Unit tests for the weight store (§5 encodings)."""
 
+import pickle
+
 import pytest
 
 from repro.ortree import ArcKey
 from repro.weights import WeightState, WeightStore
+from repro.weights.store import WeightEntry
 
 
 def key(i: int) -> ArcKey:
@@ -121,3 +124,29 @@ class TestCopies:
         store.set_infinite(key(2))
         assert "known=1" in repr(store)
         assert "infinite=1" in repr(store)
+
+
+class TestSlottedRecords:
+    """``ArcKey`` and ``WeightEntry`` are frozen slotted dataclasses: they
+    cross the lane pipe pickled, and must come back equal and hashing
+    alike on every supported Python."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ArcKey("pointer", (3, 1, 7)),
+            ArcKey("goal", ("f(_C1, sam)", 4)),
+            WeightEntry(WeightState.KNOWN, 2.5),
+            WeightEntry(WeightState.INFINITE, 256.0),
+        ],
+        ids=repr,
+    )
+    def test_pickle_round_trip(self, record):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(record, protocol))
+            assert back == record and hash(back) == hash(record)
+            assert type(back) is type(record)
+
+    def test_no_instance_dict(self):
+        for record in (key(1), WeightEntry(WeightState.UNKNOWN, 17.0)):
+            assert not hasattr(record, "__dict__")
