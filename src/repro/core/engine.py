@@ -50,6 +50,10 @@ class QueryResult:
     failures: int = 0
     #: leaves cut off at ``max_depth``: neither failures nor learned from
     depth_cutoffs: int = 0
+    #: False when ``max_expansions`` stopped the search or a depth cutoff
+    #: occurred, so answers may be missing; reaching ``max_solutions``
+    #: leaves it True
+    complete: bool = True
     update_logs: list[UpdateLog] = field(default_factory=list)
     tree: Optional[OrTree] = None
 
@@ -199,6 +203,7 @@ class BLogEngine:
 
         while heap:
             if result.expansions >= cfg.max_expansions:
+                result.complete = False
                 break
             bound, _, nid = heapq.heappop(heap)
             node = tree.node(nid)
@@ -227,6 +232,7 @@ class BLogEngine:
                 # the depth limit, not the program, ended this chain: it
                 # is no §5 failure, so nothing is learned from it
                 result.depth_cutoffs += 1
+                result.complete = False
                 continue
             if not children:
                 result.failures += 1

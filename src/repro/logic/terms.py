@@ -20,7 +20,9 @@ construction, from its arguments, so a ground subterm can be shared by
 any number of resolvents instead of being walked and rebuilt.
 
 Helper constructors build Prolog lists (``'.'/2`` cells terminated by
-``[]``) and rename clauses apart for resolution.
+``[]``).  A :class:`Slot` is the numbered variable of a compiled clause
+template (:class:`~repro.logic.unify.ClauseTemplate`); :func:`take_ids`
+and :func:`skip_ids` hand out the fresh variable ids its renaming takes.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "Int",
     "Var",
     "Struct",
+    "Slot",
     "NIL",
     "TRUE",
     "make_list",
@@ -43,6 +46,8 @@ __all__ = [
     "term_size",
     "term_depth",
     "fresh_var",
+    "take_ids",
+    "skip_ids",
     "reset_var_counter",
     "variant_of",
 ]
@@ -165,6 +170,42 @@ class Var(Term):
 def fresh_var(name: str = "_") -> Var:
     """Allocate a brand-new variable."""
     return Var(name)
+
+
+def take_ids(n: int) -> list[int]:
+    """Take ``n`` fresh variable ids from the shared counter, in order.
+
+    Each id is one atomic ``next`` on the counter, so ids stay unique
+    across threads; a batch need not be consecutive.
+    """
+    return list(itertools.islice(_VAR_COUNTER, n))
+
+
+def skip_ids(n: int) -> None:
+    """Consume ``n`` fresh variable ids without allocating anything."""
+    if n:
+        next(itertools.islice(_VAR_COUNTER, n - 1, None))
+
+
+class Slot(Var):
+    """Variable number ``index`` of a compiled clause template.
+
+    A slot's ``id`` is a private object, not an integer, so it can never
+    equal the id of a variable in a resolvent, however the counter was
+    reset.  Unification binds slots like any variable; instantiating the
+    template binds each slot left unbound to a fresh :class:`Var` named
+    ``name``.  Slots never appear outside a template and its bindings.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, name: str, index: int):
+        self.name = name
+        self.index = index
+        self.id = object()
+
+    def __repr__(self) -> str:
+        return f"Slot({self.name!r}, {self.index})"
 
 
 class Struct(Term):

@@ -22,6 +22,13 @@ paths that lead to a bound variable.  ``rename_apart`` likewise returns
 ground terms as they are, so facts are never copied.  Ground structure
 is shared between the resolvents of independent chains, which is safe
 because nothing can write into it.
+
+A clause is renamed through its :class:`ClauseTemplate`, compiled once:
+head and body with each variable replaced by a numbered
+:class:`~repro.logic.terms.Slot`.  The OR-tree unifies a goal against
+the template head directly and builds the body only for a clause that
+matched; :meth:`ClauseTemplate.rename` serves the rename-then-unify
+callers.  Both take fresh ids in the order ``rename_apart`` would.
 """
 
 from __future__ import annotations
@@ -29,10 +36,11 @@ from __future__ import annotations
 from operator import is_not
 from typing import Iterable, Optional
 
-from .terms import Atom, Int, Struct, Term, Var, fresh_var
+from .terms import Atom, Int, Slot, Struct, Term, Var, fresh_var, take_ids
 
 __all__ = [
     "Bindings",
+    "ClauseTemplate",
     "UnifyStats",
     "unify",
     "rename_apart",
@@ -235,3 +243,57 @@ def rename_apart(term: Term, mapping: Optional[dict[int, Var]] = None) -> Term:
         return t
 
     return go(term)
+
+
+class ClauseTemplate:
+    """A clause compiled for renaming: variables become numbered slots.
+
+    ``slots`` lists the clause's distinct variables in first-occurrence
+    order, head then body — the order in which ``rename_apart`` with a
+    shared mapping allocates their fresh ids.
+    """
+
+    __slots__ = ("head", "body", "slots")
+
+    def __init__(self, head: Term, body: tuple[Term, ...]):
+        slots: dict[int, Slot] = {}
+
+        def go(t: Term) -> Term:
+            if isinstance(t, Var):
+                slot = slots.get(t.id)
+                if slot is None:
+                    slot = slots[t.id] = Slot(t.name, len(slots))
+                return slot
+            if isinstance(t, Struct) and not t.ground:
+                return Struct(t.functor, [go(a) for a in t.args])
+            return t
+
+        self.head = go(head)
+        self.body = tuple(go(g) for g in body)
+        self.slots = tuple(slots.values())
+
+    def fill(self, bmap: dict) -> None:
+        """Bind each slot ``bmap`` leaves unbound to a fresh variable.
+
+        Every slot takes its fresh id, bound or not, so the id sequence
+        is the one renaming the whole clause would take.
+        """
+        for slot, vid in zip(self.slots, take_ids(len(self.slots))):
+            if slot.id not in bmap:
+                bmap[slot.id] = Var(slot.name, vid)
+
+    def rename(self) -> tuple[Term, tuple[Term, ...]]:
+        """The clause renamed apart: fresh variables shared by head and body."""
+        fresh = [Var(s.name, vid) for s, vid in zip(self.slots, take_ids(len(self.slots)))]
+        return _instantiate(self.head, fresh), tuple(_instantiate(g, fresh) for g in self.body)
+
+
+def _instantiate(t: Term, fresh: list[Var]) -> Term:
+    """Template term ``t`` with slot ``i`` replaced by ``fresh[i]``."""
+    if isinstance(t, Struct):
+        if t.ground:
+            return t
+        return Struct(t.functor, [_instantiate(a, fresh) for a in t.args])
+    if isinstance(t, Slot):
+        return fresh[t.index]
+    return t

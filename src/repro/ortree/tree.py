@@ -9,12 +9,20 @@ clause (the OR fan-out).  A node with an empty resolvent is a
 **solution**; a node whose selected goal matches nothing is a
 **failure** leaf.
 
-Copying: terms are immutable, so whatever a step's bindings did not
-touch (ground subterms, goals without bound variables) is shared with
-the parent in memory rather than rebuilt.  ``words_copied`` still
-charges every child the full logical size of its resolvent and answer,
-so the §6 traffic model is unchanged; reading a size is O(1) because
-every term caches it.
+Copying: a step pays for the clauses that match and for the terms it
+binds, nothing else.  Each clause is compiled once, on first use, into
+a template whose variables are numbered slots; the selected goal is
+unified against the template head directly, so a candidate that fails
+builds no term (it still takes the fresh variable ids renaming would
+have, so ids come in the same sequence).  For a match, each slot left
+unbound gets one fresh variable and the body is built by one resolve
+through the bindings.  When the step bound no variable of the goal,
+the rest of the resolvent and the answer are shared with the parent as
+the same objects; otherwise they are resolved, which rebuilds only the
+paths to bound variables.  ``words_copied`` still charges every child
+the full logical size of its resolvent and answer, so the §6 traffic
+model is unchanged; each node caches that size, so a shared rest costs
+nothing to count.
 
 Each tree arc is labeled with an :class:`ArcKey` identifying the
 *database pointer* it crossed (section 5 stores weights "on pointers in
@@ -42,9 +50,8 @@ from ..logic import terms as _terms
 from ..logic.builtins import BuiltinError, call_builtin, is_builtin
 from ..logic.parser import parse_query
 from ..logic.program import Program
-from ..logic.solver import _rename_clause
-from ..logic.terms import Atom, Struct, Term, Var, term_vars
-from ..logic.unify import Bindings, rename_apart, unify
+from ..logic.terms import Atom, Struct, Term, Var, skip_ids, term_vars
+from ..logic.unify import Bindings, unify
 
 __all__ = ["ArcKey", "NodeStatus", "OrNode", "OrArc", "OrTree", "canonical_goal"]
 
@@ -94,7 +101,7 @@ def canonical_goal(goal: Term) -> Term:
     return go(goal)
 
 
-@dataclass
+@dataclass(slots=True)
 class OrArc:
     """A tree arc: parent --(database pointer)--> child."""
 
@@ -104,14 +111,15 @@ class OrArc:
     weight: float  # weight used when the child was generated
 
 
-@dataclass
+@dataclass(slots=True)
 class OrNode:
     """One node of the OR-tree.
 
     ``goals`` is the resolvent; ``goal_sources`` tracks, per remaining
     goal, which clause and literal position it came from (for pointer
     arc keys).  ``answer`` is the query instance under this node's
-    accumulated substitution.
+    accumulated substitution.  ``size`` is the symbol count of
+    ``goals`` and ``answer`` together.
     """
 
     nid: int
@@ -124,6 +132,7 @@ class OrNode:
     status: NodeStatus = NodeStatus.OPEN
     arc: Optional[OrArc] = None  # arc from parent
     children: list[int] = field(default_factory=list)
+    size: int = 0
 
     @property
     def is_leaf_solution(self) -> bool:
@@ -208,6 +217,7 @@ class OrTree:
             goal_sources=sources,
             answer=goals,
             depth=0,
+            size=2 * sum(g.size for g in goals),
         )
         if not goals:
             root.status = NodeStatus.SOLUTION
@@ -334,22 +344,28 @@ class OrTree:
     def _make_child(
         self,
         node: OrNode,
-        b: Bindings,
         body: tuple[Term, ...],
         body_sources: tuple[tuple[int, int], ...],
         key: ArcKey,
+        b: Optional[Bindings] = None,
     ) -> int:
-        new_goals = body + node.goals[1:]
-        answer = node.answer
-        if b.map:  # with nothing bound, every term resolves to itself
-            new_goals = tuple(b.resolve(g) for g in new_goals)
-            answer = tuple(b.resolve(a) for a in answer)
-        new_sources = body_sources + node.goal_sources[1:]
+        """Add the child that replaces ``node``'s selected goal by
+        ``body``.  ``b`` holds the step's bindings of variables in the
+        rest of the resolvent and the answer; without it both are
+        shared with the parent as they are."""
         # looked up on the module at call time, so it can be wrapped
         term_size = _terms.term_size
-        self.words_copied += sum(term_size(g) for g in new_goals) + sum(
-            term_size(a) for a in answer
-        )
+        rest = node.goals[1:]
+        answer = node.answer
+        if b is None:
+            size = node.size - term_size(node.goals[0])
+        else:
+            rest = tuple(map(b.resolve, rest))
+            answer = tuple(map(b.resolve, answer))
+            size = sum(map(term_size, rest)) + sum(map(term_size, answer))
+        size += sum(map(term_size, body))
+        self.words_copied += size
+        new_goals = body + rest
         if self.pair_weight_fn is not None:
             prev_key = node.arc.key if node.arc is not None else None
             weight = self.pair_weight_fn(prev_key, key)
@@ -360,10 +376,11 @@ class OrTree:
             nid=nid,
             parent=node.nid,
             goals=new_goals,
-            goal_sources=new_sources,
+            goal_sources=body_sources + node.goal_sources[1:],
             answer=answer,
             depth=node.depth + 1,
             bound=node.bound + weight,
+            size=size,
         )
         arc = OrArc(parent=node.nid, child=nid, key=key, weight=weight)
         child.arc = arc
@@ -377,18 +394,25 @@ class OrTree:
     def _expand_user(self, node: OrNode, goal: Term) -> list[int]:
         children: list[int] = []
         caller_id, literal_ix = node.goal_sources[0]
-        for cid in self.program.candidates(goal):
-            clause = self.program.clause(cid)
-            head, body = _rename_clause(clause)
+        program = self.program
+        for cid in program.candidates(goal):
+            template = program.clause(cid).template
             b = Bindings()
-            if not unify(goal, head, b):
+            if not unify(goal, template.head, b):
+                skip_ids(len(template.slots))
                 continue
+            template.fill(b.map)
+            body = tuple(map(b.resolve, template.body))
             if self.arc_key_policy == "pointer":
                 key = ArcKey("pointer", (caller_id, literal_ix, cid))
             else:
                 key = ArcKey("goal", (canonical_goal(goal), cid))
             body_sources = tuple((cid, i) for i in range(len(body)))
-            children.append(self._make_child(node, b, body, body_sources, key))
+            # every slot is bound now; any other entry binds a goal variable
+            touched = len(b.map) > len(template.slots)
+            children.append(
+                self._make_child(node, body, body_sources, key, b if touched else None)
+            )
         return children
 
     def _expand_control(self, node: OrNode, goal: Term) -> list[int]:
@@ -413,6 +437,7 @@ class OrTree:
                 answer=node.answer,
                 depth=node.depth + 1,
                 bound=node.bound + self.weight_fn(key),
+                size=node.size - 1,  # the call/1 wrapper
             )
             arc = OrArc(node.nid, child_node.nid, key, self.weight_fn(key))
             child_node.arc = arc
@@ -426,7 +451,7 @@ class OrTree:
         if goal.functor == "\\+":
             if solver.succeeds((goal.args[0],)):
                 return []
-            return [self._make_child(node, Bindings(), (), (), key)]
+            return [self._make_child(node, (), (), key)]
         # findall/3
         template, sub, out = goal.args
         collected: list[Term] = []
@@ -439,7 +464,7 @@ class OrTree:
         b = Bindings()
         if not unify(out, make_list(collected), b):
             return []
-        return [self._make_child(node, b, (), (), key)]
+        return [self._make_child(node, (), (), key, b if b.map else None)]
 
     def _expand_builtin(self, node: OrNode, goal: Term) -> list[int]:
         children: list[int] = []
@@ -455,7 +480,7 @@ class OrTree:
             for sol in solutions:
                 cb = Bindings()
                 cb.map = sol
-                children.append(self._make_child(node, cb, (), (), key))
+                children.append(self._make_child(node, (), (), key, cb if sol else None))
         except BuiltinError:
             return []
         return children

@@ -112,6 +112,9 @@ class QueryResponse:
     degraded: bool = False
     retries: int = 0
     expansions: Optional[int] = None
+    #: False when an expansion limit or depth cutoff ended the search
+    #: early: the answers may be partial, and they are not cached
+    complete: bool = True
     queue_wait_ms: float = 0.0
     engine_ms: float = 0.0
 
@@ -543,7 +546,7 @@ class BLogService:
                                 reply = await self.pool.lane_call(lane, query, timeout)
                                 for k, v in reply["engine_attrs"].items():
                                     engine_span.set(k, v)
-                            return reply["answers"], reply["expansions"]
+                            return reply["answers"], reply["expansions"], reply["complete"]
                     except (WorkerDied, QueryTimeout) as exc:
                         self._record_respawn(trace, lane)
                         if isinstance(exc, QueryTimeout) or replay:
@@ -552,7 +555,7 @@ class BLogService:
 
         job = self.pool.submit(lane, run)
         try:
-            answers, expansions = await job.future
+            answers, expansions, complete = await job.future
         except QueryTimeout as exc:
             # the lane was reset: this session's learning is abandoned
             return self._finish(
@@ -569,7 +572,9 @@ class BLogService:
                 request, rid, error=f"{type(exc).__name__}: {exc}",
                 engine_used=engine_used, degraded=degraded, job=job, trace=trace,
             )
-        if request.cache:
+        if not complete:
+            self.telemetry.registry.counter("blog_incomplete_total").inc()
+        elif request.cache:
             with trace.span("cache", fill=True):
                 self.cache.put(
                     key,
@@ -581,7 +586,8 @@ class BLogService:
                 )
         return self._finish(
             request, rid, answers=answers, engine_used=engine_used,
-            degraded=degraded, job=job, expansions=expansions, trace=trace,
+            degraded=degraded, job=job, expansions=expansions, complete=complete,
+            trace=trace,
         )
 
     # -- lane plumbing (event-loop only) -----------------------------------
@@ -775,6 +781,7 @@ class BLogService:
         degraded: bool = False,
         job: Optional[Job] = None,
         expansions: Optional[int] = None,
+        complete: bool = True,
     ) -> QueryResponse:
         """Build the response, finish its root span, and record the
         outcome in the registry.
@@ -820,6 +827,7 @@ class BLogService:
             degraded=degraded,
             retries=retries,
             expansions=expansions,
+            complete=complete,
             queue_wait_ms=queue_wait * 1000.0,
             engine_ms=engine_s * 1000.0,
         )

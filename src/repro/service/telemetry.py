@@ -69,6 +69,7 @@ METRIC_CATALOG: dict[str, str] = {
     "blog_errors_total": "counter",
     "blog_degraded_total": "counter",
     "blog_retries_total": "counter",
+    "blog_incomplete_total": "counter",
     "blog_request_seconds": "histogram",
     "blog_queue_wait_seconds": "histogram",
     "blog_engine_seconds": "histogram",

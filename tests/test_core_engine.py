@@ -230,6 +230,17 @@ class TestConfigValidation:
         res = eng.query("gf(sam, G)")
         assert res.expansions <= 2
 
+    def test_truncated_search_is_not_complete(self, figure1):
+        """An expansion limit or a depth cutoff may hide answers, so the
+        result says it is incomplete; stopping at max_solutions does not."""
+        assert BLogEngine(figure1).query("gf(sam, G)").complete
+        assert BLogEngine(figure1).query("gf(sam, G)", max_solutions=1).complete
+        res = BLogEngine(figure1, BLogConfig(max_expansions=2)).query("gf(sam, G)")
+        assert not res.complete and len(res.answers) < 2
+        nat = Program.from_source("nat(0).\nnat(s(X)) :- nat(X).\n")
+        res = BLogEngine(nat, BLogConfig(max_depth=2)).query("nat(s(s(s(0))))")
+        assert res.depth_cutoffs == 1 and not res.complete
+
 
 class TestQueryIter:
     def test_lazy_answers(self, figure1):

@@ -19,6 +19,7 @@ import time
 import pytest
 from typing import ClassVar
 
+from repro.core import BLogConfig
 from repro.logic.parser import parse_query
 from repro.service import (
     AdmissionController,
@@ -321,6 +322,21 @@ class TestCacheLifecycle:
         assert fourth.cached  # refilled under the new generation
         assert svc.cache.stale >= 1
 
+    def test_truncated_answer_is_reported_and_not_cached(self):
+        async def body(svc):
+            first = await svc.submit(QueryRequest("family", "gf(sam, G)", session="s1"))
+            again = await svc.submit(QueryRequest("family", "gf(sam, G)", session="s1"))
+            return first, again, svc
+
+        first, again, svc = run(
+            with_service(body, config=BLogConfig(max_expansions=2))
+        )
+        assert first.ok and not first.complete
+        assert first.to_dict()["complete"] is False
+        assert not again.cached and not again.complete
+        assert svc.telemetry.registry.counter("blog_incomplete_total").value == 2
+        assert len(svc.cache) == 0
+
     def test_end_session_unknown_session_is_none(self):
         async def body(svc):
             return await svc.end_session("family", "ghost")
@@ -392,7 +408,10 @@ class TestFailureHandling:
         async def body(svc):
             def slow(real, worker, msg):
                 time.sleep(0.2)
-                return {"ok": True, "answers": [], "expansions": None, "engine_attrs": {}}
+                return {
+                    "ok": True, "answers": [], "expansions": None, "complete": True,
+                    "engine_attrs": {},
+                }
 
             on_lane_query(slow)
             reqs = [
