@@ -2,20 +2,19 @@
 
 The serving layers built in PRs 1–3 rest on *written* contracts — global
 weight stores are mutated only on the event-loop thread, everything that
-crosses a process-lane pipe must be picklable, every span and duration
-is recorded on every exit path.  ``blogcheck`` turns those contracts
+crosses a process-lane pipe must be picklable, no hot-path exception
+handler swallows a failure.  ``blogcheck`` turns those contracts
 into machine-checked invariants: a zero-dependency AST pass with one
 rule per contract, run on every commit (``python -m repro.cli lint``).
 
 A rule is a class with a ``code`` (``BLG001``…), registered with the
-:func:`rule` decorator, exposing ``check(ctx)`` (per file) and an
-optional ``finish()`` (cross-file state, e.g. duplicate metric names).
+:func:`rule` decorator, exposing ``check(ctx)`` (one file at a time).
 
 Suppressions are per-line comments::
 
     store.set_known(key, w)  # blogcheck: ignore[BLG001] — loop-thread helper
 
-``ignore[BLG001,BLG004]`` silences several rules, bare ``ignore``
+``ignore[BLG001,BLG005]`` silences several rules, bare ``ignore``
 silences all of them; a suppression on its own comment line applies to
 the next line.  Suppressed findings are counted, never silently lost.
 """
@@ -43,8 +42,8 @@ __all__ = [
 class Finding:
     """One rule violation at one source location."""
 
-    rule: str  # "BLG004"
-    name: str  # "span-leak"
+    rule: str  # "BLG005"
+    name: str  # "swallowed-exception"
     path: str  # filesystem path as given to the runner
     module: str  # package-relative identity, e.g. "repro/service/server.py"
     line: int
@@ -77,9 +76,7 @@ class Rule:
     """Base class for blogcheck rules.
 
     Subclasses set ``code``, ``name``, and ``summary`` and implement
-    :meth:`check`.  Rules holding cross-file state (e.g. metric-name
-    collisions) also implement :meth:`finish`, called once after every
-    file was checked.
+    :meth:`check`.
     """
 
     code: str = "BLG000"
@@ -88,9 +85,6 @@ class Rule:
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
-
-    def finish(self) -> Iterator[Finding]:
-        return iter(())
 
     def finding(
         self, ctx: FileContext, node: ast.AST, message: str

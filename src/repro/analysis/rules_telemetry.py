@@ -1,293 +1,25 @@
-"""Telemetry-contract rules: span/timer leaks, swallowed exceptions, and
-metric-name hygiene.
+"""Telemetry-contract rule: swallowed exceptions.
 
-* **BLG004** — a started span or timer must reach its ``end``/``observe``
-  on *every* exit path, i.e. under ``try/finally`` (or with nothing that
-  can raise in between).  PR 3 shipped exactly this class of bug: cache
-  hits and overload rejections reported zero queue-wait/total durations
-  because the recording sat on the happy path only.
 * **BLG005** — service hot paths must not swallow exceptions: a bare
   ``except:`` anywhere, or a handler that neither re-raises, records,
   nor logs, turns an operational signal into silence.
-* **BLG006** — metric series are registered lazily at call sites, so a
-  typo mints a new, never-read series.  Every literal metric name must
-  carry the ``blog_`` prefix, appear in
-  :data:`repro.service.telemetry.METRIC_CATALOG` with the kind it is
-  called as, and no name may be registered as two different kinds.
+
+The other two telemetry contracts hold by construction rather than by
+lint: traces and spans open only as ``with`` blocks
+(:meth:`~repro.service.telemetry.Tracer.trace`,
+:meth:`~repro.service.telemetry.Trace.span`), timers observe on every
+exit (:meth:`~repro.service.telemetry.Histogram.time`), and the metrics
+registry refuses a name missing from ``METRIC_CATALOG``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .core import FileContext, Finding, Rule, rule
-from .rules_concurrency import dotted_name
 
-__all__ = ["SpanLeakRule", "SwallowedExceptionRule", "MetricHygieneRule"]
-
-
-# -- BLG004 ------------------------------------------------------------------
-
-
-def _risky(stmt: ast.stmt, is_end_call=None) -> bool:
-    """Can this statement plausibly raise?  Calls, awaits, and raises can;
-    a nested function/class *definition* cannot (its body runs later).
-    ``is_end_call`` exempts the end calls of the tracked span/timer
-    itself, so ``if bad: trace.end(); return`` does not count as risk."""
-
-    def walk(node: ast.AST) -> bool:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)
-            ):
-                continue  # defining it cannot raise
-            if isinstance(child, ast.Call):
-                if is_end_call is not None and is_end_call(child):
-                    continue
-                return True
-            if isinstance(child, (ast.Await, ast.Raise)):
-                return True
-            if walk(child):
-                return True
-        return False
-
-    return isinstance(stmt, (ast.Raise,)) or walk(stmt)
-
-
-@rule
-class SpanLeakRule(Rule):
-    """BLG004: a started span/timer with an exit path that skips the end.
-
-    Tracked starts: ``v = <x>.start_trace(...)``, ``v = <x>.start_span(...)``
-    and ``v = time.monotonic()`` / ``time.perf_counter()`` (the latter
-    only when ``v`` later feeds an ``.observe(...)``/``.record(...)``).
-    After the start, the enclosing block must either end ``v`` before
-    anything that can raise, or enter a ``try`` whose ``finally`` ends
-    ``v``.  Prefer the context-manager form (``with trace.span(...)``)
-    where it fits — it cannot leak.
-    """
-
-    code = "BLG004"
-    name = "span-leak"
-    summary = "span/timer started without try/finally covering its end"
-
-    SPAN_STARTS = frozenset({"start_trace", "start_span"})
-    SPAN_ENDS = frozenset({"end", "end_span", "end_trace", "stop"})
-    TIMER_STARTS = frozenset({"time.monotonic", "time.perf_counter"})
-    TIMER_ENDS = frozenset({"observe", "record", "record_duration"})
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # the invariant governs the package; tests start/end spans in
-        # deliberately odd orders to probe the tracer
-        if not ctx.module.startswith("repro/"):
-            return
-        for func in ast.walk(ctx.tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(ctx, func)
-
-    # -- per function ------------------------------------------------------
-    def _check_function(
-        self, ctx: FileContext, func: ast.AST
-    ) -> Iterator[Finding]:
-        for block in self._blocks(func):
-            for i, stmt in enumerate(block):
-                var, kind = self._tracked_start(stmt)
-                if var is None:
-                    continue
-                if kind == "timer" and not self._timer_used(func, var):
-                    continue
-                if self._escapes(func, var):
-                    continue
-                finding = self._scan_remainder(
-                    ctx, func, var, kind, stmt, block[i + 1 :]
-                )
-                if finding is not None:
-                    yield finding
-
-    def _blocks(self, func: ast.AST) -> list[list[ast.stmt]]:
-        """Every statement list inside ``func``, excluding nested defs."""
-        out: list[list[ast.stmt]] = []
-
-        def walk(node: ast.AST) -> None:
-            for field in ("body", "orelse", "finalbody"):
-                block = getattr(node, field, None)
-                if isinstance(block, list) and block and isinstance(block[0], ast.stmt):
-                    out.append(block)
-                    for child in block:
-                        if not isinstance(
-                            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                        ):
-                            walk(child)
-            for handler in getattr(node, "handlers", []) or []:
-                out.append(handler.body)
-                for child in handler.body:
-                    if not isinstance(
-                        child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-                    ):
-                        walk(child)
-
-        walk(func)
-        return out
-
-    def _tracked_start(
-        self, stmt: ast.stmt
-    ) -> tuple[Optional[str], Optional[str]]:
-        if not (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-            and isinstance(stmt.value, ast.Call)
-        ):
-            return None, None
-        call = stmt.value
-        name = stmt.targets[0].id
-        if (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr in self.SPAN_STARTS
-        ):
-            return name, "span"
-        if dotted_name(call.func) in self.TIMER_STARTS:
-            return name, "timer"
-        return None, None
-
-    def _is_end_call(self, call: ast.Call, var: str, kind: str) -> bool:
-        """Is this call an end/record of the tracked span/timer ``var``?"""
-        if not isinstance(call.func, ast.Attribute):
-            return False
-        if kind == "span":
-            if call.func.attr not in self.SPAN_ENDS:
-                return False
-            # v.end(...) or tracer.end_span(v) style
-            recv = call.func.value
-            if isinstance(recv, ast.Name) and recv.id == var:
-                return True
-            return any(
-                isinstance(a, ast.Name) and a.id == var for a in call.args
-            )
-        # timer: histogram.observe(now - t0) etc.
-        return call.func.attr in self.TIMER_ENDS and any(
-            isinstance(x, ast.Name) and x.id == var
-            for a in call.args
-            for x in ast.walk(a)
-        )
-
-    def _end_calls(self, node: ast.AST, var: str, kind: str) -> bool:
-        """Does ``node``'s subtree contain an end call for ``var``?"""
-        return any(
-            isinstance(n, ast.Call) and self._is_end_call(n, var, kind)
-            for n in ast.walk(node)
-        )
-
-    def _ends_unconditionally(self, stmt: ast.stmt, var: str, kind: str) -> bool:
-        """A simple statement that ends ``var`` on its (only) path; an end
-        buried in an ``if`` branch or ``except`` handler is conditional."""
-        return isinstance(
-            stmt, (ast.Expr, ast.Assign, ast.AugAssign, ast.Return)
-        ) and self._end_calls(stmt, var, kind)
-
-    def _timer_used(self, func: ast.AST, var: str) -> bool:
-        return self._end_calls(func, var, "timer")
-
-    def _escape_value(self, expr: Optional[ast.expr], var: str) -> bool:
-        """Is ``var`` *itself* this expression (possibly inside a literal
-        container)?  ``return trace`` hands ownership off; ``return
-        f(trace)`` does not — the helper used the span, we still own it."""
-        if expr is None:
-            return False
-        if isinstance(expr, ast.Name):
-            return expr.id == var
-        if isinstance(expr, (ast.Tuple, ast.List, ast.Set)):
-            return any(self._escape_value(e, var) for e in expr.elts)
-        if isinstance(expr, ast.Dict):
-            return any(
-                v is not None and self._escape_value(v, var)
-                for v in expr.values
-            )
-        if isinstance(expr, ast.Await):
-            return self._escape_value(expr.value, var)
-        return False
-
-    def _escapes(self, func: ast.AST, var: str) -> bool:
-        """``var`` handed off: returned, yielded, or stored into an
-        attribute/subscript — the new owner ends it then (passing as a
-        call argument is *not* an escape)."""
-        for n in ast.walk(func):
-            if isinstance(n, (ast.Return, ast.Yield, ast.YieldFrom)):
-                if self._escape_value(getattr(n, "value", None), var):
-                    return True
-            if isinstance(n, ast.Assign):
-                if any(
-                    not isinstance(t, ast.Name) for t in n.targets
-                ) and self._escape_value(n.value, var):
-                    return True
-        return False
-
-    def _scan_remainder(
-        self,
-        ctx: FileContext,
-        func: ast.AST,
-        var: str,
-        kind: str,
-        start: ast.stmt,
-        rest: list[ast.stmt],
-    ) -> Optional[Finding]:
-        unit = "span" if kind == "span" else "timer"
-
-        def is_end(call: ast.Call) -> bool:
-            return self._is_end_call(call, var, kind)
-
-        risky_seen = False
-        for stmt in rest:
-            if isinstance(stmt, ast.Try) and any(
-                self._end_calls(s, var, kind) for s in stmt.finalbody
-            ):
-                if risky_seen:
-                    return self.finding(
-                        ctx,
-                        start,
-                        f"{unit} {var!r} is started here, but statements that "
-                        "can raise sit between the start and the protecting "
-                        "try/finally — an exception there leaks the "
-                        f"{unit} open and its duration is never recorded "
-                        "(the PR-3 duration-zero bug class); move the start "
-                        "adjacent to the try, or widen the try/finally",
-                    )
-                return None  # protected
-            if self._ends_unconditionally(stmt, var, kind):
-                if risky_seen:
-                    return self.finding(
-                        ctx,
-                        start,
-                        f"{unit} {var!r} is started here but its end is not "
-                        "under try/finally — an exception on the way leaks "
-                        f"the {unit} open and its duration is never recorded "
-                        "(the PR-3 duration-zero bug class); wrap the region "
-                        f"in try/finally or end the {unit} first",
-                    )
-                return None  # ended with nothing risky in between
-            if _risky(stmt, is_end):
-                risky_seen = True
-        if self._end_calls(func, var, kind):
-            # the end lives outside this block (e.g. after an if): only
-            # safe when nothing in between could raise
-            if risky_seen:
-                return self.finding(
-                    ctx,
-                    start,
-                    f"{unit} {var!r} is started here but the path to its end "
-                    "crosses statements that can raise, with no try/finally — "
-                    f"an exception leaks the {unit} open; wrap the region in "
-                    "try/finally",
-                )
-            return None
-        return self.finding(
-            ctx,
-            start,
-            f"{unit} {var!r} is started here and never ended in this "
-            f"function — every started {unit} must be ended on every exit "
-            "path (use try/finally or the context-manager form)",
-        )
+__all__ = ["SwallowedExceptionRule"]
 
 
 # -- BLG005 ------------------------------------------------------------------
@@ -353,96 +85,3 @@ class SwallowedExceptionRule(Rule):
                 if isinstance(n, ast.Return) and n.value is not None:
                     return True
         return False
-
-
-# -- BLG006 ------------------------------------------------------------------
-
-
-@rule
-class MetricHygieneRule(Rule):
-    """BLG006: literal metric names must be prefixed, cataloged, and
-    kind-consistent.
-
-    :class:`~repro.service.telemetry.MetricsRegistry` registers series
-    lazily — whatever name a call site passes becomes a series.  That
-    makes typos silent: the dashboards read ``blog_requests_total`` while
-    the code increments ``blog_request_total``.  The catalog in
-    ``repro/service/telemetry.py`` is the single source of truth; this
-    rule pins every literal registration to it.
-    """
-
-    code = "BLG006"
-    name = "metric-name-hygiene"
-    summary = "unprefixed, uncataloged, or kind-conflicting metric name"
-
-    KINDS = frozenset({"counter", "gauge", "histogram"})
-    PREFIX = "blog_"
-
-    def __init__(self) -> None:
-        #: name -> (kind, module, line) of the first registration seen
-        self._seen: dict[str, tuple[str, str, int]] = {}
-        self._conflicts: list[Finding] = []
-
-    @staticmethod
-    def _catalog() -> dict[str, str]:
-        from ..service.telemetry import METRIC_CATALOG
-
-        return METRIC_CATALOG
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        # the catalog pins the package's series; tests mint scratch names
-        if not ctx.module.startswith("repro/"):
-            return
-        catalog = self._catalog()
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.KINDS
-                and node.args
-                and isinstance(node.args[0], ast.Constant)
-                and isinstance(node.args[0].value, str)
-            ):
-                continue
-            kind = node.func.attr
-            name = node.args[0].value
-            if not name.startswith(self.PREFIX):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"metric {name!r} lacks the {self.PREFIX!r} prefix — all "
-                    "service series share the prefix so exposition consumers "
-                    "can scrape them as one family",
-                )
-            elif name not in catalog:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"metric {name!r} is not declared in METRIC_CATALOG "
-                    "(repro/service/telemetry.py) — add it there (name -> "
-                    "kind) so dashboards and docs track every series",
-                )
-            elif catalog[name] != kind:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"metric {name!r} is cataloged as a {catalog[name]} but "
-                    f"registered here as a {kind} — one name has one kind "
-                    "(the registry raises at runtime on the second kind)",
-                )
-            prior = self._seen.get(name)
-            if prior is None:
-                self._seen[name] = (kind, ctx.module, node.lineno)
-            elif prior[0] != kind:
-                self._conflicts.append(
-                    self.finding(
-                        ctx,
-                        node,
-                        f"metric {name!r} registered as a {kind} here but as "
-                        f"a {prior[0]} at {prior[1]}:{prior[2]} — one name "
-                        "has one kind",
-                    )
-                )
-
-    def finish(self) -> Iterator[Finding]:
-        yield from self._conflicts

@@ -100,9 +100,6 @@ def analyze_paths(
                     result.suppressed.append(finding)
                 else:
                     result.findings.append(finding)
-    for r in active:
-        for finding in r.finish():
-            result.findings.append(finding)
     result.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     result.suppressed.sort(key=lambda f: (f.path, f.line, f.rule))
     return result

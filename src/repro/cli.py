@@ -33,7 +33,7 @@ linter (see :mod:`repro.analysis` and ``docs/ANALYSIS.md``)::
 
     python -m repro.cli lint                 # lint the repro package
     python -m repro.cli lint src tests --format json
-    python -m repro.cli lint --select BLG004,BLG005 --github
+    python -m repro.cli lint --select BLG001,BLG005 --github
 """
 
 from __future__ import annotations
@@ -206,7 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="run blogcheck, the AST invariant linter (see docs/ANALYSIS.md)",
         description="Check the concurrency, IPC, telemetry, and durability "
-        "contracts (BLG001-BLG007). Exits 1 when findings remain, 0 on a "
+        "contracts (BLG001-BLG003, BLG005, BLG007). Exits 1 when findings "
+        "remain, 0 on a "
         "clean run.",
     )
     lint.add_argument(

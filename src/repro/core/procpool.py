@@ -51,6 +51,9 @@ class ParallelAnswer:
     answers: list[dict[str, str]] = field(default_factory=list)
     branches: int = 0
     per_branch_solutions: list[int] = field(default_factory=list)
+    #: goals cut off at ``max_depth``, summed over the branch solvers:
+    #: nonzero means answers may be missing
+    depth_cutoffs: int = 0
 
 
 def or_split(program: Program, query: str | Sequence[Term]) -> list[tuple[Term, ...]]:
@@ -65,7 +68,8 @@ def or_split(program: Program, query: str | Sequence[Term]) -> list[tuple[Term, 
 
 
 def _solve_branch(payload: bytes) -> bytes:
-    """Worker: run the sequential solver on one resolvent."""
+    """Worker: run the sequential solver on one resolvent; returns its
+    answers and depth cutoffs, pickled."""
     program, goals, answer, query_names, max_depth, max_solutions = pickle.loads(
         payload
     )
@@ -97,7 +101,7 @@ def _solve_branch(payload: bytes) -> bytes:
         for name, var in query_names["vars"].items():
             named[name] = str(b.resolve(var))
         answers.append(named)
-    return pickle.dumps(answers)
+    return pickle.dumps((answers, solver.stats.depth_cutoffs))
 
 
 def or_parallel_solve(
@@ -159,9 +163,10 @@ def or_parallel_solve(
         with ctx.Pool(min(processes, len(payloads))) as pool:
             chunks = pool.map(_solve_branch, payloads)
     for chunk in chunks:
-        answers = pickle.loads(chunk)
+        answers, cutoffs = pickle.loads(chunk)
         result.answers.extend(answers)
         result.per_branch_solutions.append(len(answers))
+        result.depth_cutoffs += cutoffs
     return result
 
 
@@ -347,8 +352,7 @@ def run_engine_query(
         if attrs is not None:
             attrs["branches"] = par.branches
             attrs["branch_solutions"] = list(par.per_branch_solutions)
-        # branch solvers do not report depth cutoffs
-        return list(par.answers), None, True
+        return list(par.answers), None, par.depth_cutoffs == 0
     raise ValueError(f"unknown engine {engine_used!r}")
 
 

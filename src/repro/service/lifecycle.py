@@ -160,10 +160,9 @@ class ServiceLifecycle:
         cancelled = 0
         merged = 0
         unmerged = 0
-        t0 = time.monotonic()
-        try:
+        with svc.telemetry.registry.histogram("blog_drain_seconds").time() as timing:
+            deadline = time.monotonic() + timeout
             await svc.close_ingress()
-            deadline = t0 + timeout
             while (
                 svc.admission.pending > 0 or svc.pool.pending_jobs() > 0
             ) and time.monotonic() < deadline:
@@ -190,13 +189,9 @@ class ServiceLifecycle:
             # final checkpoint happens inside; established connections
             # stay open and keep answering (``stopped``)
             await svc.stop(close_connections=False)
-        finally:
-            svc.telemetry.registry.histogram("blog_drain_seconds").observe(
-                time.monotonic() - t0
-            )
         self.transition(LifecycleState.STOPPED)
         self.drain_report = {
-            "duration_s": time.monotonic() - t0,
+            "duration_s": timing.elapsed_s,
             "cancelled": cancelled,
             "sessions_merged": merged,
             "sessions_unmerged": unmerged,

@@ -340,10 +340,9 @@ class BLogService:
         Emits one ``recovery`` root trace with a per-program child span.
         """
         assert self.data_dir is not None
-        trace = self.telemetry.tracer.start_trace(
+        with self.telemetry.tracer.trace(
             self._next_id(), name="recovery", data_dir=str(self.data_dir)
-        )
-        try:
+        ) as trace:
             replayed_total = 0
             for name in sorted(self.programs):
                 entry = self.programs[name]
@@ -364,8 +363,6 @@ class BLogService:
                 self.telemetry.registry.counter(
                     "blog_recovery_records_replayed_total"
                 ).inc(replayed_total)
-        finally:
-            trace.end()
 
     async def _journal_merge(
         self, entry: ProgramEntry, session: str, pre_generation: int, trace: Trace
@@ -405,16 +402,11 @@ class BLogService:
         if not self._durable:
             return
         loop = asyncio.get_running_loop()
-        t0 = time.monotonic()
-        try:
+        with self.telemetry.registry.histogram("blog_checkpoint_seconds").time():
             for name, ds in sorted(self._durable.items()):
                 entry = self.programs[name]
                 payload = ds.prepare_checkpoint(entry.global_store)
                 await loop.run_in_executor(self._wal_io, ds.write_checkpoint, payload)
-        finally:
-            self.telemetry.registry.histogram("blog_checkpoint_seconds").observe(
-                time.monotonic() - t0
-            )
 
     async def _checkpoint_loop(self) -> None:
         while True:
@@ -434,14 +426,13 @@ class BLogService:
         engine, and after a lane reset respawn/replay) hang off it.
         """
         rid = request.request_id or self._next_id()
-        trace = self.telemetry.tracer.start_trace(
+        with self.telemetry.tracer.trace(
             rid,
             name="request",
             program=request.program,
             session=request.session,
             engine=request.engine,
-        )
-        try:
+        ) as trace:
             if not self.lifecycle.accepting:
                 trace.end(ok=False, outcome="not-serving")
                 self.stats_agg.record_rejection(trace.root.duration_s)
@@ -459,9 +450,6 @@ class BLogService:
                 return await self._admitted(request, rid, trace)
             finally:
                 self.admission.release()
-        finally:
-            if not trace.ended:  # crash safety: a root span never leaks open
-                trace.end(ok=False, outcome="internal-error")
 
     async def _admitted(
         self, request: QueryRequest, rid: str, trace: Trace
@@ -722,16 +710,11 @@ class BLogService:
                     await self._journal_merge(entry, session, pre_generation, trace)
                 return report
 
-        trace = self.telemetry.tracer.start_trace(
+        with self.telemetry.tracer.trace(
             self._next_id(), name="end_session", program=program, session=session
-        )
-        try:
-            # submit() itself can raise (pool shutting down): keep it under
-            # the same try/finally as the await, or the trace leaks open
+        ) as trace:
             job = self.pool.submit(lane, run)
             return await job.future
-        finally:
-            trace.end()
 
     def stats(self) -> dict:
         """Operator-facing counters: latency, throughput, cache, admission,

@@ -58,8 +58,8 @@ __all__ = [
 
 #: Every metric series the service emits, name -> kind.  The registry
 #: registers lazily, so a typo at a call site would otherwise mint a new
-#: series nobody reads; blogcheck rule BLG006 pins every literal
-#: registration in ``src/`` to this catalog.  Add the name here first,
+#: series nobody reads; instead :class:`MetricsRegistry` refuses any name
+#: missing here or asked for as another kind.  Add the name here first,
 #: then use it.
 METRIC_CATALOG: dict[str, str] = {
     # request path (stats.py)
@@ -148,23 +148,36 @@ class _SpanContext:
         self._trace = trace
         self._name = name
         self._attrs = attrs
-        self.span: Optional[Span] = None
 
     def __enter__(self) -> Span:
-        self.span = self._trace.start_span(self._name, **self._attrs)
+        trace = self._trace
+        self.span = Span(
+            name=self._name,
+            trace_id=trace.trace_id,
+            span_id=trace._take_id(),
+            parent_id=trace.current.span_id,
+            start_s=trace._now(),
+            attributes=self._attrs,
+        )
+        trace.spans.append(self.span)
+        trace._stack.append(self.span)
         return self.span
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is not None and self.span is not None:
+        if exc_type is not None:
             self.span.set("error", f"{exc_type.__name__}: {exc}")
-        self._trace.end_span(self.span)
+        self._trace._close(self.span)
         return False
 
 
 class Trace:
-    """One request's span tree.  Created by :meth:`Tracer.start_trace`;
-    every span operation goes through the trace so the tree shares one
-    clamped clock (timestamps never decrease within a tree)."""
+    """One request's span tree.  Opened by ``with tracer.trace(...) as
+    trace:``; every span operation goes through the trace so the tree
+    shares one clamped clock (timestamps never decrease within a tree).
+
+    Leaving the block ends the root; an exception escaping it while the
+    root is still open ends it with ``ok=False, outcome="internal-error"``.
+    """
 
     def __init__(
         self,
@@ -188,6 +201,16 @@ class Trace:
         self.spans: list[Span] = [self.root]
         self._stack: list[Span] = [self.root]
         self.ended = False
+
+    def __enter__(self) -> "Trace":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is None:
+            self.end()
+        else:
+            self.end(ok=False, outcome="internal-error")
+        return False
 
     # -- clock -------------------------------------------------------------
     def _take_id(self) -> int:
@@ -213,25 +236,13 @@ class Trace:
         """Context manager for a child span of the current span."""
         return _SpanContext(self, name, attrs)
 
-    def start_span(self, name: str, **attrs: Any) -> Span:
-        span = Span(
-            name=name,
-            trace_id=self.trace_id,
-            span_id=self._take_id(),
-            parent_id=self.current.span_id,
-            start_s=self._now(),
-            attributes=attrs,
-        )
-        self.spans.append(span)
-        self._stack.append(span)
-        return span
-
-    def end_span(self, span: Optional[Span]) -> None:
-        if span is None or span.end_s is not None:
+    def _close(self, span: Span) -> None:
+        """End ``span`` and anything opened after it that was left
+        dangling (a no-op if the root already ended it)."""
+        if span.end_s is not None:
             return
         span.end_s = self._now()
         if span in self._stack:
-            # pop it and anything opened after it that was left dangling
             while self._stack[-1] is not span:
                 dangling = self._stack.pop()
                 if dangling.end_s is None:
@@ -271,8 +282,8 @@ class Trace:
         hand the trace to the tracer's exporters.  Idempotent."""
         if self.ended:
             return
-        while len(self._stack) > 1:
-            self.end_span(self._stack[-1])
+        if len(self._stack) > 1:
+            self._close(self._stack[1])
         for k, v in attrs.items():
             self.root.set(k, v)
         self.root.end_s = self._now()
@@ -298,7 +309,9 @@ class Tracer:
         self.completed = 0
         self.export_errors = 0
 
-    def start_trace(self, trace_id: str, name: str = "request", **attrs: Any) -> Trace:
+    def trace(self, trace_id: str, name: str = "request", **attrs: Any) -> Trace:
+        """``with tracer.trace(rid, program=...) as trace:`` — a new root
+        span, ended when the block exits (see :class:`Trace`)."""
         self.started += 1
         return Trace(self, trace_id, name, attrs)
 
@@ -407,6 +420,11 @@ class Histogram:
         else:  # deterministic pseudo-random replacement (Knuth multiplicative)
             self.reservoir[(self.count * 2654435761) % self._cap] = v
 
+    def time(self) -> "_Timing":
+        """``with hist.time() as t:`` — observe the block's wall time on
+        every exit, normal or not; ``t.elapsed_s`` holds it afterwards."""
+        return _Timing(self)
+
     def quantile(self, q: float) -> float:
         return percentile(self.reservoir, q * 100.0)
 
@@ -421,6 +439,23 @@ class Histogram:
         }
 
 
+class _Timing:
+    """The context manager :meth:`Histogram.time` returns."""
+
+    def __init__(self, histogram: Histogram) -> None:
+        self._histogram = histogram
+        self.elapsed_s = 0.0
+
+    def __enter__(self) -> "_Timing":
+        self._t0 = time.monotonic()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self.elapsed_s = time.monotonic() - self._t0
+        self._histogram.observe(self.elapsed_s)
+        return False
+
+
 def _format_value(v: float) -> str:
     if isinstance(v, float) and v.is_integer():
         return str(int(v))
@@ -431,9 +466,10 @@ class MetricsRegistry:
     """Named metric series: ``registry.counter("blog_requests_total")``.
 
     A series is identified by (name, labels); asking again returns the
-    same object, so call sites register lazily.  One name has one kind —
-    re-registering a name as a different kind is a programming error and
-    raises immediately.
+    same object, so call sites register lazily.  Only names in
+    :data:`METRIC_CATALOG` exist, each with the kind the catalog gives:
+    any other name, or a cataloged name asked for as another kind, is a
+    programming error and raises immediately.
     """
 
     _KINDS: ClassVar[dict[str, type]] = {
@@ -444,13 +480,15 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._series: dict[tuple[str, tuple[tuple[str, str], ...]], Any] = {}
-        self._kinds: dict[str, str] = {}
 
     def _get(self, kind: str, name: str, labels: dict[str, str], **kw: Any):
-        known = self._kinds.get(name)
-        if known is not None and known != kind:
-            raise ValueError(f"metric {name!r} already registered as {known}")
-        self._kinds[name] = kind
+        known = METRIC_CATALOG.get(name)
+        if known != kind:
+            raise ValueError(
+                f"metric {name!r} is not in METRIC_CATALOG"
+                if known is None
+                else f"metric {name!r} is a {known}, not a {kind}"
+            )
         key = (name, tuple(sorted((k, str(v)) for k, v in labels.items())))
         series = self._series.get(key)
         if series is None:
@@ -489,8 +527,8 @@ class MetricsRegistry:
         Histograms emit ``_count``, ``_sum``, two quantile lines, and
         ``_max``."""
         lines: list[str] = []
-        for name in sorted(self._kinds):
-            kind = self._kinds[name]
+        for name in sorted({key[0] for key in self._series}):
+            kind = METRIC_CATALOG[name]
             lines.append(f"# TYPE {name} {kind}")
             keys = sorted(k for k in self._series if k[0] == name)
             for key in keys:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import BLogConfig, BLogEngine, or_parallel_solve, or_split
 from repro.core.procpool import LaneWorker
-from repro.logic import Solver
+from repro.logic import Program, Solver
 from repro.logic.parser import parse_query
 from repro.machine.blog_machine import MachineConfig
 from repro.weights.persist import store_delta
@@ -46,6 +46,12 @@ class TestOrParallelSolve:
     def test_per_branch_accounting(self, figure1):
         par = or_parallel_solve(figure1, "gf(sam, G)", processes=2)
         assert sum(par.per_branch_solutions) == len(par.answers)
+
+    def test_depth_cutoffs_summed_over_branches(self, figure1):
+        assert or_parallel_solve(figure1, "gf(sam, G)", processes=1).depth_cutoffs == 0
+        left = Program.from_source("p(X) :- p(X).\np(a).\n")
+        par = or_parallel_solve(left, "p(X)", processes=1, max_depth=16)
+        assert par.depth_cutoffs > 0
 
     def test_max_solutions_per_branch(self):
         wl = synthetic_tree(branching=2, depth=3, seed=22)

@@ -337,6 +337,28 @@ class TestCacheLifecycle:
         assert svc.telemetry.registry.counter("blog_incomplete_total").value == 2
         assert len(svc.cache) == 0
 
+    def test_procpool_depth_cutoff_is_not_complete(self):
+        # left recursion: the procpool branch solver stops at max_depth,
+        # so answers may be missing and must not be cached as complete
+        async def body():
+            svc = BLogService(
+                {"lr": "p(X) :- p(X).\np(a).\n"}, n_workers=1, backend=BACKEND
+            )
+            await svc.start()
+            try:
+                request = QueryRequest("lr", "p(X)", session="s1", engine="procpool")
+                first = await svc.submit(request)
+                again = await svc.submit(request)
+                incomplete = svc.telemetry.registry.counter("blog_incomplete_total")
+                return first, again, incomplete.value
+            finally:
+                await svc.stop()
+
+        first, again, incomplete = run(body())
+        assert first.ok and first.answers and not first.complete
+        assert not again.cached and not again.complete
+        assert incomplete == 2
+
     def test_end_session_unknown_session_is_none(self):
         async def body(svc):
             return await svc.end_session("family", "ghost")

@@ -45,13 +45,13 @@ class TestSpans:
     def test_nesting_parent_ids_and_intervals(self):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
-        trace = tracer.start_trace("r1", program="family")
-        with trace.span("outer") as outer:
-            clock.advance(1.0)
-            with trace.span("inner", detail=7) as inner:
-                clock.advance(2.0)
-            clock.advance(0.5)
-        trace.end(ok=True)
+        with tracer.trace("r1", program="family") as trace:
+            with trace.span("outer") as outer:
+                clock.advance(1.0)
+                with trace.span("inner", detail=7) as inner:
+                    clock.advance(2.0)
+                clock.advance(0.5)
+            trace.end(ok=True)
 
         assert trace.root.parent_id is None
         assert outer.parent_id == trace.root.span_id
@@ -69,12 +69,11 @@ class TestSpans:
     def test_clock_never_runs_backwards_within_a_tree(self):
         clock = FakeClock(50.0)
         tracer = Tracer(clock=clock)
-        trace = tracer.start_trace("r1")
-        with trace.span("a"):
-            clock.t = 10.0  # OS clock hiccup: jumps backwards
-        with trace.span("b"):
-            clock.t = 9.0
-        trace.end()
+        with tracer.trace("r1") as trace:
+            with trace.span("a"):
+                clock.t = 10.0  # OS clock hiccup: jumps backwards
+            with trace.span("b"):
+                clock.t = 9.0
         times = []
         for s in trace.spans:
             times.append(s.start_s)
@@ -87,31 +86,30 @@ class TestSpans:
     def test_span_at_clamps_into_parent(self):
         clock = FakeClock(100.0)
         tracer = Tracer(clock=clock)
-        trace = tracer.start_trace("r1")
-        clock.advance(1.0)
-        span = trace.span_at("queue", 90.0, 101.5)  # starts before the root
-        assert span.start_s == 100.0  # clamped up to the root start
-        assert span.end_s == 101.5
-        assert span.parent_id == trace.root.span_id
-        trace.end()
+        with tracer.trace("r1") as trace:
+            clock.advance(1.0)
+            span = trace.span_at("queue", 90.0, 101.5)  # starts before the root
+            assert span.start_s == 100.0  # clamped up to the root start
+            assert span.end_s == 101.5
+            assert span.parent_id == trace.root.span_id
         assert trace.root.end_s >= span.end_s
 
     def test_exception_is_recorded_and_span_still_ends(self):
         tracer = Tracer(clock=FakeClock())
-        trace = tracer.start_trace("r1")
-        with pytest.raises(ValueError):
-            with trace.span("engine"):
-                raise ValueError("boom")
+        with tracer.trace("r1") as trace:
+            with pytest.raises(ValueError):
+                with trace.span("engine"):
+                    raise ValueError("boom")
         (engine,) = trace.find("engine")
         assert engine.end_s is not None
         assert "ValueError: boom" in engine.attributes["error"]
 
     def test_end_is_idempotent_and_closes_dangling_spans(self):
         tracer = Tracer(clock=FakeClock())
-        trace = tracer.start_trace("r1")
-        trace.start_span("left-open")
-        trace.end()
-        trace.end()  # second call is a no-op
+        with tracer.trace("r1") as trace:
+            trace.span("left-open").__enter__()
+            trace.end()
+            trace.end()  # second call is a no-op
         assert tracer.completed == 1
         (dangling,) = trace.find("left-open")
         assert dangling.end_s is not None
@@ -124,14 +122,14 @@ class TestSpans:
 class TestRegistry:
     def test_counter_gauge_semantics(self):
         reg = MetricsRegistry()
-        c = reg.counter("blog_x_total")
+        c = reg.counter("blog_requests_total")
         c.inc()
         c.inc(2)
-        assert reg.counter("blog_x_total") is c  # same series on re-ask
+        assert reg.counter("blog_requests_total") is c  # same series on re-ask
         assert c.value == 3
         with pytest.raises(ValueError):
             c.inc(-1)
-        g = reg.gauge("blog_depth")
+        g = reg.gauge("blog_pending")
         g.set(5)
         g.inc()
         g.dec(2)
@@ -139,7 +137,7 @@ class TestRegistry:
 
     def test_histogram_exact_aggregates_bounded_reservoir(self):
         reg = MetricsRegistry()
-        h = reg.histogram("blog_lat_seconds", reservoir=8)
+        h = reg.histogram("blog_request_seconds", reservoir=8)
         for i in range(100):
             h.observe(float(i))
         assert h.count == 100
@@ -150,18 +148,29 @@ class TestRegistry:
         snap = h.snapshot()
         assert snap["count"] == 100 and snap["max"] == 99.0
 
+    def test_histogram_time_observes_on_every_exit(self):
+        h = MetricsRegistry().histogram("blog_checkpoint_seconds")
+        with h.time() as timing:
+            time.sleep(0.001)
+        with pytest.raises(RuntimeError):
+            with h.time():
+                raise RuntimeError("boom")
+        assert h.count == 2
+        assert h.reservoir[0] == timing.elapsed_s >= 0.001
+        assert h.reservoir[1] >= 0.0
+
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
-        reg.counter("blog_x_total")
+        reg.counter("blog_requests_total")
         with pytest.raises(ValueError):
-            reg.gauge("blog_x_total")
+            reg.gauge("blog_requests_total")
 
     def test_labels_create_distinct_series(self):
         reg = MetricsRegistry()
-        reg.counter("blog_req_total", engine="blog").inc(2)
-        reg.counter("blog_req_total", engine="cache").inc()
-        assert reg.counter("blog_req_total", engine="blog").value == 2
-        assert reg.counter("blog_req_total", engine="cache").value == 1
+        reg.counter("blog_requests_engine_total", engine="blog").inc(2)
+        reg.counter("blog_requests_engine_total", engine="cache").inc()
+        assert reg.counter("blog_requests_engine_total", engine="blog").value == 2
+        assert reg.counter("blog_requests_engine_total", engine="cache").value == 1
 
     def test_exposition_golden(self):
         reg = MetricsRegistry()
@@ -192,10 +201,10 @@ class TestRegistry:
 
 class TestTraceLog:
     def _finish_trace(self, tracer, rid, clock):
-        trace = tracer.start_trace(rid, program="family")
-        with trace.span("engine"):
-            clock.advance(0.01)
-        trace.end(ok=True)
+        with tracer.trace(rid, program="family") as trace:
+            with trace.span("engine"):
+                clock.advance(0.01)
+            trace.end(ok=True)
         return trace
 
     def test_jsonl_lines_parse_and_round_trip(self, tmp_path):
@@ -240,13 +249,12 @@ class TestTraceLog:
         telemetry = Telemetry(
             clock=clock, slow_query_s=0.5, slow_query_sink=seen.append
         )
-        fast = telemetry.tracer.start_trace("fast")
-        clock.advance(0.1)
-        fast.end()
-        slow = telemetry.tracer.start_trace("slow", program="family")
-        with slow.span("engine", expansions=42):
-            clock.advance(2.0)
-        slow.end(ok=True)
+        with telemetry.tracer.trace("fast"):
+            clock.advance(0.1)
+        with telemetry.tracer.trace("slow", program="family") as slow:
+            with slow.span("engine", expansions=42):
+                clock.advance(2.0)
+            slow.end(ok=True)
         assert telemetry.slow_queries == 1
         assert len(seen) == 1
         text = seen[0]
@@ -256,12 +264,11 @@ class TestTraceLog:
     def test_format_trace_indents_children(self):
         clock = FakeClock()
         tracer = Tracer(clock=clock)
-        trace = tracer.start_trace("r1")
-        with trace.span("lane-dispatch"):
-            clock.advance(0.5)
-            with trace.span("engine"):
-                clock.advance(1.0)
-        trace.end()
+        with tracer.trace("r1") as trace:
+            with trace.span("lane-dispatch"):
+                clock.advance(0.5)
+                with trace.span("engine"):
+                    clock.advance(1.0)
         lines = format_trace(trace).splitlines()
         assert lines[0].startswith("trace r1")
         assert lines[1].startswith("  lane-dispatch")
