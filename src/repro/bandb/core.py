@@ -4,10 +4,11 @@ The paper frames OR-tree search as "a branching graph that represents
 the enumeration of all solutions in a branch-and-bound algorithm" with
 a bound that is *monotonic* along every root-to-leaf chain.  This
 module provides the abstract machinery independent of logic programs —
-a :class:`BnBProblem` protocol, the sequential best-first engine with
-incumbent pruning, and work accounting — so that the same engine can be
-exercised on classic B&B problems (tests use a subset-sum/knapsack
-instance) and on OR-trees via an adapter.
+a :class:`BnBProblem` protocol and the sequential best-first engine
+with incumbent pruning, which runs the shared frontier loop
+(:func:`~repro.ortree.frontier.search`) and its work accounting — so
+that the same engine can be exercised on classic B&B problems (tests
+use a subset-sum/knapsack instance) and on OR-trees via an adapter.
 
 Invariants enforced (and property-tested):
 
@@ -19,9 +20,10 @@ Invariants enforced (and property-tested):
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generic, Hashable, Iterable, Optional, TypeVar
+from typing import Generic, Iterable, Optional, TypeVar
+
+from ..ortree.frontier import BestFirst, SearchCounters, is_solution, search
 
 __all__ = [
     "BnBProblem",
@@ -78,13 +80,10 @@ class BnBNode(Generic[S]):
 
 
 @dataclass
-class BnBResult(Generic[S]):
+class BnBResult(SearchCounters, Generic[S]):
     """Search outcome: solutions in discovery order plus work counters."""
 
     solutions: list[BnBNode[S]] = field(default_factory=list)
-    expansions: int = 0
-    generated: int = 0
-    pruned: int = 0
     incumbent: Optional[float] = None
 
     @property
@@ -125,38 +124,31 @@ class BranchAndBound(Generic[S]):
         of section 4 where every solution shares the same bound N).
         """
         result: BnBResult[S] = BnBResult()
-        heap: list[tuple[float, int, BnBNode[S]]] = []
-        counter = 0
-        root = BnBNode(self.problem.root(), 0.0, 0)
-        heapq.heappush(heap, (0.0, counter, root))
-        while heap:
-            if result.expansions >= max_expansions:
-                break
-            bound, _, node = heapq.heappop(heap)
-            if (
-                prune
-                and result.incumbent is not None
-                and bound > result.incumbent
-            ):
-                result.pruned += 1
-                continue
-            if self.problem.is_solution(node.state):
-                result.solutions.append(node)
-                if result.incumbent is None or node.bound < result.incumbent:
-                    result.incumbent = node.bound
-                if max_solutions is not None and len(result.solutions) >= max_solutions:
-                    break
-                continue
-            result.expansions += 1
-            for child_state, cost in self.problem.branch(node.state):
+        problem = self.problem
+
+        def branch(node: BnBNode[S]) -> list[BnBNode[S]]:
+            children = []
+            for state, cost in problem.branch(node.state):
                 if self.check_monotone and cost < 0:
                     raise BoundViolation(
                         f"negative arc cost {cost} from state {node.state!r}"
                     )
-                child = BnBNode(child_state, node.bound + cost, node.depth + 1, node)
-                result.generated += 1
-                counter += 1
-                heapq.heappush(heap, (child.bound, counter, child))
+                children.append(BnBNode(state, node.bound + cost, node.depth + 1, node))
+            return children
+
+        def within_incumbent(node: BnBNode[S]) -> bool:
+            # the cutoff comes before the solution test here: a popped
+            # solution worse than the incumbent is pruned, not recorded
+            return result.incumbent is None or node.bound <= result.incumbent
+
+        root = BnBNode(problem.root(), 0.0, 0)
+        for node in search(
+            BestFirst(), root, lambda node: problem.is_solution(node.state), branch, result,
+            max_solutions, max_expansions, prune, within_incumbent if prune else None,
+        ):
+            result.solutions.append(node)
+            if result.incumbent is None or node.bound < result.incumbent:
+                result.incumbent = node.bound
         return result
 
 
@@ -182,6 +174,4 @@ class OrTreeProblem(BnBProblem[int]):
             yield cid, child.arc.weight
 
     def is_solution(self, state: int) -> bool:
-        from ..ortree.tree import NodeStatus
-
-        return self.tree.node(state).status is NodeStatus.SOLUTION
+        return is_solution(self.tree.node(state))

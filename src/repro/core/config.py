@@ -31,8 +31,6 @@ class BLogConfig:
     # (Prolog/§2), "most-bound", or "fewest-candidates" (§7 ordering)
     max_depth: int = 128
     max_expansions: int = 200_000
-    prune_bound: bool = False  # incumbent cutoff (§3) — off when all
-    # solutions are wanted with imperfect weights, on for first-solution runs
     live_updates: bool = True  # apply §5 rules as outcomes appear mid-search
     occurs_check: bool = False
     failure_blame: str = "leafmost"  # §5 default; or "rootmost" / "all"

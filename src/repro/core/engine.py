@@ -11,22 +11,26 @@ will be avoided until all the others have been attempted"); and the
 session protocol separates strong local learning from conservative
 global knowledge.
 
+The search itself is the shared frontier loop
+(:func:`~repro.ortree.frontier.search`) with the best-first discipline;
+the engine adds answer extraction and the §5 learning hooks.
+
 Completeness: the engine never *discards* chains — weights only order
-them (plus the optional §3 incumbent cutoff) — so "B-LOG offers an
-alternative to Prolog's sequentially oriented depth-first search,
+them, and it never applies the §3 incumbent cutoff — so "B-LOG offers
+an alternative to Prolog's sequentially oriented depth-first search,
 without giving up completeness" (§8).  Tests verify solution-set
 equality against the Prolog baseline on a corpus of programs.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..logic.program import Program
 from ..logic.terms import Term
-from ..ortree.tree import NodeStatus, OrNode, OrTree
+from ..ortree.frontier import BestFirst, SearchCounters, is_solution, search, tree_expander
+from ..ortree.tree import OrNode, OrTree
 from ..weights.policies import on_failure_policy, on_success_policy
 from ..weights.session import MergeReport, SessionManager
 from ..weights.store import WeightStore
@@ -37,23 +41,12 @@ __all__ = ["BLogEngine", "QueryResult"]
 
 
 @dataclass
-class QueryResult:
+class QueryResult(SearchCounters):
     """Outcome of one B-LOG query."""
 
     query: str | Sequence[Term]
     answers: list[dict[str, Term]] = field(default_factory=list)
     solution_bounds: list[float] = field(default_factory=list)
-    expansions: int = 0
-    generated: int = 0
-    pruned: int = 0
-    expansions_to_first: Optional[int] = None
-    failures: int = 0
-    #: leaves cut off at ``max_depth``: neither failures nor learned from
-    depth_cutoffs: int = 0
-    #: False when ``max_expansions`` stopped the search or a depth cutoff
-    #: occurred, so answers may be missing; reaching ``max_solutions``
-    #: leaves it True
-    complete: bool = True
     update_logs: list[UpdateLog] = field(default_factory=list)
     tree: Optional[OrTree] = None
 
@@ -164,84 +157,38 @@ class BLogEngine:
         )
         result = QueryResult(query=query)
         self.last_result = result  # available even on early consumer exit
-        deferred: list[tuple[bool, int]] = []  # (solved, leaf id)
+        deferred: list[tuple[OrNode, bool]] = []  # (leaf, solved)
 
-        def apply_update(solved: bool, nid: int) -> UpdateLog:
-            arcs = tree.chain_arcs(nid)
+        def apply_update(leaf: OrNode, solved: bool) -> UpdateLog:
+            arcs = tree.chain_arcs(leaf.nid)
             if solved:
                 return on_success_policy(store, arcs, cfg.success_distribute)
             return on_failure_policy(store, arcs, cfg.failure_blame)
 
-        def outcome(solved: bool, nid: int) -> None:
+        def outcome(leaf: OrNode, solved: bool = False) -> None:
             if not update_weights:
                 return
             if cfg.live_updates:
-                result.update_logs.append(apply_update(solved, nid))
+                result.update_logs.append(apply_update(leaf, solved))
             else:
-                deferred.append((solved, nid))
+                deferred.append((leaf, solved))
 
-        heap: list[tuple[float, int, int]] = []
-        counter = 0
-        heapq.heappush(heap, (tree.root.bound, counter, tree.root.nid))
-        incumbent: Optional[float] = None
         try:
-            yield from self._search_loop(
-                heap, counter, incumbent, tree, result, cfg,
-                max_solutions, outcome,
-            )
-        finally:
-            for solved, nid in deferred:
-                result.update_logs.append(apply_update(solved, nid))
-            if keep_tree:
-                result.tree = tree
-            self.queries_run += 1
-
-    def _search_loop(
-        self, heap, counter, incumbent, tree, result, cfg, max_solutions, outcome
-    ):
-        import heapq
-
-        while heap:
-            if result.expansions >= cfg.max_expansions:
-                result.complete = False
-                break
-            bound, _, nid = heapq.heappop(heap)
-            node = tree.node(nid)
-            if node.status is NodeStatus.SOLUTION:
+            for node in search(
+                BestFirst(), tree.root, is_solution, tree_expander(tree), result,
+                max_solutions, cfg.max_expansions, on_failure=outcome,
+            ):
                 answer = tree.solution_answer(node)
                 result.answers.append(answer)
                 result.solution_bounds.append(node.bound)
-                if result.expansions_to_first is None:
-                    result.expansions_to_first = result.expansions
-                outcome(True, nid)
-                if incumbent is None or node.bound < incumbent:
-                    incumbent = node.bound
+                outcome(node, True)
                 yield answer
-                if max_solutions is not None and len(result.answers) >= max_solutions:
-                    break
-                continue
-            if cfg.prune_bound and incumbent is not None and bound > incumbent:
-                result.pruned += 1
-                continue
-            before = tree.generated
-            cutoffs = tree.depth_cutoffs
-            children = tree.expand(nid)
-            result.expansions += 1
-            result.generated += tree.generated - before
-            if tree.depth_cutoffs != cutoffs:
-                # the depth limit, not the program, ended this chain: it
-                # is no §5 failure, so nothing is learned from it
-                result.depth_cutoffs += 1
-                result.complete = False
-                continue
-            if not children:
-                result.failures += 1
-                outcome(False, nid)
-                continue
-            for cid in children:
-                child = tree.node(cid)
-                counter += 1
-                heapq.heappush(heap, (child.bound, counter, cid))
+        finally:
+            for node, solved in deferred:
+                result.update_logs.append(apply_update(node, solved))
+            if keep_tree:
+                result.tree = tree
+            self.queries_run += 1
 
     def solve_values(
         self,

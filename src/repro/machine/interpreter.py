@@ -19,7 +19,8 @@ latencies:
 * a closing ``select`` (next minimum among the local chains).
 
 :func:`simulate_query` drives a whole query through the scoreboard:
-each best-first expansion is compiled and executed, accumulating total
+it runs the shared best-first frontier loop, and each expansion is
+compiled and executed inside the loop's expand step, accumulating total
 cycles and per-unit utilization — the data for the §6 controller-design
 questions (how many unify/copy units does a B-LOG processor want?).
 """
@@ -33,7 +34,8 @@ from typing import Optional
 from ..logic.solver import _rename_clause
 from ..logic.terms import term_size
 from ..logic.unify import Bindings, unify
-from ..ortree.tree import NodeStatus, OrTree
+from ..ortree.frontier import BestFirst, SearchCounters, is_solution, search, tree_expander
+from ..ortree.tree import OrNode, OrTree
 from .scoreboard import MicroOp, Scoreboard
 
 __all__ = ["compile_expansion", "InterpreterReport", "simulate_query"]
@@ -133,21 +135,13 @@ def simulate_query(
     """Run ``tree``'s query best-first, costing every expansion through
     the scoreboard.  Returns the aggregate report (the tree is developed
     as a side effect, exactly as a plain best-first search would)."""
-    import heapq
-
     sb = scoreboard if scoreboard is not None else Scoreboard()
     report = InterpreterReport()
-    heap: list[tuple[float, int, int]] = [(tree.root.bound, 0, tree.root.nid)]
-    counter = 0
-    while heap and report.expansions < max_expansions:
-        _, _, nid = heapq.heappop(heap)
-        node = tree.node(nid)
-        if node.status is NodeStatus.SOLUTION:
-            report.answers += 1
-            if max_solutions is not None and report.answers >= max_solutions:
-                break
-            continue
-        program = compile_expansion(tree, nid)
+    counters = SearchCounters()
+    tree_step = tree_expander(tree)
+
+    def expand(node: OrNode) -> Optional[list[OrNode]]:
+        program = compile_expansion(tree, node.nid)
         if program:
             stats = sb.run(program)
             report.total_cycles += stats.cycles
@@ -156,9 +150,11 @@ def simulate_query(
             report.structural_stalls += stats.structural_stalls
             for kind, busy in stats.unit_busy.items():
                 report.unit_busy[kind] = report.unit_busy.get(kind, 0) + busy
-        for cid in tree.expand(nid):
-            child = tree.node(cid)
-            counter += 1
-            heapq.heappush(heap, (child.bound, counter, cid))
-        report.expansions += 1
+        return tree_step(node)
+
+    solutions = search(
+        BestFirst(), tree.root, is_solution, expand, counters, max_solutions, max_expansions
+    )
+    report.answers = sum(1 for _ in solutions)
+    report.expansions = counters.expansions
     return report

@@ -5,7 +5,6 @@ best-first branch and bound (B-LOG)."""
 from .strategies import (
     STRATEGIES,
     SearchResult,
-    SearchStrategy,
     best_first,
     breadth_first,
     depth_first,
@@ -23,7 +22,6 @@ __all__ = [
     "OrTree",
     "canonical_goal",
     "SearchResult",
-    "SearchStrategy",
     "depth_first",
     "breadth_first",
     "best_first",

@@ -9,24 +9,26 @@ The paper contrasts three regimes:
 * **best-first / branch-and-bound** — expand the open node with the
   least bound; with a learned bound (section 4/5) this is B-LOG.
 
-All strategies share one frontier-driven loop so node counts are
-directly comparable (experiment E1).  ``prune_bound`` implements the
-branch-and-bound cutoff of section 3: "Once a solution is found, its
-bound can be used to cut off any searches on other chains if their
-bound is greater than the one found."
+Each strategy is one frontier discipline handed to the shared loop
+(:func:`~repro.ortree.frontier.search`), the same loop the B-LOG engine
+runs, so node counts are directly comparable (experiment E1).
+``prune_bound`` implements the branch-and-bound cutoff of section 3:
+"Once a solution is found, its bound can be used to cut off any
+searches on other chains if their bound is greater than the one found."
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-from .tree import NodeStatus, OrNode, OrTree
+from .frontier import (
+    BestFirst, BreadthFirst, DepthFirst, SearchCounters, is_solution, search, tree_expander,
+)
+from .tree import OrNode, OrTree
 
 __all__ = [
     "SearchResult",
-    "SearchStrategy",
     "depth_first",
     "breadth_first",
     "best_first",
@@ -37,164 +39,16 @@ __all__ = [
 
 
 @dataclass
-class SearchResult:
+class SearchResult(SearchCounters):
     """Outcome and work accounting of one search run."""
 
     strategy: str
     solutions: list[OrNode] = field(default_factory=list)
-    expansions: int = 0  # nodes whose fan-out we computed
-    generated: int = 0  # children created
-    pruned: int = 0  # frontier nodes cut off by the incumbent bound
-    expansions_to_first: Optional[int] = None
     solution_bounds: list[float] = field(default_factory=list)
 
     @property
     def found(self) -> bool:
         return bool(self.solutions)
-
-    def record_solution(self, node: OrNode) -> None:
-        self.solutions.append(node)
-        self.solution_bounds.append(node.bound)
-        if self.expansions_to_first is None:
-            self.expansions_to_first = self.expansions
-
-
-class SearchStrategy:
-    """Base class: a frontier discipline over an :class:`OrTree`."""
-
-    name = "abstract"
-
-    def __init__(self, tree: OrTree, prune_bound: bool = False):
-        self.tree = tree
-        self.prune_bound = prune_bound
-        self.result = SearchResult(strategy=self.name)
-        self._incumbent: Optional[float] = None
-        self._push(tree.root)
-
-    # frontier interface ------------------------------------------------------
-    def _push(self, node: OrNode) -> None:
-        raise NotImplementedError
-
-    def _pop(self) -> Optional[OrNode]:
-        raise NotImplementedError
-
-    def _has_work(self) -> bool:
-        raise NotImplementedError
-
-    # main loop -----------------------------------------------------------------
-    def run(
-        self,
-        max_solutions: Optional[int] = None,
-        max_expansions: int = 1_000_000,
-    ) -> SearchResult:
-        """Search until ``max_solutions`` found or the frontier is empty."""
-        while self._has_work():
-            if self.result.expansions >= max_expansions:
-                break
-            node = self._pop()
-            if node is None:
-                break
-            if node.status is NodeStatus.SOLUTION:
-                self.result.record_solution(node)
-                if self.prune_bound and (
-                    self._incumbent is None or node.bound < self._incumbent
-                ):
-                    self._incumbent = node.bound
-                if max_solutions is not None and len(self.result.solutions) >= max_solutions:
-                    break
-                continue
-            if (
-                self.prune_bound
-                and self._incumbent is not None
-                and node.bound > self._incumbent
-            ):
-                self.result.pruned += 1
-                continue
-            before = self.tree.generated
-            children = self.tree.expand(node.nid)
-            self.result.expansions += 1
-            self.result.generated += self.tree.generated - before
-            for cid in self._order_children(children):
-                self._push(self.tree.node(cid))
-        return self.result
-
-    def _order_children(self, children: list[int]) -> list[int]:
-        """Push order; DFS overrides to reverse (leftmost popped first)."""
-        return children
-
-
-class _DepthFirst(SearchStrategy):
-    """LIFO frontier; children pushed right-to-left => Prolog order."""
-
-    name = "depth-first"
-
-    def __init__(self, tree: OrTree, prune_bound: bool = False):
-        self._stack: list[OrNode] = []
-        super().__init__(tree, prune_bound)
-
-    def _push(self, node: OrNode) -> None:
-        self._stack.append(node)
-
-    def _pop(self) -> Optional[OrNode]:
-        return self._stack.pop() if self._stack else None
-
-    def _has_work(self) -> bool:
-        return bool(self._stack)
-
-    def _order_children(self, children: list[int]) -> list[int]:
-        return list(reversed(children))
-
-
-class _BreadthFirst(SearchStrategy):
-    """FIFO frontier."""
-
-    name = "breadth-first"
-
-    def __init__(self, tree: OrTree, prune_bound: bool = False):
-        self._queue: list[OrNode] = []
-        self._head = 0
-        super().__init__(tree, prune_bound)
-
-    def _push(self, node: OrNode) -> None:
-        self._queue.append(node)
-
-    def _pop(self) -> Optional[OrNode]:
-        if self._head >= len(self._queue):
-            return None
-        node = self._queue[self._head]
-        self._head += 1
-        return node
-
-    def _has_work(self) -> bool:
-        return self._head < len(self._queue)
-
-
-class _BestFirst(SearchStrategy):
-    """Least-bound-first frontier; ties broken by insertion order.
-
-    This is the B-LOG discipline: "Each processor works on the chains
-    with the lowest bounds" (§3), here with one processor.  The node
-    bounds come from the tree's ``weight_fn`` (the weight store).
-    """
-
-    name = "best-first"
-
-    def __init__(self, tree: OrTree, prune_bound: bool = False):
-        self._heap: list[tuple[float, int, OrNode]] = []
-        self._counter = 0
-        super().__init__(tree, prune_bound)
-
-    def _push(self, node: OrNode) -> None:
-        heapq.heappush(self._heap, (node.bound, self._counter, node))
-        self._counter += 1
-
-    def _pop(self) -> Optional[OrNode]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
-
-    def _has_work(self) -> bool:
-        return bool(self._heap)
 
 
 def depth_first(
@@ -204,7 +58,7 @@ def depth_first(
     max_expansions: int = 1_000_000,
 ) -> SearchResult:
     """Prolog-order depth-first search."""
-    return _DepthFirst(tree, prune_bound).run(max_solutions, max_expansions)
+    return run_strategy("depth-first", tree, max_solutions, prune_bound, max_expansions)
 
 
 def breadth_first(
@@ -214,7 +68,7 @@ def breadth_first(
     max_expansions: int = 1_000_000,
 ) -> SearchResult:
     """Level-order search."""
-    return _BreadthFirst(tree, prune_bound).run(max_solutions, max_expansions)
+    return run_strategy("breadth-first", tree, max_solutions, prune_bound, max_expansions)
 
 
 def best_first(
@@ -224,7 +78,7 @@ def best_first(
     max_expansions: int = 1_000_000,
 ) -> SearchResult:
     """Least-bound-first search (the B-LOG discipline)."""
-    return _BestFirst(tree, prune_bound).run(max_solutions, max_expansions)
+    return run_strategy("best-first", tree, max_solutions, prune_bound, max_expansions)
 
 
 def iterative_deepening(
@@ -241,39 +95,27 @@ def iterative_deepening(
     iterations (the usual ID overhead shows up in E1).
     """
     total = SearchResult(strategy="iterative-deepening")
-    depth = start_depth
-    while depth <= max_depth:
-        tree = tree_factory(depth)
-        res = _DepthFirst(tree).run(max_solutions)
+    for depth in range(start_depth, max_depth + 1, step):
+        res = depth_first(tree_factory(depth), max_solutions)
+        if res.solutions and total.expansions_to_first is None:
+            total.expansions_to_first = total.expansions + res.expansions_to_first
         total.expansions += res.expansions
         total.generated += res.generated
-        if res.solutions and total.expansions_to_first is None:
-            total.expansions_to_first = total.expansions - res.expansions + (
-                res.expansions_to_first or 0
-            )
-        if res.solutions and (
-            max_solutions is None or len(res.solutions) >= max_solutions
-        ):
-            # Completed: no cutoff hit means the full tree fit in the limit.
-            if tree.depth_cutoffs == 0 or (
-                max_solutions is not None and len(res.solutions) >= max_solutions
-            ):
-                total.solutions = res.solutions
-                total.solution_bounds = res.solution_bounds
-                return total
-        if tree.depth_cutoffs == 0:
-            # Whole tree explored; nothing deeper exists.
+        total.complete = res.complete
+        # the whole tree fit in the depth limit, or enough solutions
+        if res.complete or (res.solutions and max_solutions is not None
+                            and len(res.solutions) >= max_solutions):
             total.solutions = res.solutions
             total.solution_bounds = res.solution_bounds
-            return total
-        depth += step
+            break
     return total
 
 
+#: strategy name -> its frontier discipline
 STRATEGIES = {
-    "depth-first": depth_first,
-    "breadth-first": breadth_first,
-    "best-first": best_first,
+    "depth-first": DepthFirst,
+    "breadth-first": BreadthFirst,
+    "best-first": BestFirst,
 }
 
 
@@ -284,11 +126,18 @@ def run_strategy(
     prune_bound: bool = False,
     max_expansions: int = 1_000_000,
 ) -> SearchResult:
-    """Dispatch by strategy name (E1 harness hook)."""
+    """Search ``tree`` with the named strategy's frontier discipline."""
     try:
-        fn = STRATEGIES[name]
+        frontier = STRATEGIES[name]()
     except KeyError:
         raise ValueError(
             f"unknown strategy {name!r}; have {sorted(STRATEGIES)}"
         ) from None
-    return fn(tree, max_solutions, prune_bound, max_expansions)
+    result = SearchResult(strategy=name)
+    for node in search(
+        frontier, tree.root, is_solution, tree_expander(tree), result,
+        max_solutions, max_expansions, prune=prune_bound,
+    ):
+        result.solutions.append(node)
+        result.solution_bounds.append(node.bound)
+    return result

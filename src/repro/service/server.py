@@ -42,6 +42,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
+import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -87,16 +89,38 @@ class QueryRequest:
 
     @classmethod
     def from_dict(cls, d: dict) -> "QueryRequest":
+        """The request a wire object asks for: KeyError without a
+        ``query``, ValueError naming the first field of a wrong type."""
         return cls(
-            program=d.get("program", "default"),
-            query=d["query"],
-            session=str(d.get("session", "default")),
-            engine=d.get("engine", "blog"),
-            max_solutions=d.get("max_solutions"),
-            timeout=d.get("timeout"),
+            program=_text(d, "program", "default"),
+            query=_text(d, "query"),
+            session=_text(d, "session", "default"),
+            engine=_text(d, "engine", "blog"),
+            max_solutions=_positive(d, "max_solutions", (int,), "integer"),
+            timeout=_positive(d, "timeout", (int, float), "number"),
             cache=bool(d.get("cache", True)),
             request_id=d.get("id"),
         )
+
+
+def _text(d: dict, name: str, default: Optional[str] = None) -> str:
+    """String field ``name`` of a wire object; required without a default."""
+    value = d[name] if default is None else d.get(name, default)
+    if not isinstance(value, str):
+        raise ValueError(f"{name!r} must be a string, not {reprlib.repr(value)}")
+    return value
+
+
+def _positive(d: dict, name: str, types: tuple, kind: str):
+    """Optional positive, finite number field ``name`` of a wire object."""
+    value = d.get(name)
+    if value is not None and (
+        isinstance(value, bool) or not isinstance(value, types) or not 0 < value < math.inf
+    ):
+        raise ValueError(
+            f"{name!r} must be a positive {kind} or null, not {reprlib.repr(value)}"
+        )
+    return value
 
 
 @dataclass
@@ -466,7 +490,8 @@ class BLogService:
             )
         try:
             goals = parse_query(request.query)
-        except ParseError as exc:
+        # nesting past the parser's recursion limit is a syntax error too
+        except (ParseError, RecursionError) as exc:
             return self._finish(
                 request, rid, error=f"syntax error: {exc}", trace=trace
             )
@@ -878,7 +903,8 @@ class BLogService:
     async def _dispatch_line(self, line: bytes) -> dict:
         try:
             msg = json.loads(line)
-        except json.JSONDecodeError as exc:
+        # a decode error, bytes that are no text, or nesting too deep
+        except (ValueError, RecursionError) as exc:
             return {"ok": False, "error": f"bad json: {exc}"}
         if not isinstance(msg, dict):
             return {"ok": False, "error": "request must be a json object"}
@@ -888,6 +914,8 @@ class BLogService:
                 request = QueryRequest.from_dict(msg)
             except KeyError:
                 return {"ok": False, "error": "missing 'query' field"}
+            except ValueError as exc:
+                return {"id": msg.get("id"), "ok": False, "error": str(exc)}
             try:
                 return (await self.submit(request)).to_dict()
             except Overloaded as exc:
@@ -905,10 +933,13 @@ class BLogService:
                     "error": str(exc),
                 }
         if op == "end_session":
+            try:
+                program = _text(msg, "program", "default")
+                session = _text(msg, "session", "default")
+            except ValueError as exc:
+                return {"ok": False, "error": str(exc)}
             report = await self.end_session(
-                msg.get("program", "default"),
-                str(msg.get("session", "default")),
-                conservative=bool(msg.get("conservative", True)),
+                program, session, conservative=bool(msg.get("conservative", True))
             )
             return {
                 "ok": True,

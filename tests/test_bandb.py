@@ -105,6 +105,16 @@ class TestSequential:
         res = BranchAndBound(prob).run(max_solutions=1, max_expansions=50)
         assert res.expansions <= 50
 
+    def test_expansion_limit_is_incomplete(self):
+        prob = SubsetSum(list(range(1, 20)), 1000)  # unsatisfiable, big tree
+        res = BranchAndBound(prob).run(max_solutions=None, max_expansions=5)
+        assert res.expansions == 5
+        assert res.complete is False
+
+    def test_full_search_is_complete(self):
+        res = BranchAndBound(SubsetSum([1, 2, 3, 4], 5)).run(max_solutions=None)
+        assert res.complete is True
+
 
 class TestOrTreeAdapter:
     def test_adapter_finds_solutions(self, figure1):

@@ -13,6 +13,7 @@ import asyncio
 import json
 import math
 import os
+import random
 import signal
 import time
 
@@ -614,6 +615,94 @@ class TestTcpEndpoint:
         assert capfd.readouterr().err == ""
         if how == "stop":
             assert hung_up, "stop() left the client connection open"
+
+
+def _fuzz_lines(seed: int) -> list[tuple[bytes, str]]:
+    """Seeded malformed request lines, each tagged with the reply it
+    must get: ``"error"`` (ok false), ``"answers"`` (a good query) or
+    ``"any"`` (random bytes may happen to be valid JSON)."""
+    rng = random.Random(seed)
+    good = {"program": "family", "query": "gf(sam, G)"}
+    bad_fields = [
+        {"query": 5, "program": "family"},
+        {"query": "gf(sam, G)", "program": ["family"]},
+        {"op": "end_session", "program": ["family"]},
+        {"op": "end_session", "program": "family", "session": {"s": 1}},
+        {**good, "max_solutions": "two"},
+        {**good, "max_solutions": True},
+        {**good, "max_solutions": 0},
+        {**good, "max_solutions": 1.5},
+        {**good, "timeout": "soon"},
+        {**good, "timeout": -1},
+        {**good, "timeout": False},
+        {**good, "session": 7},
+        {**good, "engine": None},
+    ]
+    lines = [(json.dumps(msg).encode(), "error") for msg in bad_fields]
+    lines += [(b"[" * 5000, "error"), (b"\xff\xfe\x00\x01", "error"), (b"", "error")]
+    for value in (5, "text", [1, 2], None, True):
+        lines.append((json.dumps(value).encode(), "error"))
+    for op in ("frobnicate", 5, None, ["query"]):
+        lines.append((json.dumps({"op": op}).encode(), "error"))
+    for _ in range(12):
+        whole = json.dumps({**good, "session": f"s{rng.randrange(100)}"})
+        lines.append((whole[: rng.randrange(1, len(whole))].encode(), "error"))
+    for _ in range(20):
+        noise = bytes(rng.choice([b for b in range(256) if b != 10])
+                      for _ in range(rng.randrange(1, 40)))
+        lines.append((noise, "any"))
+    rng.shuffle(lines)
+    for i in range(0, len(lines) + 1, 8):  # good queries between the bad
+        lines.insert(i, (json.dumps(good).encode(), "answers"))
+    return lines
+
+
+class TestProtocolFuzz:
+    def test_every_line_gets_one_reply_and_serving_goes_on(self):
+        """Random bytes, truncated and non-object JSON, unknown ops and
+        wrong-typed fields: each line gets exactly one reply, and the
+        connection and a second client keep being served.  A wrong-typed
+        field used to kill the connection's handler with no reply."""
+        reported = []
+
+        async def body():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, ctx: reported.append(ctx)
+            )
+            svc = make_service()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def send(conn, line: bytes):
+                conn[1].write(line + b"\n")
+                await conn[1].drain()
+                reply = await asyncio.wait_for(conn[0].readline(), 10)
+                assert reply, f"no reply to {line[:80]!r}: the connection closed"
+                return json.loads(reply)
+
+            conn = (reader, writer)
+            replies = [(line, want, await send(conn, line)) for line, want in _fuzz_lines(16)]
+            # exactly one reply per line: the next reply is this marker's
+            marker = await send(conn, b'{"op": "health"}')
+            other = await asyncio.open_connection("127.0.0.1", port)
+            second = await send(other, json.dumps({"program": "family", "query": "gf(sam, G)"}).encode())
+            for w in (writer, other[1]):
+                w.close()
+                await w.wait_closed()
+            await svc.stop()
+            return replies, marker, second
+
+        replies, marker, second = run(body())
+        for line, want, reply in replies:
+            assert isinstance(reply, dict) and "ok" in reply, line
+            if want == "error":
+                assert reply["ok"] is False and reply["error"], line
+            elif want == "answers":
+                assert sorted(a["G"] for a in reply["answers"]) == ["den", "doug"]
+        assert marker["ok"] and "state" in marker
+        assert second["ok"] and sorted(a["G"] for a in second["answers"]) == ["den", "doug"]
+        assert reported == []
 
 
 class TestLifecycle:

@@ -181,3 +181,30 @@ class TestCrossStrategyAgreement:
         tree = fresh_tree(figure1)
         res = depth_first(tree, max_expansions=2)
         assert res.expansions <= 2
+
+
+class TestCompleteness:
+    """A search stopped by its expansion limit or cut off at the depth
+    limit says so; the engine always did, the library searches now do."""
+
+    def test_expansion_limit_is_incomplete(self, figure1):
+        res = depth_first(fresh_tree(figure1), max_expansions=2)
+        assert res.complete is False
+
+    def test_depth_cutoff_is_incomplete(self):
+        p = Program.from_source("p(X) :- p(X).\np(a).")
+        res = best_first(OrTree(p, "p(X)", max_depth=8))
+        assert res.found
+        assert res.complete is False
+        assert res.depth_cutoffs > 0
+
+    @pytest.mark.parametrize("name", ["depth-first", "breadth-first", "best-first"])
+    def test_full_search_is_complete(self, figure1, name):
+        res = run_strategy(name, fresh_tree(figure1))
+        assert res.complete is True
+        assert res.depth_cutoffs == 0
+        assert res.failures == 1  # the m(larry, ...) branch
+
+    def test_max_solutions_stop_is_complete(self, figure1):
+        res = best_first(fresh_tree(figure1), max_solutions=1)
+        assert res.complete is True
