@@ -4,7 +4,7 @@ The 1985 audience measured Prolog systems in logical inferences per
 second on naive reverse (DEC-10 Prolog: ~30 kLIPS; the paper's [13] is
 the DEC-10 manual).  We quote our baseline and the B-LOG engine on the
 same yardstick, plus the per-engine cost of the explicit OR-tree
-representation (reified resolvents = the copy traffic §6's
+representation (one resolvent copy per node = the copy traffic §6's
 multiply-write memory absorbs).
 """
 
@@ -32,7 +32,7 @@ def test_e9_nrev_lips(benchmark):
 
 
 def test_e9_ortree_overhead(benchmark):
-    """The explicit OR-tree pays for reified resolvents: expansions per
+    """The explicit OR-tree pays for its resolvents: expansions per
     second vs the baseline's inferences per second on the same query."""
     program = nrev_program()
     query, _ = nrev_query(20)

@@ -28,11 +28,12 @@ class BuiltinError(ValueError):
 
 def eval_arith(term: Term, bindings: Bindings) -> int:
     """Evaluate a ground arithmetic expression to an int (Prolog ``is``)."""
-    term = bindings.walk(term)
+    if isinstance(term, Var):
+        term = bindings.walk(term)
+        if isinstance(term, Var):
+            raise BuiltinError(f"arithmetic on unbound variable {term}")
     if isinstance(term, Int):
         return term.value
-    if isinstance(term, Var):
-        raise BuiltinError(f"arithmetic on unbound variable {term}")
     if isinstance(term, Struct):
         f, n = term.functor, term.arity
         if n == 2:

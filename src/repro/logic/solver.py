@@ -110,8 +110,11 @@ class Solver:
         """Yield solutions to ``query`` in Prolog (depth-first) order.
 
         ``query`` is either source text (``"gf(sam, G)"``) or a sequence
-        of goal terms.
+        of goal terms.  ``max_solutions`` below 1 is refused with
+        ValueError.
         """
+        if max_solutions is not None and max_solutions < 1:
+            raise ValueError(f"max_solutions must be at least 1, not {max_solutions}")
         goals = parse_query(query) if isinstance(query, str) else tuple(query)
         bindings = Bindings(self.stats.unify)
         qvars = [v for g in goals for v in term_vars(g)]

@@ -9,11 +9,12 @@ so the depth-first baseline can backtrack cheaply, and supports
 one node.
 
 The paper's section 6 notes that structure sharing is hard to do in
-parallel; our OR-tree layer therefore *reifies* bindings per node by
-applying the substitution (``resolve``), trading copying for
-independence — exactly the copy traffic the multiply-write memory of
-section 6 is designed to absorb (modeled in
-:mod:`repro.machine.memory`).
+parallel and prices each OR-tree chain as an independent copy (the
+traffic the multiply-write memory absorbs, modeled in
+:mod:`repro.machine.memory`).  The OR-tree keeps chains independent
+without building that copy: each open node owns a flat ``Bindings``
+environment, and ``resolve`` applies it on demand, to the goal the
+search selects and to a solution's answer.
 
 Terms are immutable, so what no binding touched need not be copied:
 ``resolve`` returns a ground term, or any term none of whose variables
@@ -33,7 +34,6 @@ callers.  Both take fresh ids in the order ``rename_apart`` would.
 
 from __future__ import annotations
 
-from operator import is_not
 from typing import Iterable, Optional
 
 from .terms import Atom, Int, Slot, Struct, Term, Var, fresh_var, take_ids
@@ -51,19 +51,17 @@ __all__ = [
 class UnifyStats:
     """Counters for unification work (used by engine statistics)."""
 
-    __slots__ = ("attempts", "successes", "bind_ops", "deref_ops")
+    __slots__ = ("attempts", "successes", "bind_ops")
 
     def __init__(self) -> None:
         self.attempts = 0
         self.successes = 0
         self.bind_ops = 0
-        self.deref_ops = 0
 
     def reset(self) -> None:
         self.attempts = 0
         self.successes = 0
         self.bind_ops = 0
-        self.deref_ops = 0
 
 
 class Bindings:
@@ -108,8 +106,6 @@ class Bindings:
     def walk(self, term: Term) -> Term:
         """Dereference ``term`` through bound variables (shallow)."""
         while isinstance(term, Var):
-            if self.stats is not None:
-                self.stats.deref_ops += 1
             nxt = self.map.get(term.id)
             if nxt is None:
                 return term
@@ -123,7 +119,7 @@ class Bindings:
         a ground term, or one whose variables are all unbound, comes
         back as the same object.
         """
-        return _resolve(term, self.map, self.stats)
+        return _resolve(term, self.map)
 
     def resolve_all(self, terms: Iterable[Term]) -> tuple[Term, ...]:
         return tuple(self.resolve(t) for t in terms)
@@ -139,10 +135,8 @@ class Bindings:
         return {vid: self.resolve(t) for vid, t in self.map.items()}
 
 
-def _resolve(term: Term, bmap: dict[int, Term], stats: Optional[UnifyStats]) -> Term:
+def _resolve(term: Term, bmap: dict[int, Term]) -> Term:
     while isinstance(term, Var):
-        if stats is not None:
-            stats.deref_ops += 1
         nxt = bmap.get(term.id)
         if nxt is None:
             return term
@@ -150,10 +144,18 @@ def _resolve(term: Term, bmap: dict[int, Term], stats: Optional[UnifyStats]) -> 
     if term.ground or not isinstance(term, Struct):
         return term
     args = term.args
-    new_args = [a if a.ground else _resolve(a, bmap, stats) for a in args]
-    if any(map(is_not, args, new_args)):
-        return Struct(term.functor, new_args)
-    return term
+    new_args = None
+    for i, a in enumerate(args):
+        if a.ground:
+            continue
+        r = _resolve(a, bmap)
+        if r is not a:
+            if new_args is None:
+                new_args = list(args)
+            new_args[i] = r
+    if new_args is None:
+        return term
+    return Struct(term.functor, new_args)
 
 
 def occurs_in(var: Var, term: Term, bindings: Bindings) -> bool:
@@ -174,20 +176,34 @@ def unify(a: Term, b: Term, bindings: Bindings, occurs_check: bool = False) -> b
     may remain otherwise) — the engine always brackets unify with
     ``mark``/``undo_to``.
     """
-    if bindings.stats is not None:
-        bindings.stats.attempts += 1
+    stats = bindings.stats
+    if stats is None:
+        return _unify(a, b, bindings, occurs_check)
+    stats.attempts += 1
+    mark = len(bindings.trail)
     ok = _unify(a, b, bindings, occurs_check)
-    if ok and bindings.stats is not None:
-        bindings.stats.successes += 1
+    stats.bind_ops += len(bindings.trail) - mark
+    if ok:
+        stats.successes += 1
     return ok
 
 
 def _unify(a: Term, b: Term, bindings: Bindings, occurs_check: bool) -> bool:
+    bmap, trail = bindings.map, bindings.trail
     stack: list[tuple[Term, Term]] = [(a, b)]
+    pop = stack.pop
     while stack:
-        x, y = stack.pop()
-        x = bindings.walk(x)
-        y = bindings.walk(y)
+        x, y = pop()
+        while isinstance(x, Var):
+            nxt = bmap.get(x.id)
+            if nxt is None:
+                break
+            x = nxt
+        while isinstance(y, Var):
+            nxt = bmap.get(y.id)
+            if nxt is None:
+                break
+            y = nxt
         if x is y:
             continue
         if isinstance(x, Var):
@@ -195,27 +211,29 @@ def _unify(a: Term, b: Term, bindings: Bindings, occurs_check: bool) -> bool:
                 continue
             if occurs_check and occurs_in(x, y, bindings):
                 return False
-            bindings.bind(x, y)
-            continue
-        if isinstance(y, Var):
+            bmap[x.id] = y
+            trail.append(x.id)
+        elif isinstance(y, Var):
             if occurs_check and occurs_in(y, x, bindings):
                 return False
-            bindings.bind(y, x)
-            continue
-        if isinstance(x, Atom) and isinstance(y, Atom):
-            if x.name != y.name:
-                return False
-            continue
-        if isinstance(x, Int) and isinstance(y, Int):
-            if x.value != y.value:
-                return False
-            continue
-        if isinstance(x, Struct) and isinstance(y, Struct):
-            if x.functor != y.functor or x.arity != y.arity:
+            bmap[y.id] = x
+            trail.append(y.id)
+        elif isinstance(x, Struct):
+            if (
+                not isinstance(y, Struct)
+                or x.functor != y.functor
+                or len(x.args) != len(y.args)
+            ):
                 return False
             stack.extend(zip(x.args, y.args))
-            continue
-        return False
+        elif isinstance(x, Atom):
+            if not isinstance(y, Atom) or x.name != y.name:
+                return False
+        elif isinstance(x, Int):
+            if not isinstance(y, Int) or x.value != y.value:
+                return False
+        else:
+            return False
     return True
 
 

@@ -89,8 +89,11 @@ def search(
     ``on_failure`` sees, or None when the depth limit, not the program,
     ended the chain.  With ``prune`` a popped non-solution whose bound
     exceeds the best solution's is cut off (§3).  ``accept`` may refuse
-    a popped solution; it counts as pruned.
+    a popped solution; it counts as pruned.  ``max_solutions`` below 1
+    is refused with ValueError.
     """
+    if max_solutions is not None and max_solutions < 1:
+        raise ValueError(f"max_solutions must be at least 1, not {max_solutions}")
     found = 0
     incumbent: Optional[float] = None
     frontier.push((root,))

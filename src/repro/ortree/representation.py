@@ -6,8 +6,10 @@ variable, since most structure sharing schemes are difficult to
 implement in parallel [16]."  ([16] is D.S. Warren on Prolog memory
 management under flexible control.)
 
-Our OR-tree uses *copying*: every child reifies its whole resolvent
-(counted in ``tree.words_copied``).  The classic alternative is
+The paper's machine uses *copying*: every child gets its whole
+resolvent written out (the model count ``tree.words_copied``; the
+software tree itself resolves its goals on demand).  The classic
+alternative is
 *structure sharing* (Boyer–Moore molecules): a child stores only a
 pointer to the clause skeleton plus a binding frame for the clause's
 variables, and every term access dereferences through the frame chain

@@ -1,28 +1,47 @@
 """The explicit OR-tree of section 2 (figure 3).
 
-Every node holds a *resolvent*: the remaining goal list with the
-substitution applied and reified (no shared binding store — the
-copy-heavy representation the paper's multiply-write memory is designed
-for).  The root holds the query; expanding a node performs one
-resolution step on its leftmost goal, producing one child per matching
-clause (the OR fan-out).  A node with an empty resolvent is a
-**solution**; a node whose selected goal matches nothing is a
-**failure** leaf.
+Every node stands for a *resolvent*: the remaining goal list and the
+query instance (the answer) under its chain's substitution.  The root
+holds the query; expanding a node performs one resolution step on its
+selected goal (the leftmost, unless a selection rule says otherwise),
+producing one child per matching clause (the OR fan-out).  A node with
+an empty resolvent is a **solution**; a node whose selected goal
+matches nothing is a **failure** leaf.
+
+Bindings live in an environment and are resolved on demand, as in the
+environment-based Andorra machines.  A child keeps its parent's goals
+and answer as they were built: its goal tuple is the step's body
+followed by the parent's remaining goals, and its answer is the
+parent's answer tuple itself.  Only an OPEN node owns an environment:
+a flat :class:`Bindings` with every binding made along its chain, plus
+a count of the occurrences of each unbound variable in its resolved
+goals and answer.  Expanding a node hands both to its last open child,
+which takes them over in place and adds its own step.  The other open
+children keep only their step and share one copy of the counts; each
+builds its environment from its chain's steps when it is expanded
+itself, so a sibling the search never reaches holds nothing of its
+chain.  An expanded node keeps only its step's bindings.
+
+On the search path only two things are resolved: the selected goal,
+unless the step that made the node built it (a step's body comes out
+resolved), and the answer, once, when a solution is made.
+``OrNode.goals``, ``answer`` and ``selected_goal`` are the resolved view
+for every other reader; they resolve through the node's environment or,
+once it is expanded, through the step bindings of its chain.
 
 Copying: a step pays for the clauses that match and for the terms it
-binds, nothing else.  Each clause is compiled once, on first use, into
-a template whose variables are numbered slots; the selected goal is
-unified against the template head directly, so a candidate that fails
-builds no term (it still takes the fresh variable ids renaming would
-have, so ids come in the same sequence).  For a match, each slot left
-unbound gets one fresh variable and the body is built by one resolve
-through the bindings.  When the step bound no variable of the goal,
-the rest of the resolvent and the answer are shared with the parent as
-the same objects; otherwise they are resolved, which rebuilds only the
-paths to bound variables.  ``words_copied`` still charges every child
-the full logical size of its resolvent and answer, so the §6 traffic
-model is unchanged; each node caches that size, so a shared rest costs
-nothing to count.
+binds.  Each clause is compiled once, on first use, into a template
+whose variables are numbered slots; the selected goal is unified
+against the template head directly, so a candidate that fails builds
+no term (it still takes the fresh variable ids renaming would have, so
+ids come in the same sequence).  For a match, each slot left unbound
+gets one fresh variable and the body is built by one resolve through
+the step's bindings.  ``words_copied`` is the §6 model's count: the
+words a copying machine writes into each child, the full size of its
+resolved goals and answer.  It is computed from sizes, without building
+the copy: the parent's size, less the selected goal, plus the body,
+plus, for each variable the step binds, its occurrences in the rest
+and the answer times the size its binding adds.
 
 Each tree arc is labeled with an :class:`ArcKey` identifying the
 *database pointer* it crossed (section 5 stores weights "on pointers in
@@ -44,10 +63,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from operator import is_
+from typing import Callable, Optional, Sequence
 
-from ..logic import terms as _terms
-from ..logic.builtins import BuiltinError, call_builtin, is_builtin
+from ..logic.builtins import BUILTINS, BuiltinError, call_builtin, is_builtin
 from ..logic.parser import parse_query
 from ..logic.program import Program
 from ..logic.terms import Atom, Struct, Term, Var, skip_ids, term_vars
@@ -80,6 +99,15 @@ class NodeStatus(enum.Enum):
 
 QUERY_CLAUSE_ID = -1
 
+#: a step's bindings as (variable id, value) pairs: lighter than a dict
+#: for the one or two a step usually makes
+Step = tuple[tuple[int, Term], ...]
+
+#: control constructs the tree runs itself
+_CONTROL = frozenset({("\\+", 1), ("call", 1), ("findall", 3)})
+#: the arc key of each builtin and control step, built once
+_BUILTIN_KEYS = {ind: ArcKey("builtin", (ind,)) for ind in (*BUILTINS, *_CONTROL)}
+
 
 def canonical_goal(goal: Term) -> Term:
     """Rename ``goal``'s variables to a canonical sequence for arc keys."""
@@ -101,6 +129,41 @@ def canonical_goal(goal: Term) -> Term:
     return go(goal)
 
 
+def _count_vars(term: Term, occ: dict[int, int], k: int) -> None:
+    """Add ``k`` to ``occ`` for each occurrence of a variable in
+    ``term``; a variable whose count reaches 0 is dropped."""
+    if isinstance(term, Var):
+        n = occ.get(term.id, 0) + k
+        if n:
+            occ[term.id] = n
+        else:
+            del occ[term.id]
+    elif not term.ground:
+        for a in term.args:  # type: ignore[attr-defined]
+            if not a.ground:
+                _count_vars(a, occ, k)
+
+
+def _advance(occ: dict[int, int], step: Optional[Step], body: tuple[Term, ...]) -> None:
+    """Move ``occ``, a node's counts less its selected goal, on to a
+    child: each variable the child's step binds gives way to its
+    binding's variables, and the body's variables come in."""
+    if step:
+        for vid, val in step:
+            n = occ.pop(vid)
+            if not val.ground:
+                _count_vars(val, occ, n)
+    for g in body:
+        if not g.ground:
+            _count_vars(g, occ, 1)
+
+
+def _resolved(terms: tuple[Term, ...], b: Bindings) -> tuple[Term, ...]:
+    """``terms`` resolved through ``b``; the same tuple when nothing changed."""
+    out = tuple(map(b.resolve, terms))
+    return terms if all(map(is_, out, terms)) else out
+
+
 @dataclass(slots=True)
 class OrArc:
     """A tree arc: parent --(database pointer)--> child."""
@@ -111,28 +174,44 @@ class OrArc:
     weight: float  # weight used when the child was generated
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class OrNode:
     """One node of the OR-tree.
 
-    ``goals`` is the resolvent; ``goal_sources`` tracks, per remaining
-    goal, which clause and literal position it came from (for pointer
-    arc keys).  ``answer`` is the query instance under this node's
-    accumulated substitution.  ``size`` is the symbol count of
-    ``goals`` and ``answer`` together.
+    ``pending`` and ``pending_answer`` are the resolvent and the query
+    instance as they were built; ``goals`` and ``answer`` resolve them
+    under the bindings in force at this node.  ``goal_sources`` tracks,
+    per remaining goal, which clause and literal position it came from
+    (for pointer arc keys).  ``size`` is the symbol count of the
+    resolved goals and answer together.
+
+    ``step`` holds the bindings of the step that made this node, on the
+    variables still in its resolvent, as (variable id, value) pairs;
+    ``ready`` counts the leading pending goals already resolved.  An
+    OPEN node that owns an environment holds every binding of its chain
+    in ``env`` and the occurrences of each unbound variable in its
+    resolved goals and answer in ``occ``; expanding the node hands both
+    to its children.  An open node that does not own one yet shares, in
+    ``occ``, its parent's counts less the parent's selected goal.  A
+    solution's answer is resolved when the node is made.
     """
 
     nid: int
     parent: Optional[int]
-    goals: tuple[Term, ...]
+    pending: tuple[Term, ...]
     goal_sources: tuple[tuple[int, int], ...]  # (clause id, literal index)
-    answer: tuple[Term, ...]
+    pending_answer: tuple[Term, ...]
     depth: int
     bound: float = 0.0
     status: NodeStatus = NodeStatus.OPEN
     arc: Optional[OrArc] = None  # arc from parent
     children: list[int] = field(default_factory=list)
     size: int = 0
+    up: Optional["OrNode"] = field(default=None, repr=False)
+    step: Optional[Step] = field(default=None, repr=False)
+    ready: int = 0
+    env: Optional[Bindings] = field(default=None, repr=False)
+    occ: Optional[dict[int, int]] = field(default=None, repr=False)
 
     @property
     def is_leaf_solution(self) -> bool:
@@ -142,9 +221,38 @@ class OrNode:
     def is_failure(self) -> bool:
         return self.status is NodeStatus.FAILURE
 
+    def _scope(self) -> Bindings:
+        """The bindings in force at this node: its environment if it
+        owns one, else the step bindings of its chain."""
+        if self.env is not None:
+            return self.env
+        b = Bindings()
+        node: Optional[OrNode] = self
+        while node is not None:
+            if node.step:
+                b.map.update(node.step)
+            node = node.up
+        return b
+
+    @property
+    def goals(self) -> tuple[Term, ...]:
+        """The resolvent."""
+        if not self.pending:
+            return self.pending
+        return _resolved(self.pending, self._scope())
+
+    @property
+    def answer(self) -> tuple[Term, ...]:
+        """The query instance under this node's substitution."""
+        if self.status is NodeStatus.SOLUTION:
+            return self.pending_answer
+        return _resolved(self.pending_answer, self._scope())
+
     @property
     def selected_goal(self) -> Optional[Term]:
-        return self.goals[0] if self.goals else None
+        if not self.pending:
+            return None
+        return self._scope().resolve(self.pending[0])
 
 
 class OrTree:
@@ -205,21 +313,31 @@ class OrTree:
         self.expansions = 0
         self.generated = 0
         self.depth_cutoffs = 0
-        # copy traffic: total term symbols materialized into child
-        # resolvents/answers — the §6 chain-sprouting copy load the
-        # multiply-write memory is designed to absorb
+        # the §6 model's copy traffic: total term symbols a copying
+        # machine would write into child resolvents/answers — the chain
+        # sprouting load the multiply-write memory is designed to absorb
         self.words_copied = 0
+        # the expansion in progress: its resolved selected goal and the
+        # children made so far, with their bodies
+        self._selected: Optional[Term] = None
+        self._made: list[tuple[OrNode, tuple[Term, ...]]] = []
         sources = tuple((QUERY_CLAUSE_ID, i) for i in range(len(goals)))
         root = OrNode(
             nid=0,
             parent=None,
-            goals=goals,
+            pending=goals,
             goal_sources=sources,
-            answer=goals,
+            pending_answer=goals,
             depth=0,
             size=2 * sum(g.size for g in goals),
+            ready=len(goals),
         )
-        if not goals:
+        if goals:
+            root.env = Bindings()
+            root.occ = {}
+            for g in goals:
+                _count_vars(g, root.occ, 2)  # once in the goals, once in the answer
+        else:
             root.status = NodeStatus.SOLUTION
         self.nodes.append(root)
 
@@ -234,17 +352,22 @@ class OrTree:
     def chain(self, nid: int) -> list[OrNode]:
         """Nodes from the root down to ``nid`` inclusive."""
         out = []
-        cur: Optional[int] = nid
-        while cur is not None:
-            n = self.nodes[cur]
-            out.append(n)
-            cur = n.parent
+        node: Optional[OrNode] = self.nodes[nid]
+        while node is not None:
+            out.append(node)
+            node = node.up
         out.reverse()
         return out
 
     def chain_arcs(self, nid: int) -> list[OrArc]:
         """Arcs along the chain from the root to ``nid``."""
-        return [n.arc for n in self.chain(nid) if n.arc is not None]
+        out = []
+        node = self.nodes[nid]
+        while node.arc is not None:
+            out.append(node.arc)
+            node = node.up  # type: ignore[assignment]
+        out.reverse()
+        return out
 
     def solutions(self) -> list[OrNode]:
         return [n for n in self.nodes if n.status is NodeStatus.SOLUTION]
@@ -270,30 +393,91 @@ class OrTree:
         node = self.nodes[nid]
         if node.status is not NodeStatus.OPEN:
             return list(node.children)
-        if self.selection_rule != "leftmost" and len(node.goals) > 1:
+        if node.env is None:
+            self._own_env(node)
+        if self.selection_rule != "leftmost" and len(node.pending) > 1:
             self._apply_selection(node)
-        goal = node.selected_goal
-        assert goal is not None  # OPEN nodes always have goals
         if node.depth >= self.max_depth:
             self.depth_cutoffs += 1
             node.status = NodeStatus.FAILURE
+            node.env = node.occ = None
             return []
         self.expansions += 1
+        goal = node.pending[0]
+        if not node.ready:
+            goal = node.env.resolve(goal)  # type: ignore[union-attr]
         if isinstance(goal, Var):
             raise BuiltinError("cannot call an unbound variable goal")
-        if isinstance(goal, Struct) and (goal.functor, goal.arity) in (
-            ("\\+", 1),
-            ("call", 1),
-            ("findall", 3),
-        ):
-            children = self._expand_control(node, goal)
-        elif is_builtin(goal):
-            children = self._expand_builtin(node, goal)
-        else:
-            children = self._expand_user(node, goal)
+        self._selected = goal
+        self._made.clear()
+        try:
+            indicator = goal.indicator
+        except TypeError:
+            indicator = None
+        # from here on the node's counts are those of its rest and answer
+        _count_vars(goal, node.occ, -1)  # type: ignore[arg-type]
+        try:
+            if indicator in _CONTROL:
+                children = self._expand_control(node, goal)
+            elif indicator in BUILTINS:
+                children = self._expand_builtin(node, goal)
+            else:
+                children = self._expand_user(node, goal)
+        except BaseException:
+            # a step that raised leaves the node open and as it was
+            _count_vars(goal, node.occ, 1)  # type: ignore[arg-type]
+            raise
         node.status = NodeStatus.EXPANDED if children else NodeStatus.FAILURE
         node.children = children
+        self._hand_over(node)
         return list(children)
+
+    def _hand_over(self, node: OrNode) -> None:
+        """Give the expanded ``node``'s environment to its children.
+
+        The last open child takes it over in place and adds its step.
+        The other open children keep only their step and share one copy
+        of the node's counts until they are expanded themselves
+        (:meth:`_own_env`).  A solution resolves its answer and keeps
+        no environment.
+        """
+        env, occ = node.env, node.occ
+        node.env = node.occ = None
+        made = self._made
+        if not made:
+            return
+        assert env is not None and occ is not None
+        opened = [m for m in made if m[0].status is NodeStatus.OPEN]
+        if len(opened) > 1:
+            shared = dict(occ)
+            for child, _ in opened[:-1]:
+                child.occ = shared
+        for child, _ in made:
+            if child.status is NodeStatus.SOLUTION:
+                step = child.step or ()
+                env.map.update(step)
+                child.pending_answer = _resolved(child.pending_answer, env)
+                for vid, _ in step:
+                    del env.map[vid]
+        if opened:
+            taker, body = opened[-1]
+            _advance(occ, taker.step, body)
+            if taker.step:
+                env.map.update(taker.step)
+            taker.env, taker.occ = env, occ
+        made.clear()
+
+    def _own_env(self, node: OrNode) -> None:
+        """Give the open ``node``, which has no environment yet, its own:
+        the step bindings of its chain, and its parent's counts moved on
+        by its step and body."""
+        parent = node.up
+        assert parent is not None and node.occ is not None
+        occ = dict(node.occ)
+        body = node.pending[: len(node.pending) - len(parent.pending) + 1]
+        _advance(occ, node.step, body)
+        node.env = node._scope()
+        node.occ = occ
 
     def _apply_selection(self, node: OrNode) -> None:
         """Move the goal the computation rule picks to the front.
@@ -304,19 +488,19 @@ class OrTree:
         goals keep their relative order) are always resolved first.
         The selected goal moves; everything else keeps its order, which
         preserves soundness of builtin dataflow and completeness of the
-        conjunction (modulo the depth bound).
+        conjunction (modulo the depth bound).  The rules read the
+        resolved goals, which the node keeps.
         """
+        goals = node.goals
+        node.pending = goals
+        node.ready = len(goals)
         candidates: list[int] = []
-        for ix, g in enumerate(node.goals):
+        for ix, g in enumerate(goals):
             if isinstance(g, Var):
                 continue
             if is_builtin(g):
                 continue
-            if isinstance(g, Struct) and (g.functor, g.arity) in (
-                ("\\+", 1),
-                ("call", 1),
-                ("findall", 3),
-            ):
+            if isinstance(g, Struct) and (g.functor, g.arity) in _CONTROL:
                 continue
             if isinstance(g, Atom) and g.name == "!":
                 continue
@@ -326,19 +510,19 @@ class OrTree:
             return
         if self.selection_rule == "most-bound":
             def score(ix: int) -> tuple:
-                g = node.goals[ix]
+                g = goals[ix]
                 if not isinstance(g, Struct):
                     return (0.0, ix)
                 ground = sum(1 for a in g.args if a.ground)
                 return (-ground / g.arity, ix)
         else:  # fewest-candidates
             def score(ix: int) -> tuple:
-                return (len(self.program.candidates(node.goals[ix])), ix)
+                return (len(self.program.candidates(goals[ix])), ix)
         best = min(candidates, key=score)
         if best == 0:
             return
-        order = [best] + [i for i in range(len(node.goals)) if i != best]
-        node.goals = tuple(node.goals[i] for i in order)
+        order = [best] + [i for i in range(len(goals)) if i != best]
+        node.pending = tuple(goals[i] for i in order)
         node.goal_sources = tuple(node.goal_sources[i] for i in order)
 
     def _make_child(
@@ -349,47 +533,81 @@ class OrTree:
         key: ArcKey,
         b: Optional[Bindings] = None,
     ) -> int:
-        """Add the child that replaces ``node``'s selected goal by
-        ``body``.  ``b`` holds the step's bindings of variables in the
-        rest of the resolvent and the answer; without it both are
-        shared with the parent as they are."""
-        # looked up on the module at call time, so it can be wrapped
-        term_size = _terms.term_size
-        rest = node.goals[1:]
-        answer = node.answer
-        if b is None:
-            size = node.size - term_size(node.goals[0])
-        else:
-            rest = tuple(map(b.resolve, rest))
-            answer = tuple(map(b.resolve, answer))
-            size = sum(map(term_size, rest)) + sum(map(term_size, answer))
-        size += sum(map(term_size, body))
+        """Add the child that replaces ``node``'s selected goal by the
+        resolved ``body``.  ``b`` holds the step's bindings; without it
+        the step bound no variable of the resolvent."""
+        size = node.size - self._selected.size  # type: ignore[union-attr]
+        for g in body:
+            size += g.size
+        step: Optional[list[tuple[int, Term]]] = None
+        if b is not None:
+            occ = node.occ
+            assert occ is not None
+            for vid, val in b.map.items():
+                # occurrences in the rest and the answer; a variable that
+                # occurred only in the selected goal is gone with it
+                n = occ.get(vid)
+                if n is None:
+                    continue
+                if not val.ground:
+                    val = b.resolve(val)
+                size += n * (val.size - 1)
+                if step is None:
+                    step = []
+                step.append((vid, val))
         self.words_copied += size
-        new_goals = body + rest
         if self.pair_weight_fn is not None:
             prev_key = node.arc.key if node.arc is not None else None
             weight = self.pair_weight_fn(prev_key, key)
         else:
             weight = self.weight_fn(key)
-        nid = len(self.nodes)
-        child = OrNode(
-            nid=nid,
-            parent=node.nid,
-            goals=new_goals,
-            goal_sources=body_sources + node.goal_sources[1:],
-            answer=answer,
-            depth=node.depth + 1,
-            bound=node.bound + weight,
-            size=size,
+        ready = len(body) if step else len(body) + max(node.ready - 1, 0)
+        child = self._add_child(
+            node,
+            body + node.pending[1:],
+            body_sources + node.goal_sources[1:],
+            size,
+            key,
+            weight,
+            tuple(step) if step else None,
+            ready,
         )
-        arc = OrArc(parent=node.nid, child=nid, key=key, weight=weight)
-        child.arc = arc
-        if not new_goals:
-            child.status = NodeStatus.SOLUTION
+        self._made.append((child, body))
+        return child.nid
+
+    def _add_child(
+        self,
+        node: OrNode,
+        pending: tuple[Term, ...],
+        sources: tuple[tuple[int, int], ...],
+        size: int,
+        key: ArcKey,
+        weight: float,
+        step: Optional[Step],
+        ready: int,
+    ) -> OrNode:
+        nid = len(self.nodes)
+        arc = OrArc(node.nid, nid, key, weight)
+        child = OrNode(
+            nid,
+            node.nid,
+            pending,
+            sources,
+            node.pending_answer,
+            node.depth + 1,
+            node.bound + weight,
+            NodeStatus.OPEN if pending else NodeStatus.SOLUTION,
+            arc,
+            [],
+            size,
+            node,
+            step,
+            ready,
+        )
         self.nodes.append(child)
         self.arcs.append(arc)
         self.generated += 1
-        return nid
+        return child
 
     def _expand_user(self, node: OrNode, goal: Term) -> list[int]:
         children: list[int] = []
@@ -426,27 +644,23 @@ class OrTree:
         from ..logic.solver import Solver
 
         assert isinstance(goal, Struct)
-        key = ArcKey("builtin", (goal.indicator,))
+        key = _BUILTIN_KEYS[goal.indicator]
         if goal.functor == "call":
-            # transparent: replace the goal with its argument in place
-            child_node = OrNode(
-                nid=len(self.nodes),
-                parent=node.nid,
-                goals=(goal.args[0],) + node.goals[1:],
-                goal_sources=node.goal_sources,
-                answer=node.answer,
-                depth=node.depth + 1,
-                bound=node.bound + self.weight_fn(key),
-                size=node.size - 1,  # the call/1 wrapper
+            # transparent: replace the goal with its argument in place;
+            # only the call/1 wrapper goes, and no copy is charged
+            body = (goal.args[0],)
+            child = self._add_child(
+                node,
+                body + node.pending[1:],
+                node.goal_sources,
+                node.size - 1,
+                key,
+                self.weight_fn(key),
+                None,
+                1 + max(node.ready - 1, 0),
             )
-            arc = OrArc(node.nid, child_node.nid, key, self.weight_fn(key))
-            child_node.arc = arc
-            if not child_node.goals:
-                child_node.status = NodeStatus.SOLUTION
-            self.nodes.append(child_node)
-            self.arcs.append(arc)
-            self.generated += 1
-            return [child_node.nid]
+            self._made.append((child, body))
+            return [child.nid]
         solver = Solver(self.program, max_depth=max(4, self.max_depth - node.depth))
         if goal.functor == "\\+":
             if solver.succeeds((goal.args[0],)):
@@ -467,20 +681,14 @@ class OrTree:
         return [self._make_child(node, (), (), key, b if b.map else None)]
 
     def _expand_builtin(self, node: OrNode, goal: Term) -> list[int]:
+        key = _BUILTIN_KEYS[goal.indicator]
         children: list[int] = []
         b = Bindings()
-        key = ArcKey("builtin", (goal.indicator,))
         try:
-            solutions = []
-            mark = b.mark()
+            # a child copies what it needs of ``b`` before the builtin
+            # moves on to its next solution
             for _ in call_builtin(goal, b):
-                # the raw map: _make_child resolves through it
-                solutions.append(dict(b.map))
-            b.undo_to(mark)
-            for sol in solutions:
-                cb = Bindings()
-                cb.map = sol
-                children.append(self._make_child(node, (), (), key, cb if sol else None))
+                children.append(self._make_child(node, (), (), key, b if b.map else None))
         except BuiltinError:
             return []
         return children

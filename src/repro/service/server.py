@@ -98,7 +98,7 @@ class QueryRequest:
             engine=_text(d, "engine", "blog"),
             max_solutions=_positive(d, "max_solutions", (int,), "integer"),
             timeout=_positive(d, "timeout", (int, float), "number"),
-            cache=bool(d.get("cache", True)),
+            cache=_flag(d, "cache", True),
             request_id=d.get("id"),
         )
 
@@ -108,6 +108,14 @@ def _text(d: dict, name: str, default: Optional[str] = None) -> str:
     value = d[name] if default is None else d.get(name, default)
     if not isinstance(value, str):
         raise ValueError(f"{name!r} must be a string, not {reprlib.repr(value)}")
+    return value
+
+
+def _flag(d: dict, name: str, default: bool) -> bool:
+    """Optional boolean field ``name`` of a wire object: JSON true or false."""
+    value = d.get(name, default)
+    if not isinstance(value, bool):
+        raise ValueError(f"{name!r} must be true or false, not {reprlib.repr(value)}")
     return value
 
 
@@ -936,11 +944,10 @@ class BLogService:
             try:
                 program = _text(msg, "program", "default")
                 session = _text(msg, "session", "default")
+                conservative = _flag(msg, "conservative", True)
             except ValueError as exc:
                 return {"ok": False, "error": str(exc)}
-            report = await self.end_session(
-                program, session, conservative=bool(msg.get("conservative", True))
-            )
+            report = await self.end_session(program, session, conservative=conservative)
             return {
                 "ok": True,
                 "merged": asdict(report) if report is not None else None,

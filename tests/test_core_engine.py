@@ -20,6 +20,13 @@ class TestBasicQueries:
         res = eng.query("gf(sam, G)", max_solutions=1)
         assert len(res.answers) == 1
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_max_solutions_below_one_is_refused(self, figure1, bad):
+        """0 used to return one answer: the limit was tested only after
+        a solution was yielded."""
+        with pytest.raises(ValueError, match="max_solutions"):
+            BLogEngine(figure1).query("gf(sam, G)", max_solutions=bad)
+
     def test_failed_query(self, figure1):
         eng = BLogEngine(figure1)
         res = eng.query("gf(john, G)")

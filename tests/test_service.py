@@ -617,6 +617,49 @@ class TestTcpEndpoint:
             assert hung_up, "stop() left the client connection open"
 
 
+class TestBooleanFields:
+    """``cache`` and ``conservative`` take JSON booleans only.  Read with
+    ``bool(...)``, the string ``"false"`` turned the answer cache on or
+    asked for a conservative merge."""
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None, []])
+    def test_query_cache_must_be_a_boolean(self, value):
+        with pytest.raises(ValueError, match="'cache' must be true or false"):
+            QueryRequest.from_dict({"query": "gf(sam, G)", "cache": value})
+
+    def test_query_cache_booleans(self):
+        assert QueryRequest.from_dict({"query": "q", "cache": False}).cache is False
+        assert QueryRequest.from_dict({"query": "q", "cache": True}).cache is True
+        assert QueryRequest.from_dict({"query": "q"}).cache is True
+
+    def test_wrong_typed_flags_get_a_bad_request_reply(self):
+        async def body():
+            svc = make_service()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            for msg in (
+                {"program": "family", "query": "gf(sam, G)", "cache": "false"},
+                {"op": "end_session", "program": "family", "conservative": "false"},
+                {"op": "end_session", "program": "family", "conservative": False},
+            ):
+                writer.write(json.dumps(msg).encode() + b"\n")
+                await writer.drain()
+                replies.append(json.loads(await asyncio.wait_for(reader.readline(), 10)))
+            writer.close()
+            await writer.wait_closed()
+            executed = svc.stats()["served"]
+            await svc.stop()
+            return replies, executed
+
+        (query, merge, good_merge), executed = run(body())
+        assert query["ok"] is False and "'cache' must be true or false" in query["error"]
+        assert merge["ok"] is False and "'conservative' must be true or false" in merge["error"]
+        assert good_merge["ok"] is True
+        assert executed == 0
+
+
 def _fuzz_lines(seed: int) -> list[tuple[bytes, str]]:
     """Seeded malformed request lines, each tagged with the reply it
     must get: ``"error"`` (ok false), ``"answers"`` (a good query) or
@@ -637,6 +680,10 @@ def _fuzz_lines(seed: int) -> list[tuple[bytes, str]]:
         {**good, "timeout": False},
         {**good, "session": 7},
         {**good, "engine": None},
+        {**good, "cache": "false"},
+        {**good, "cache": None},
+        {"op": "end_session", "program": "family", "conservative": "false"},
+        {"op": "end_session", "program": "family", "conservative": 0},
     ]
     lines = [(json.dumps(msg).encode(), "error") for msg in bad_fields]
     lines += [(b"[" * 5000, "error"), (b"\xff\xfe\x00\x01", "error"), (b"", "error")]

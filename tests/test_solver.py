@@ -167,6 +167,12 @@ class TestErrors:
         with pytest.raises(BuiltinError):
             solver.solve_all("G")
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_max_solutions_below_one_is_refused(self, figure1, bad):
+        """0 used to return one solution."""
+        with pytest.raises(ValueError, match="max_solutions"):
+            Solver(figure1).solve_all("gf(sam, G)", max_solutions=bad)
+
     def test_solution_str(self, figure1):
         solver = Solver(figure1)
         sol = solver.solve_all("gf(sam, G)", max_solutions=1)[0]

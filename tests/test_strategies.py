@@ -31,6 +31,11 @@ class TestDepthFirst:
         assert len(res.solutions) == 1
         assert res.expansions_to_first == res.expansions
 
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_max_solutions_below_one_is_refused(self, figure1, bad):
+        with pytest.raises(ValueError, match="max_solutions"):
+            depth_first(fresh_tree(figure1), max_solutions=bad)
+
     def test_dfs_skips_failure_branch_when_stopping_early(self, figure1):
         tree = fresh_tree(figure1)
         res = depth_first(tree, max_solutions=2)
