@@ -1,0 +1,95 @@
+"""Paired CPU-time probe: one source tree against another, query by query.
+
+    python3 benchmarks/paired_probe.py BASE CHANGE [--rounds N]
+
+BASE and CHANGE are checkouts of this repository (``.`` for this one).
+Each runs in one long-lived worker pinned to the lowest core this
+process may use.  Every round sends a 5-queens (all solutions) and an
+nrev/30 (first answer) query to both workers in turn, and flips which
+worker goes first from one round to the next.  A worker times each
+query in CPU seconds, with a fresh engine and session as the
+``engine-solve`` benchmark builds them.  Per shape the probe prints each
+side's min and quartiles, and the median of the per-round ratios
+CHANGE/BASE: below 1 means CHANGE spends less CPU.  Pairing the two
+sides query by query cancels the host's slow swings in speed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+import time
+
+SHAPES = ("queens5", "nrev30")
+
+
+def worker(core: int) -> None:
+    os.sched_setaffinity(0, {core})
+    from repro.core import BLogConfig, BLogEngine
+    from repro.logic.program import Program
+    from repro.workloads import NREV_SOURCE, nqueens_program, nqueens_query
+
+    nrev = f"nrev([{', '.join(str(v) for v in range(30))}], R)"
+    shapes = {"queens5": (nqueens_program(5), nqueens_query(), None),
+              "nrev30": (Program.from_source(NREV_SOURCE), nrev, 1)}
+    config = BLogConfig(max_depth=1024)
+    for line in sys.stdin:
+        program, query, max_solutions = shapes[line.strip()]
+        t0 = time.process_time()
+        engine = BLogEngine(program, config)
+        engine.begin_session()
+        engine.query(query, max_solutions=max_solutions)
+        engine.end_session()
+        print(time.process_time() - t0, flush=True)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("base")
+    ap.add_argument("change")
+    ap.add_argument("--rounds", type=int, default=20)
+    args = ap.parse_args()
+    core = min(os.sched_getaffinity(0))
+    sides = []
+    for tree in (args.base, args.change):
+        env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
+        sides.append(subprocess.Popen(
+            [sys.executable, os.path.abspath(__file__), "--worker", str(core)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env))
+
+    def ask(side: subprocess.Popen, shape: str) -> float:
+        side.stdin.write(shape + "\n")
+        side.stdin.flush()
+        return float(side.stdout.readline())
+
+    times = {(shape, i): [] for shape in SHAPES for i in (0, 1)}
+    for shape in SHAPES:  # warm-up: first-use compilation stays out
+        for side in sides:
+            ask(side, shape)
+    for r in range(args.rounds):
+        for shape in SHAPES:
+            for i in ((0, 1) if r % 2 == 0 else (1, 0)):
+                times[shape, i].append(ask(sides[i], shape))
+    for side in sides:
+        side.stdin.close()
+        side.wait()
+    print(f"{'shape':8} {'side':7} {'min_ms':>8} {'q1_ms':>8} {'med_ms':>8} {'q3_ms':>8}")
+    for shape in SHAPES:
+        for i, name in enumerate(("base", "change")):
+            ms = [t * 1000.0 for t in times[shape, i]]
+            q1, med, q3 = statistics.quantiles(ms, n=4)
+            print(f"{shape:8} {name:7} {min(ms):8.2f} {q1:8.2f} {med:8.2f} {q3:8.2f}")
+        ratios = [c / b for b, c in zip(times[shape, 0], times[shape, 1])]
+        won = sum(x < 1.0 for x in ratios)
+        print(f"{shape:8} change/base median pair ratio x{statistics.median(ratios):.3f}"
+              f" (change cheaper in {won}/{len(ratios)} rounds)")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--worker"]:
+        worker(int(sys.argv[2]))
+    else:
+        main()

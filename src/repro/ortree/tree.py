@@ -55,6 +55,10 @@ the database", figure 4).  Two policies are provided:
   requirement 1 literally (the two ``(sam)-f->(larry)`` arcs of figure 3
   share one key).
 
+A key depends only on the program, so a tree builds each pointer key,
+and each clause's body goal sources, once, on first use; equal keys in
+one tree are one object.
+
 Bounds: ``child.bound = parent.bound + weight(arc)`` — monotonically
 non-decreasing along any chain, as branch and bound requires (§3).
 """
@@ -64,7 +68,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from operator import is_
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from ..logic.builtins import BUILTINS, BuiltinError, call_builtin, is_builtin
 from ..logic.parser import parse_query
@@ -75,12 +79,12 @@ from ..logic.unify import Bindings, unify
 __all__ = ["ArcKey", "NodeStatus", "OrNode", "OrArc", "OrTree", "canonical_goal"]
 
 
-@dataclass(frozen=True, slots=True)
-class ArcKey:
+class ArcKey(NamedTuple):
     """Identity of a database pointer crossed by a tree arc.
 
     ``kind`` is ``"pointer"``, ``"goal"`` or ``"builtin"``; ``key`` is
-    the hashable identity within that kind.
+    the hashable identity within that kind.  A tuple, so it hashes and
+    compares in C, and equals the plain tuple ``(kind, key)``.
     """
 
     kind: str
@@ -321,6 +325,11 @@ class OrTree:
         # children made so far, with their bodies
         self._selected: Optional[Term] = None
         self._made: list[tuple[OrNode, tuple[Term, ...]]] = []
+        # facts of the program, built on first use: the pointer arc key of
+        # each (caller clause, literal index) and callee, and each
+        # clause's body goal sources
+        self._pointer_keys: dict[tuple[int, int], dict[int, ArcKey]] = {}
+        self._body_sources: dict[int, tuple[tuple[int, int], ...]] = {}
         sources = tuple((QUERY_CLAUSE_ID, i) for i in range(len(goals)))
         root = OrNode(
             nid=0,
@@ -414,15 +423,16 @@ class OrTree:
             indicator = goal.indicator
         except TypeError:
             indicator = None
+        key = _BUILTIN_KEYS.get(indicator)  # type: ignore[arg-type]
         # from here on the node's counts are those of its rest and answer
         _count_vars(goal, node.occ, -1)  # type: ignore[arg-type]
         try:
-            if indicator in _CONTROL:
-                children = self._expand_control(node, goal)
-            elif indicator in BUILTINS:
-                children = self._expand_builtin(node, goal)
-            else:
+            if key is None:
                 children = self._expand_user(node, goal)
+            elif indicator in _CONTROL:
+                children = self._expand_control(node, goal, key)
+            else:
+                children = self._expand_builtin(node, goal, key)
         except BaseException:
             # a step that raised leaves the node open and as it was
             _count_vars(goal, node.occ, 1)  # type: ignore[arg-type]
@@ -447,21 +457,24 @@ class OrTree:
         if not made:
             return
         assert env is not None and occ is not None
-        opened = [m for m in made if m[0].status is NodeStatus.OPEN]
-        if len(opened) > 1:
-            shared = dict(occ)
-            for child, _ in opened[:-1]:
-                child.occ = shared
-        for child, _ in made:
-            if child.status is NodeStatus.SOLUTION:
+        taker: Optional[OrNode] = None
+        shared: Optional[dict[int, int]] = None
+        for child, body in made:
+            if child.status is NodeStatus.OPEN:
+                if taker is not None:
+                    # an earlier open child is not the last: it shares
+                    if shared is None:
+                        shared = dict(occ)
+                    taker.occ = shared
+                taker, taker_body = child, body
+            else:
                 step = child.step or ()
                 env.map.update(step)
                 child.pending_answer = _resolved(child.pending_answer, env)
                 for vid, _ in step:
                     del env.map[vid]
-        if opened:
-            taker, body = opened[-1]
-            _advance(occ, taker.step, body)
+        if taker is not None:
+            _advance(occ, taker.step, taker_body)
             if taker.step:
                 env.map.update(taker.step)
             taker.env, taker.occ = env, occ
@@ -561,38 +574,14 @@ class OrTree:
             weight = self.pair_weight_fn(prev_key, key)
         else:
             weight = self.weight_fn(key)
-        ready = len(body) if step else len(body) + max(node.ready - 1, 0)
-        child = self._add_child(
-            node,
-            body + node.pending[1:],
-            body_sources + node.goal_sources[1:],
-            size,
-            key,
-            weight,
-            tuple(step) if step else None,
-            ready,
-        )
-        self._made.append((child, body))
-        return child.nid
-
-    def _add_child(
-        self,
-        node: OrNode,
-        pending: tuple[Term, ...],
-        sources: tuple[tuple[int, int], ...],
-        size: int,
-        key: ArcKey,
-        weight: float,
-        step: Optional[Step],
-        ready: int,
-    ) -> OrNode:
+        pending = body + node.pending[1:]
         nid = len(self.nodes)
         arc = OrArc(node.nid, nid, key, weight)
         child = OrNode(
             nid,
             node.nid,
             pending,
-            sources,
+            body_sources + node.goal_sources[1:],
             node.pending_answer,
             node.depth + 1,
             node.bound + weight,
@@ -601,17 +590,25 @@ class OrTree:
             [],
             size,
             node,
-            step,
-            ready,
+            tuple(step) if step else None,
+            len(body) if step else len(body) + max(node.ready - 1, 0),
         )
         self.nodes.append(child)
         self.arcs.append(arc)
         self.generated += 1
-        return child
+        self._made.append((child, body))
+        return nid
 
     def _expand_user(self, node: OrNode, goal: Term) -> list[int]:
         children: list[int] = []
-        caller_id, literal_ix = node.goal_sources[0]
+        source = node.goal_sources[0]
+        keys: Optional[dict[int, ArcKey]] = None
+        if self.arc_key_policy == "pointer":
+            keys = self._pointer_keys.get(source)
+            if keys is None:
+                keys = self._pointer_keys[source] = {}
+        else:
+            canonical = canonical_goal(goal)
         program = self.program
         for cid in program.candidates(goal):
             template = program.clause(cid).template
@@ -621,11 +618,17 @@ class OrTree:
                 continue
             template.fill(b.map)
             body = tuple(map(b.resolve, template.body))
-            if self.arc_key_policy == "pointer":
-                key = ArcKey("pointer", (caller_id, literal_ix, cid))
+            if keys is not None:
+                key = keys.get(cid)
+                if key is None:
+                    key = keys[cid] = ArcKey("pointer", (*source, cid))
             else:
-                key = ArcKey("goal", (canonical_goal(goal), cid))
-            body_sources = tuple((cid, i) for i in range(len(body)))
+                key = ArcKey("goal", (canonical, cid))
+            body_sources = self._body_sources.get(cid)
+            if body_sources is None:
+                body_sources = self._body_sources[cid] = tuple(
+                    (cid, i) for i in range(len(body))
+                )
             # every slot is bound now; any other entry binds a goal variable
             touched = len(b.map) > len(template.slots)
             children.append(
@@ -633,7 +636,7 @@ class OrTree:
             )
         return children
 
-    def _expand_control(self, node: OrNode, goal: Term) -> list[int]:
+    def _expand_control(self, node: OrNode, goal: Term, key: ArcKey) -> list[int]:
         """Engine-level control: ``\\+``, ``call/1``, ``findall/3``.
 
         These need recursive solving; the sub-search runs on the
@@ -644,23 +647,10 @@ class OrTree:
         from ..logic.solver import Solver
 
         assert isinstance(goal, Struct)
-        key = _BUILTIN_KEYS[goal.indicator]
         if goal.functor == "call":
-            # transparent: replace the goal with its argument in place;
-            # only the call/1 wrapper goes, and no copy is charged
-            body = (goal.args[0],)
-            child = self._add_child(
-                node,
-                body + node.pending[1:],
-                node.goal_sources,
-                node.size - 1,
-                key,
-                self.weight_fn(key),
-                None,
-                1 + max(node.ready - 1, 0),
-            )
-            self._made.append((child, body))
-            return [child.nid]
+            # transparent: the goal is replaced by its argument, which
+            # keeps the goal's own source; only the call/1 wrapper goes
+            return [self._make_child(node, (goal.args[0],), node.goal_sources[:1], key)]
         solver = Solver(self.program, max_depth=max(4, self.max_depth - node.depth))
         if goal.functor == "\\+":
             if solver.succeeds((goal.args[0],)):
@@ -680,8 +670,7 @@ class OrTree:
             return []
         return [self._make_child(node, (), (), key, b if b.map else None)]
 
-    def _expand_builtin(self, node: OrNode, goal: Term) -> list[int]:
-        key = _BUILTIN_KEYS[goal.indicator]
+    def _expand_builtin(self, node: OrNode, goal: Term, key: ArcKey) -> list[int]:
         children: list[int] = []
         b = Bindings()
         try:

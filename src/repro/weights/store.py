@@ -40,6 +40,10 @@ class WeightEntry:
     value: float
 
 
+#: the entry every builtin key reads: probability 1, weight 0
+_BUILTIN_ENTRY = WeightEntry(WeightState.KNOWN, 0.0)
+
+
 class WeightStore:
     """Pointer-weight database (the figure-4 weights, logically).
 
@@ -59,6 +63,9 @@ class WeightStore:
         self.n = float(n)
         self.a = int(a)
         self._entries: dict[ArcKey, WeightEntry] = {}
+        #: the entry every absent non-builtin key reads, shared by all of
+        #: them (N is fixed for the store's life)
+        self._unknown = WeightEntry(WeightState.UNKNOWN, self.unknown_value)
         #: Monotonic mutation counter.  Every write that actually changes
         #: the store (set_known / set_infinite / forget / clear) bumps it,
         #: so callers — notably the serving layer's answer cache — can
@@ -88,13 +95,14 @@ class WeightStore:
         e = self._entries.get(key)
         if e is not None:
             return e
-        if key.kind == "builtin":
-            return WeightEntry(WeightState.KNOWN, 0.0)
-        return WeightEntry(WeightState.UNKNOWN, self.unknown_value)
+        return _BUILTIN_ENTRY if key.kind == "builtin" else self._unknown
 
     def weight(self, key: ArcKey) -> float:
         """Numeric weight used for bounds (the ``weight_fn`` hook)."""
-        return self.entry(key).value
+        e = self._entries.get(key)
+        if e is not None:
+            return e.value
+        return (_BUILTIN_ENTRY if key.kind == "builtin" else self._unknown).value
 
     def state(self, key: ArcKey) -> WeightState:
         return self.entry(key).state

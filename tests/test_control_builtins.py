@@ -110,6 +110,19 @@ class TestControlInOrTree:
         tree.expand_all()
         assert len(tree.solutions()) == 3
 
+    def test_call_step_is_an_ordinary_step(self):
+        """A call/1 step is charged its child's size and weighed by the
+        pair weight like every other step; its argument keeps the
+        goal's source."""
+        program = Program.from_source("p(X) :- call(q(X)).\nq(a).\n")
+        tree = OrTree(program, "p(X)", pair_weight_fn=lambda prev, key: 5.0)
+        tree.expand_all()
+        assert [n.bound for n in tree.nodes] == [0.0, 5.0, 10.0, 15.0]
+        # p(X)'s child call(q(X)) is 5 words, q(X) 4, the solution 2
+        assert tree.words_copied == 5 + 4 + 2
+        assert tree.nodes[2].goal_sources == tree.nodes[1].goal_sources == ((0, 0),)
+        assert [str(tree.solution_answer(n)["X"]) for n in tree.solutions()] == ["a"]
+
     def test_engine_with_negation(self, bachelor_program):
         eng = BLogEngine(bachelor_program, BLogConfig(max_depth=32))
         res = eng.query("bachelor(X)")
