@@ -1,7 +1,7 @@
 """blogcheck: AST-based invariant linter for the B-LOG service contracts.
 
-Zero dependencies; five rules (BLG001–BLG003, BLG005, BLG007) covering
-the concurrency, IPC, telemetry and durability contracts.  Run it with
+Zero dependencies; four rules (BLG001, BLG002, BLG005, BLG007) covering
+the concurrency, telemetry and durability contracts.  Run it with
 ``python -m repro.cli lint`` (or ``python -m repro.analysis``); see
 ``docs/ANALYSIS.md`` for the rule catalog and suppression syntax.
 """

@@ -116,7 +116,6 @@ def rules_by_code() -> dict[str, Type[Rule]]:
     from . import (  # noqa: F401
         rules_concurrency,
         rules_durability,
-        rules_ipc,
         rules_telemetry,
     )
 

@@ -205,10 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint",
         help="run blogcheck, the AST invariant linter (see docs/ANALYSIS.md)",
-        description="Check the concurrency, IPC, telemetry, and durability "
-        "contracts (BLG001-BLG003, BLG005, BLG007). Exits 1 when findings "
-        "remain, 0 on a "
-        "clean run.",
+        description="Check the concurrency, telemetry, and durability "
+        "contracts (BLG001, BLG002, BLG005, BLG007). Exits 1 when findings "
+        "remain, 0 on a clean run.",
     )
     lint.add_argument(
         "paths", nargs="*", metavar="PATH",

@@ -18,15 +18,18 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, Generic, Optional, Sequence, TypeVar, Union
 
 from ..logic.program import Program
 from ..logic.solver import Solver
 from ..logic.terms import Term, reset_var_counter
+from ..logic.unify import Bindings, unify
+from ..machine.blog_machine import BLogMachine, MachineConfig
 from ..ortree.tree import NodeStatus, OrTree
 from ..weights.persist import apply_delta, store_delta
 from ..weights.store import WeightStore
+from .config import BLogConfig
 from .engine import BLogEngine
 
 __all__ = [
@@ -34,6 +37,15 @@ __all__ = [
     "or_parallel_solve",
     "or_split",
     "run_engine_query",
+    "Op",
+    "LoadProgram",
+    "SyncStore",
+    "OpenSession",
+    "Query",
+    "QueryReply",
+    "CloseSession",
+    "Shutdown",
+    "LaneError",
     "LaneWorker",
     "lane_worker_main",
 ]
@@ -56,15 +68,14 @@ class ParallelAnswer:
     depth_cutoffs: int = 0
 
 
-def or_split(program: Program, query: str | Sequence[Term]) -> list[tuple[Term, ...]]:
-    """Resolvents after one resolution step at the root (the OR fan-out)."""
+def or_split(
+    program: Program, query: str | Sequence[Term]
+) -> list[tuple[tuple[Term, ...], tuple[Term, ...]]]:
+    """Resolvents after one resolution step at the root (the OR fan-out),
+    each with its query instance: ``(goals, answer)`` pairs."""
     tree = OrTree(program, query)
     tree.expand(0)
-    out: list[tuple[Term, ...]] = []
-    for cid in tree.root.children:
-        node = tree.node(cid)
-        out.append((node.goals, node.answer))  # type: ignore[arg-type]
-    return out
+    return [(node.goals, node.answer) for node in map(tree.node, tree.root.children)]
 
 
 def _solve_branch(payload: bytes) -> bytes:
@@ -74,26 +85,19 @@ def _solve_branch(payload: bytes) -> bytes:
         payload
     )
     solver = Solver(program, max_depth=max_depth)
-    from ..logic.unify import Bindings, unify
-
     answers: list[dict[str, str]] = []
+    sols: list[tuple[Term, ...]] = []
     if not goals:  # the branch is already a solution
-        b = Bindings()
-        sols = [answer]
+        sols.append(answer)
     else:
-        sols = []
         bindings = Bindings(solver.stats.unify)
-        count = 0
         for _ in solver._solve(tuple(goals), bindings, 0, [False]):
             sols.append(tuple(bindings.resolve(a) for a in answer))
-            count += 1
-            if max_solutions is not None and count >= max_solutions:
+            if max_solutions is not None and len(sols) >= max_solutions:
                 break
     for inst in sols:
         named: dict[str, str] = {}
         b = Bindings()
-        from ..logic.terms import term_vars
-
         # Recover named query-variable bindings by unifying the original
         # query pattern against this instance.
         for q, a in zip(query_names["query"], inst):
@@ -159,7 +163,7 @@ def or_parallel_solve(
     if processes <= 1 or len(payloads) == 1:
         chunks = [_solve_branch(p) for p in payloads]
     else:
-        ctx = mp.get_context("fork") if "fork" in mp.get_all_start_methods() else mp
+        ctx = mp.get_context("fork" if "fork" in mp.get_all_start_methods() else None)
         with ctx.Pool(min(processes, len(payloads))) as pool:
             chunks = pool.map(_solve_branch, payloads)
     for chunk in chunks:
@@ -175,29 +179,139 @@ def or_parallel_solve(
 # The serving layer runs one LaneWorker per lane.  It holds the lane's
 # programs, a mirror of each program's global weight store (caught up by
 # deltas, never reshipped whole), and the session-local engines of every
-# session routed to the lane.  The parent speaks to it in dicts, one
-# request at a time (lanes are serial queues, so there is never a second
-# in-flight request to interleave with): a thread lane calls
-# ``worker.handle(msg)`` in process (queries on its executor), a process
-# lane pickles the same dicts over a duplex pipe to ``lane_worker_main``
-# in a child.
+# session routed to the lane.  The parent speaks to it in the message
+# types below, one request at a time (lanes are serial queues, so there
+# is never a second in-flight request to interleave with): a thread lane
+# calls ``worker.handle(msg)`` in process (queries on its executor), a
+# process lane pickles the same messages over a duplex pipe to
+# ``lane_worker_main`` in a child.  Every field is plain data — primitives,
+# terms, programs, configs — so a message a thread lane accepts also
+# crosses the pipe.
+
+R = TypeVar("R")
+
+#: engine counters a query reply carries for the request's ``engine`` span
+EngineAttrs = dict[str, Union[int, float, list[int], list[float]]]
+
+
+class Op(Generic[R]):
+    """A lane request whose reply is an ``R``."""
+
+    __slots__ = ()
+
+    def apply(self, worker: LaneWorker) -> R:
+        """Run this request against the lane's worker state."""
+        raise NotImplementedError
+
+
+@dataclass(frozen=True, slots=True)
+class LoadProgram(Op[None]):
+    """Install a program and its configs, with an empty global-store mirror."""
+
+    name: str
+    program: Program
+    config: BLogConfig
+    machine_config: MachineConfig
+
+    def apply(self, worker: LaneWorker) -> None:
+        worker.programs[self.name] = self
+        worker.mirrors[self.name] = WeightStore(n=self.config.n, a=self.config.a)
+
+
+@dataclass(frozen=True, slots=True)
+class SyncStore(Op[int]):
+    """Apply a global-store delta to a program's mirror; replies with
+    the number of entries applied."""
+
+    name: str
+    #: a :func:`~repro.weights.persist.store_delta`, the dict the WAL
+    #: journals as JSON
+    delta: dict[str, Any]
+
+    def apply(self, worker: LaneWorker) -> int:
+        return apply_delta(worker.mirrors[self.name], self.delta)
+
+
+@dataclass(frozen=True, slots=True)
+class OpenSession(Op[None]):
+    """Begin a session: its local store is a copy of the mirror."""
+
+    name: str
+    session: str
+
+    def apply(self, worker: LaneWorker) -> None:
+        load = worker.programs[self.name]
+        engine = BLogEngine(load.program, load.config, global_store=worker.mirrors[self.name])
+        engine.begin_session()
+        worker.sessions[(self.name, self.session)] = (engine, engine.store.generation)
+
+
+@dataclass(frozen=True, slots=True)
+class QueryReply:
+    """Answers of one query, and whether the search ran to completion."""
+
+    answers: list[dict[str, str]]
+    expansions: Optional[int]
+    complete: bool
+    engine_attrs: EngineAttrs
+
+
+@dataclass(frozen=True, slots=True)
+class Query(Op[QueryReply]):
+    """Run already-parsed goals on an open session's engine."""
+
+    name: str
+    session: str
+    engine: str
+    goals: tuple[Term, ...]
+    max_solutions: Optional[int] = None
+
+    def apply(self, worker: LaneWorker) -> QueryReply:
+        state = worker.sessions.get((self.name, self.session))
+        if state is None:
+            raise KeyError(
+                f"session {self.session!r} of {self.name!r} is not open on lane {worker.lane}"
+            )
+        return run_engine_query(self, state[0], worker.programs[self.name], worker.processes)
+
+
+@dataclass(frozen=True, slots=True)
+class CloseSession(Op[Optional[dict[str, Any]]]):
+    """End a session; replies with its touched-keys delta (the parent
+    merges it into the true global store), or None if it is not open."""
+
+    name: str
+    session: str
+
+    def apply(self, worker: LaneWorker) -> Optional[dict[str, Any]]:
+        state = worker.sessions.pop((self.name, self.session), None)
+        if state is None:
+            return None
+        engine, base_generation = state
+        return store_delta(engine.store, since=base_generation)
+
+
+@dataclass(frozen=True, slots=True)
+class Shutdown(Op[None]):
+    """Acknowledged; a process lane's child loop then exits."""
+
+    def apply(self, worker: LaneWorker) -> None:
+        return None
+
+
+@dataclass(frozen=True, slots=True)
+class LaneError:
+    """The reply to a request that raised: ``"<Type>: <message>"``."""
+
+    error: str
 
 
 class LaneWorker:
-    """The lane side of the §5 session protocol.  Ops:
+    """The lane side of the §5 session protocol: the state the lane
+    messages act on.
 
-    * ``load_program`` — install a program + configs, create an empty
-      global-store mirror for it;
-    * ``sync_store`` — apply a weight delta to a program's mirror;
-    * ``open_session`` — begin a session (local store = mirror copy);
-    * ``query`` — run already-parsed goals on the named session's engine;
-    * ``close_session`` — return the session's touched-keys delta (the
-      parent merges it into the true global store);
-    * ``shutdown`` — acknowledge (the child loop then exits).
-
-    :meth:`handle` never raises for a failing op: any exception becomes
-    an ``{"ok": False, "error": ...}`` reply, the same on both
-    transports.
+    :meth:`handle` never raises: any exception, a non-message included,
+    becomes a :class:`LaneError` reply, the same on both transports.
     """
 
     def __init__(self, lane: int, processes: int = 1) -> None:
@@ -205,161 +319,94 @@ class LaneWorker:
         #: process count for the ``procpool`` engine (1 inside a lane
         #: child: daemonic processes cannot fork a pool)
         self.processes = processes
-        self.programs: dict[str, tuple[Program, object, object]] = {}
+        self.programs: dict[str, LoadProgram] = {}
         self.mirrors: dict[str, WeightStore] = {}
         #: (program, session) -> (engine, local-store generation at open)
         self.sessions: dict[tuple[str, str], tuple[BLogEngine, int]] = {}
 
-    def handle(self, msg: dict) -> dict:
-        op = msg.get("op")
-        method = getattr(self, f"_op_{op}", None)
-        if method is None:
-            return {"ok": False, "error": f"unknown lane op {op!r}"}
+    def handle(self, msg: Op[R]) -> Union[R, LaneError]:
         try:
-            return method(msg)
+            if not isinstance(msg, Op):
+                raise TypeError(f"not a lane message: {type(msg).__name__}")
+            return msg.apply(self)
         except Exception as exc:  # noqa: BLE001 — shipped to the parent
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
-
-    def _op_load_program(self, msg: dict) -> dict:
-        name, config = msg["name"], msg["config"]
-        self.programs[name] = (msg["program"], config, msg["machine_config"])
-        self.mirrors[name] = WeightStore(n=config.n, a=config.a)
-        return {"ok": True}
-
-    def _op_sync_store(self, msg: dict) -> dict:
-        return {"ok": True, "applied": apply_delta(self.mirrors[msg["name"]], msg["delta"])}
-
-    def _op_open_session(self, msg: dict) -> dict:
-        name = msg["name"]
-        program, config, _ = self.programs[name]
-        engine = BLogEngine(program, config, global_store=self.mirrors[name])
-        engine.begin_session()
-        self.sessions[(name, msg["session"])] = (engine, engine.store.generation)
-        return {"ok": True}
-
-    def _op_query(self, msg: dict) -> dict:
-        key = (msg["name"], msg["session"])
-        if key not in self.sessions:
-            raise KeyError(f"session {key[1]!r} of {key[0]!r} is not open on lane {self.lane}")
-        engine, _ = self.sessions[key]
-        program, config, machine_config = self.programs[key[0]]
-        attrs: dict = {}
-        answers, expansions, complete = run_engine_query(
-            msg["engine"],
-            engine,
-            program,
-            config,
-            machine_config,
-            msg["goals"],
-            msg.get("max_solutions"),
-            processes=self.processes,
-            attrs=attrs,
-        )
-        # engine counters ride the reply so the parent can attach them
-        # to the request's engine span (telemetry)
-        return {
-            "ok": True,
-            "answers": answers,
-            "expansions": expansions,
-            "complete": complete,
-            "engine_attrs": attrs,
-        }
-
-    def _op_close_session(self, msg: dict) -> dict:
-        state = self.sessions.pop((msg["name"], msg["session"]), None)
-        if state is None:
-            return {"ok": True, "delta": None}
-        engine, base_generation = state
-        return {"ok": True, "delta": store_delta(engine.store, since=base_generation)}
-
-    def _op_shutdown(self, msg: dict) -> dict:
-        return {"ok": True}
+            return LaneError(f"{type(exc).__name__}: {exc}")
 
 
 def run_engine_query(
-    engine_used: str,
-    blog_engine,
-    program: Program,
-    config,
-    machine_config,
-    goals,
-    max_solutions: Optional[int],
-    processes: int = 1,
-    attrs: Optional[dict] = None,
-) -> tuple[list[dict[str, str]], Optional[int], bool]:
-    """Run one query on the chosen engine against a session's engine state.
+    query: Query, blog_engine: BLogEngine, load: LoadProgram, processes: int = 1
+) -> QueryReply:
+    """Run ``query`` on its chosen engine against a session's engine state.
 
-    Called by :meth:`LaneWorker.handle` for the ``query`` op, on both
-    lane transports, so answers are backend-independent.  Returns the
-    answers, the expansion count and whether the search was complete
-    (no expansion limit or depth cutoff ended it early).
-
-    ``attrs``, when given, is filled with engine-level counters
-    (expansions, pruned chains, solution bounds, machine makespan …) for
-    the telemetry layer; the worker returns it in its reply, so the
-    same attributes land on the request's ``engine`` span either way.
+    Called by :class:`Query` on the lane's worker, on both lane
+    transports, so answers are backend-independent.  The reply holds the
+    answers, the expansion count, whether the search was complete (no
+    expansion limit or depth cutoff ended it early), and engine-level
+    counters (expansions, pruned chains, solution bounds, machine
+    makespan …) that land on the request's ``engine`` span.
     """
-    if engine_used == "blog":
+    goals, max_solutions = query.goals, query.max_solutions
+    if query.engine == "blog":
         result = blog_engine.query(goals, max_solutions=max_solutions)
+        attrs: EngineAttrs = {
+            "expansions": result.expansions,
+            "generated": result.generated,
+            "pruned": result.pruned,
+            "failures": result.failures,
+        }
+        if result.expansions_to_first is not None:
+            attrs["expansions_to_first"] = result.expansions_to_first
+        if result.solution_bounds:
+            attrs["solution_bounds"] = [round(b, 6) for b in result.solution_bounds[:16]]
         answers = [{k: str(v) for k, v in a.items()} for a in result.answers]
-        if attrs is not None:
-            attrs["expansions"] = result.expansions
-            attrs["generated"] = result.generated
-            attrs["pruned"] = result.pruned
-            attrs["failures"] = result.failures
-            if result.expansions_to_first is not None:
-                attrs["expansions_to_first"] = result.expansions_to_first
-            if result.solution_bounds:
-                attrs["solution_bounds"] = [
-                    round(b, 6) for b in result.solution_bounds[:16]
-                ]
-        return answers, result.expansions, result.complete
-    if engine_used == "machine":
-        from dataclasses import replace as _replace
-
-        from ..machine.blog_machine import BLogMachine
-
+        return QueryReply(answers, result.expansions, result.complete, attrs)
+    if query.engine == "machine":
         store = blog_engine.store
         tree = OrTree(
-            program,
+            load.program,
             goals,
             weight_fn=store.weight_fn(),
-            arc_key_policy=config.arc_key_policy,
-            max_depth=config.max_depth,
+            arc_key_policy=load.config.arc_key_policy,
+            max_depth=load.config.max_depth,
         )
-        cfg = machine_config
+        cfg = load.machine_config
         if max_solutions is not None:
-            cfg = _replace(cfg, max_solutions=max_solutions)
+            cfg = replace(cfg, max_solutions=max_solutions)
         res = BLogMachine(cfg, store=store).run(tree)
-        answers = [{k: str(v) for k, v in a.items()} for a in res.answers]
-        if attrs is not None:
-            attrs["expansions"] = res.expansions
-            attrs["makespan"] = res.makespan
-            attrs["migrations"] = res.migrations
-            attrs["utilization"] = round(res.mean_utilization, 6)
-        complete = tree.depth_cutoffs == 0 and res.expansions < cfg.max_expansions
-        return answers, res.expansions, complete
-    if engine_used == "procpool":
+        return QueryReply(
+            [{k: str(v) for k, v in a.items()} for a in res.answers],
+            res.expansions,
+            tree.depth_cutoffs == 0 and res.expansions < cfg.max_expansions,
+            {
+                "expansions": res.expansions,
+                "makespan": res.makespan,
+                "migrations": res.migrations,
+                "utilization": round(res.mean_utilization, 6),
+            },
+        )
+    if query.engine == "procpool":
         # Inside a daemonic lane worker this must stay serial (daemons
         # cannot fork grandchildren); processes=1 short-circuits the pool.
         par = or_parallel_solve(
-            program,
+            load.program,
             goals,
             processes=processes,
-            max_depth=config.max_depth,
+            max_depth=load.config.max_depth,
             max_solutions_per_branch=max_solutions,
         )
-        if attrs is not None:
-            attrs["branches"] = par.branches
-            attrs["branch_solutions"] = list(par.per_branch_solutions)
-        return list(par.answers), None, par.depth_cutoffs == 0
-    raise ValueError(f"unknown engine {engine_used!r}")
+        return QueryReply(
+            list(par.answers),
+            None,
+            par.depth_cutoffs == 0,
+            {"branches": par.branches, "branch_solutions": list(par.per_branch_solutions)},
+        )
+    raise ValueError(f"unknown engine {query.engine!r}")
 
 
 def lane_worker_main(conn, lane: int) -> None:  # pragma: no cover — subprocess
-    """Main loop of a process-lane child: one pickled dict in, one
-    :meth:`LaneWorker.handle` reply out, until ``shutdown`` or until
-    the parent is gone.
+    """Main loop of a process-lane child: one pickled lane message in,
+    one :meth:`LaneWorker.handle` reply out, until :class:`Shutdown` or
+    until the parent is gone.
 
     The parent counts as gone when the pipe reaches EOF *or* the child
     is re-parented.  EOF alone is not enough: under ``fork`` every
@@ -397,5 +444,5 @@ def lane_worker_main(conn, lane: int) -> None:  # pragma: no cover — subproces
         # already treats the silence as WorkerDied
         except (BrokenPipeError, OSError):  # blogcheck: ignore[BLG005]
             return
-        if msg.get("op") == "shutdown":
+        if isinstance(msg, Shutdown):
             return

@@ -48,9 +48,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from ..core.config import BLogConfig
+from ..core.procpool import CloseSession, LoadProgram, OpenSession, Query, SyncStore
 from ..logic.parser import ParseError, parse_query
 from ..logic.program import Program
 from ..machine.blog_machine import MachineConfig
@@ -538,14 +539,7 @@ class BLogService:
         timeout = request.timeout if request.timeout is not None else self.default_timeout
         lane = self.router.lane_for(request.session)
 
-        query = {
-            "op": "query",
-            "name": entry.name,
-            "session": request.session,
-            "engine": engine_used,
-            "goals": goals,
-            "max_solutions": request.max_solutions,
-        }
+        query = Query(entry.name, request.session, engine_used, goals, request.max_solutions)
 
         # Everything — opening the session included — happens inside the
         # job, so a replay after a lane reset re-opens against the fresh
@@ -565,9 +559,9 @@ class BLogService:
                                 "engine", engine=engine_used, backend=self.backend
                             ) as engine_span:
                                 reply = await self.pool.lane_call(lane, query, timeout)
-                                for k, v in reply["engine_attrs"].items():
+                                for k, v in reply.engine_attrs.items():
                                     engine_span.set(k, v)
-                            return reply["answers"], reply["expansions"], reply["complete"]
+                            return reply.answers, reply.expansions, reply.complete
                     except (WorkerDied, QueryTimeout) as exc:
                         self._record_respawn(trace, lane)
                         if isinstance(exc, QueryTimeout) or replay:
@@ -646,13 +640,9 @@ class BLogService:
             if entry.name not in view.loaded:
                 await self.pool.lane_call(
                     lane,
-                    {
-                        "op": "load_program",
-                        "name": entry.name,
-                        "program": entry.program,
-                        "config": entry.config,
-                        "machine_config": entry.machine_config,
-                    },
+                    LoadProgram(
+                        entry.name, entry.program, entry.config, entry.machine_config
+                    ),
                     self.default_timeout,
                 )
                 view.loaded.add(entry.name)
@@ -663,9 +653,7 @@ class BLogService:
             )
             if delta is not None:
                 await self.pool.lane_call(
-                    lane,
-                    {"op": "sync_store", "name": entry.name, "delta": delta},
-                    self.default_timeout,
+                    lane, SyncStore(entry.name, delta), self.default_timeout
                 )
                 # the generation the delta was cut at: a merge on another
                 # lane during the await is still missing from this mirror
@@ -674,9 +662,7 @@ class BLogService:
             self.router.open(entry.name, session).queries += 1
             if (entry.name, session) not in view.open_sessions:
                 await self.pool.lane_call(
-                    lane,
-                    {"op": "open_session", "name": entry.name, "session": session},
-                    self.default_timeout,
+                    lane, OpenSession(entry.name, session), self.default_timeout
                 )
                 view.open_sessions.add((entry.name, session))
                 span.set("opened_session", True)
@@ -703,21 +689,18 @@ class BLogService:
 
         async def merge() -> Optional[MergeReport]:
             view = self.pool.lane(lane)
-            delta = None
+            delta: Optional[dict[str, Any]] = None
             # not open in the worker: the lane was reset since — abandoned
             if (program, session) in view.open_sessions:
                 try:
-                    reply = await self.pool.lane_call(
-                        lane,
-                        {"op": "close_session", "name": program, "session": session},
-                        self.default_timeout,
+                    delta = await self.pool.lane_call(
+                        lane, CloseSession(program, session), self.default_timeout
                     )
                 except WorkerDied:
                     # the worker died holding the local store: the lane
                     # reset already dropped the router state — abandoned
                     return None
                 view.open_sessions.discard((program, session))
-                delta = reply["delta"]
             return self.router.close(
                 program,
                 session,
@@ -947,7 +930,14 @@ class BLogService:
                 conservative = _flag(msg, "conservative", True)
             except ValueError as exc:
                 return {"ok": False, "error": str(exc)}
-            report = await self.end_session(program, session, conservative=conservative)
+            try:
+                report = await self.end_session(
+                    program, session, conservative=conservative
+                )
+            # a failed lane close or journal append: the merge is not
+            # acknowledged, and the connection goes on
+            except Exception as exc:
+                return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
             return {
                 "ok": True,
                 "merged": asdict(report) if report is not None else None,

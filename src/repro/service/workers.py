@@ -11,7 +11,10 @@ session's end-of-session merge, which is enqueued on the same lane).
 Every lane runs the same lane protocol — one
 :class:`~repro.core.procpool.LaneWorker` holding the lane's programs,
 its per-program weight-store mirrors and its sessions' engines — and
-the server speaks to it through one call, ``call(lane, msg, timeout)``.
+the server speaks to it through one call, ``call(lane, msg, timeout)``,
+whose message is one of that module's frozen dataclasses
+(:class:`~repro.core.procpool.Query`, ``SyncStore``, …) and whose
+reply is typed by it.
 A :class:`LaneBackend` only decides how the worker is reached:
 
 * ``thread`` — the worker lives in this process and messages are
@@ -49,11 +52,14 @@ import asyncio
 import multiprocessing as mp
 import pickle
 import time
+from collections.abc import Awaitable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Optional, Union
+from typing import Any, Callable, Optional, TypeVar
 
-from ..core.procpool import LaneWorker, lane_worker_main
+from ..core.procpool import LaneError, LaneWorker, Op, Query, Shutdown, lane_worker_main
+
+R = TypeVar("R")
 
 __all__ = [
     "WorkerDied",
@@ -149,9 +155,10 @@ class LaneBackend:
         """Bring up a fresh worker for ``lane`` (discarding any old one)."""
         raise NotImplementedError
 
-    def _exchange(self, lane: int, msg: dict) -> Union[dict, Awaitable[dict]]:
-        """Send ``msg`` to the lane's worker: the reply if it is already
-        there, else an awaitable of it.  Raises (or the awaitable raises)
+    def _exchange(self, lane: int, msg: Op[Any]) -> Any:
+        """Send ``msg`` to the lane's worker: the reply (or
+        :class:`~repro.core.procpool.LaneError`) if it is already there,
+        else an awaitable of it.  Raises (or the awaitable raises)
         :class:`WorkerDied` if the worker is lost mid-request."""
         raise NotImplementedError
 
@@ -165,18 +172,19 @@ class LaneBackend:
         if self.on_lane_reset is not None:
             self.on_lane_reset(lane)
 
-    async def call(self, lane: int, msg: dict, timeout: Optional[float]) -> dict:
+    async def call(self, lane: int, msg: Op[R], timeout: Optional[float]) -> R:
         """One lane-protocol request/response.
 
         * deadline missed → the lane is reset (a stuck worker cannot be
           un-stuck), then :class:`QueryTimeout`;
         * worker lost → the lane is reset, then :class:`WorkerDied` so
           the caller can replay exactly once;
-        * an ``{"ok": False}`` reply → :class:`RuntimeError`.
+        * a :class:`~repro.core.procpool.LaneError` reply →
+          :class:`RuntimeError` with its text.
         """
         try:
             reply = self._exchange(lane, msg)
-            if not isinstance(reply, dict):  # in flight: wait under the deadline
+            if isinstance(reply, Awaitable):  # in flight: wait under the deadline
                 reply = await asyncio.wait_for(reply, timeout)
         except asyncio.TimeoutError:
             self._reset(lane)
@@ -188,8 +196,8 @@ class LaneBackend:
             self._reset(lane)
             raise
         self.lanes[lane].calls += 1
-        if not reply.get("ok", False):
-            raise RuntimeError(reply.get("error", "lane worker error"))
+        if isinstance(reply, LaneError):
+            raise RuntimeError(reply.error)
         return reply
 
     def _transport_stats(self, lane: int) -> dict:
@@ -244,11 +252,13 @@ class ThreadLaneBackend(LaneBackend):
         # and nothing reads that worker again
         self.workers[lane] = LaneWorker(lane, self.processes)
 
-    def _exchange(self, lane: int, msg: dict) -> Union[dict, Awaitable[dict]]:
+    def _exchange(self, lane: int, msg: Op[Any]) -> Any:
         worker = self.workers[lane]
-        if msg["op"] != "query":
-            return worker.handle(msg)
-        return asyncio.get_running_loop().run_in_executor(self.executor, worker.handle, msg)
+        if isinstance(msg, Query):
+            return asyncio.get_running_loop().run_in_executor(
+                self.executor, worker.handle, msg
+            )
+        return worker.handle(msg)
 
 
 class _LaneProcess:
@@ -297,7 +307,7 @@ class _LaneProcess:
             return
         try:
             if self.proc.is_alive() and self.conn is not None:
-                self.conn.send_bytes(pickle.dumps({"op": "shutdown"}))
+                self.conn.send_bytes(pickle.dumps(Shutdown()))
                 self.proc.join(timeout=1.0)
         # shutdown path: the pipe dying here means the child already
         # exited; the kill() below is the handling
@@ -355,7 +365,7 @@ class ProcessLaneBackend(LaneBackend):
     def _restart(self, lane: int) -> None:
         self.children[lane].spawn()  # kills the old child first
 
-    async def _exchange(self, lane: int, msg: dict) -> dict:
+    async def _exchange(self, lane: int, msg: Op[Any]) -> Any:
         child = self.children[lane]
         payload = pickle.dumps(msg)
         loop = asyncio.get_running_loop()
@@ -471,7 +481,7 @@ class WorkerPool:
         """The parent's view of ``lane`` (what its worker holds)."""
         return self.backend.lanes[lane]
 
-    async def lane_call(self, lane: int, msg: dict, timeout: Optional[float]) -> dict:
+    async def lane_call(self, lane: int, msg: Op[R], timeout: Optional[float]) -> R:
         """One lane-protocol request/response with ``lane``'s worker."""
         return await self.backend.call(lane, msg, timeout)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.procpool import LaneWorker
+from repro.core.procpool import LaneWorker, Query
 from repro.logic import Program
 from repro.workloads import FIGURE1_SOURCE, family_program
 
@@ -40,7 +40,7 @@ def section5_program() -> Program:
 
 @pytest.fixture
 def on_lane_query(monkeypatch):
-    """``on_lane_query(wrap)`` routes every lane worker's ``query`` op
+    """``on_lane_query(wrap)`` routes every lane worker's :class:`Query`
     through ``wrap(real, worker, msg)`` — the fault-injection seam for
     in-process (thread) lanes.  It patches the class, so the fresh
     worker a lane reset swaps in is patched too; ``monkeypatch.undo()``
@@ -50,7 +50,7 @@ def on_lane_query(monkeypatch):
         real = LaneWorker.handle
 
         def handle(worker, msg):
-            if msg["op"] == "query":
+            if isinstance(msg, Query):
                 return wrap(real, worker, msg)
             return real(worker, msg)
 

@@ -1,11 +1,28 @@
 """Unit tests for the OS-process OR-parallel backend and the lane worker."""
 
+import dataclasses
+import pickle
+import types
+import typing
+
 import pytest
 
-from repro.core import BLogConfig, BLogEngine, or_parallel_solve, or_split
-from repro.core.procpool import LaneWorker
+from repro.core import BLogConfig, BLogEngine, or_parallel_solve, or_split, procpool
+from repro.core.procpool import (
+    CloseSession,
+    LaneError,
+    LaneWorker,
+    LoadProgram,
+    Op,
+    OpenSession,
+    Query,
+    QueryReply,
+    Shutdown,
+    SyncStore,
+)
 from repro.logic import Program, Solver
 from repro.logic.parser import parse_query
+from repro.logic.terms import Term
 from repro.machine.blog_machine import MachineConfig
 from repro.weights.persist import store_delta
 from repro.weights.store import WeightStore
@@ -16,6 +33,8 @@ class TestOrSplit:
     def test_figure1_splits_into_two_rules(self, figure1):
         branches = or_split(figure1, "gf(sam, G)")
         assert len(branches) == 2
+        for goals, answer in branches:
+            assert goals and len(answer) == 1  # the gf(sam, G) instance
 
 
 class TestOrParallelSolve:
@@ -90,30 +109,19 @@ class TestEdgeCases:
 
 
 class TestLaneWorker:
-    """Every op of :class:`LaneWorker`, driven in-process (the same
-    object a thread lane runs and a process lane's child loop wraps)."""
+    """Every lane message, handled by :class:`LaneWorker` in-process (the
+    same object a thread lane runs and a process lane's child loop wraps)."""
 
     @pytest.fixture
     def worker(self, figure1):
         w = LaneWorker(lane=3)
-        reply = w.handle(
-            {
-                "op": "load_program",
-                "name": "fam",
-                "program": figure1,
-                "config": BLogConfig(),
-                "machine_config": MachineConfig(n_processors=2),
-            }
-        )
-        assert reply == {"ok": True}
+        load = LoadProgram("fam", figure1, BLogConfig(), MachineConfig(n_processors=2))
+        assert w.handle(load) is None
         return w
 
     @staticmethod
     def query(worker, session="s", goals="gf(sam, G)", engine="blog", **kw):
-        return worker.handle(
-            {"op": "query", "name": "fam", "session": session, "engine": engine,
-             "goals": parse_query(goals), **kw}
-        )
+        return worker.handle(Query("fam", session, engine, parse_query(goals), **kw))
 
     def test_load_program_installs_an_empty_mirror(self, worker):
         assert "fam" in worker.programs
@@ -123,55 +131,128 @@ class TestLaneWorker:
         source = WeightStore()
         engine = BLogEngine(figure1, global_store=source)
         engine.query("gf(sam, G)")
-        reply = worker.handle(
-            {"op": "sync_store", "name": "fam", "delta": store_delta(source)}
-        )
-        assert reply == {"ok": True, "applied": len(source)}
+        assert worker.handle(SyncStore("fam", store_delta(source))) == len(source)
         mirror = worker.mirrors["fam"]
         assert mirror.generation == source.generation
         assert mirror.snapshot() == source.snapshot()
 
     def test_open_query_close_roundtrip(self, worker):
-        assert worker.handle({"op": "open_session", "name": "fam", "session": "s"}) == {
-            "ok": True
-        }
+        assert worker.handle(OpenSession("fam", "s")) is None
         reply = self.query(worker)
-        assert reply["ok"]
-        assert sorted(a["G"] for a in reply["answers"]) == ["den", "doug"]
-        assert reply["expansions"] == reply["engine_attrs"]["expansions"] > 0
-        closed = worker.handle({"op": "close_session", "name": "fam", "session": "s"})
-        assert closed["ok"]
+        assert isinstance(reply, QueryReply)
+        assert sorted(a["G"] for a in reply.answers) == ["den", "doug"]
+        assert reply.expansions == reply.engine_attrs["expansions"] > 0
+        assert reply.complete
+        delta = worker.handle(CloseSession("fam", "s"))
         # the delta carries what the session learned; the mirror is untouched
-        assert closed["delta"]["entries"]
+        assert delta["entries"]
         assert len(worker.mirrors["fam"]) == 0
         assert ("fam", "s") not in worker.sessions
 
     def test_max_solutions_and_machine_engine(self, worker):
-        worker.handle({"op": "open_session", "name": "fam", "session": "s"})
+        worker.handle(OpenSession("fam", "s"))
         one = self.query(worker, max_solutions=1)
-        assert one["ok"] and len(one["answers"]) == 1
+        assert len(one.answers) == 1
         machine = self.query(worker, engine="machine")
-        assert machine["ok"] and "makespan" in machine["engine_attrs"]
+        assert "makespan" in machine.engine_attrs
 
     def test_close_of_an_unopened_session_has_no_delta(self, worker):
-        reply = worker.handle({"op": "close_session", "name": "fam", "session": "x"})
-        assert reply == {"ok": True, "delta": None}
+        assert worker.handle(CloseSession("fam", "x")) is None
 
     def test_query_on_an_unopened_session_is_an_error_reply(self, worker):
         reply = self.query(worker, session="never-opened")
-        assert reply["ok"] is False
-        assert "not open on lane 3" in reply["error"]
+        assert isinstance(reply, LaneError)
+        assert "not open on lane 3" in reply.error
 
     def test_engine_failure_is_an_error_reply(self, worker):
-        worker.handle({"op": "open_session", "name": "fam", "session": "s"})
+        worker.handle(OpenSession("fam", "s"))
         reply = self.query(worker, engine="nope")
-        assert reply == {"ok": False, "error": "ValueError: unknown engine 'nope'"}
+        assert reply == LaneError("ValueError: unknown engine 'nope'")
 
     def test_unknown_op_is_an_error_reply(self, worker):
-        assert worker.handle({"op": "ping"}) == {
-            "ok": False, "error": "unknown lane op 'ping'"
-        }
-        assert worker.handle({})["ok"] is False
+        """Anything that is not a lane message gets a LaneError."""
+        assert worker.handle({"op": "ping"}) == LaneError(
+            "TypeError: not a lane message: dict"
+        )
+        assert isinstance(worker.handle(None), LaneError)
 
     def test_shutdown_is_acknowledged(self, worker):
-        assert worker.handle({"op": "shutdown"}) == {"ok": True}
+        assert worker.handle(Shutdown()) is None
+
+
+# -- the protocol contract: every message survives a process-lane pipe ------
+
+
+def _seeded_messages(figure1):
+    """One seeded value of every request and reply type, the reply taken
+    from a real query on a real worker."""
+    config = BLogConfig(n=8.0, a=12, max_depth=64)
+    machine_config = MachineConfig(n_processors=3)
+    goals = parse_query("gf(sam, G), f(X, Y)")
+    source = WeightStore()
+    BLogEngine(figure1, global_store=source).query("gf(sam, G)")
+    worker = LaneWorker(lane=0)
+    worker.handle(LoadProgram("fam", figure1, config, machine_config))
+    worker.handle(OpenSession("fam", "s"))
+    reply = worker.handle(Query("fam", "s", "blog", parse_query("gf(sam, G)")))
+    assert isinstance(reply, QueryReply) and reply.answers
+    return [
+        LoadProgram("fam", figure1, config, machine_config),
+        SyncStore("fam", store_delta(source)),
+        OpenSession("fam", "s"),
+        Query("fam", "s", "machine", goals, 2),
+        Query("fam", "s", "blog", goals),
+        CloseSession("fam", "s"),
+        Shutdown(),
+        reply,
+        LaneError("KeyError: 'fam'"),
+    ]
+
+
+#: every request type the module exports (a new one fails the seed check
+#: until it is seeded) and both reply types
+MESSAGE_TYPES = {
+    obj for name in procpool.__all__
+    if isinstance(obj := getattr(procpool, name), type) and issubclass(obj, Op) and obj is not Op
+} | {QueryReply, LaneError}
+LEAF_TYPES = (str, int, float, bool, type(None), Term, Program, BLogConfig, MachineConfig)
+
+
+def _plain_data(hint) -> bool:
+    """A primitive, a term, a program, a config, or an Optional/Union,
+    tuple, list or dict of those."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) in (typing.Union, types.UnionType, tuple, list, dict):
+        return all(a is Ellipsis or _plain_data(a) for a in args)
+    return isinstance(hint, type) and issubclass(hint, LEAF_TYPES)
+
+
+class TestProtocolContract:
+    def test_seeds_cover_every_message_type(self, figure1):
+        assert {type(m) for m in _seeded_messages(figure1)} == MESSAGE_TYPES
+
+    def test_every_message_pickles_to_an_equal_value(self, figure1):
+        for msg in _seeded_messages(figure1):
+            back = pickle.loads(pickle.dumps(msg))
+            assert type(back) is type(msg)
+            if isinstance(msg, LoadProgram):
+                # a Program compares by identity: compare its clauses
+                assert list(back.program) == list(msg.program)
+                back = dataclasses.replace(back, program=msg.program)
+            assert back == msg, msg
+
+    def test_messages_are_frozen_and_slotted(self, figure1):
+        for msg in _seeded_messages(figure1):
+            assert not hasattr(msg, "__dict__"), type(msg).__name__
+            if dataclasses.fields(msg):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(msg, dataclasses.fields(msg)[0].name, None)
+
+    def test_fields_are_plain_data(self):
+        for cls in MESSAGE_TYPES:
+            for name, hint in typing.get_type_hints(cls).items():
+                if (cls, name) == (SyncStore, "delta"):
+                    # the WAL journals the same dict as JSON
+                    assert hint == dict[str, typing.Any]
+                    continue
+                assert _plain_data(hint), f"{cls.__name__}.{name}: {hint}"

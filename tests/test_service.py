@@ -21,6 +21,7 @@ import pytest
 from typing import ClassVar
 
 from repro.core import BLogConfig
+from repro.core.procpool import CloseSession, QueryReply
 from repro.logic.parser import parse_query
 from repro.service import (
     AdmissionController,
@@ -431,10 +432,7 @@ class TestFailureHandling:
         async def body(svc):
             def slow(real, worker, msg):
                 time.sleep(0.2)
-                return {
-                    "ok": True, "answers": [], "expansions": None, "complete": True,
-                    "engine_attrs": {},
-                }
+                return QueryReply([], None, True, {})
 
             on_lane_query(slow)
             reqs = [
@@ -514,6 +512,52 @@ class TestTcpEndpoint:
         assert stats["ok"] and stats["stats"]["served"] >= 2
         assert not bad["ok"]
         assert not garbage["ok"] and "bad json" in garbage["error"]
+
+    def test_failed_end_session_gets_error_reply_and_connection_survives(
+        self, monkeypatch
+    ):
+        """A merge whose lane close raises is answered with an error and
+        not acknowledged; the same connection goes on serving.  It used
+        to kill the connection's handler with no reply.  Thread-pinned:
+        the failure is injected into the in-process lane worker."""
+
+        def failing_close(msg, worker):
+            raise OSError("lane close failed")
+
+        async def body():
+            svc = make_service(backend="thread")
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+
+            async def ask(msg):
+                writer.write((json.dumps(msg) + "\n").encode())
+                await writer.drain()
+                line = await asyncio.wait_for(reader.readline(), 10)
+                return json.loads(line) if line else None
+
+            query = await ask(
+                {"program": "family", "query": "gf(sam, G)", "session": "s"}
+            )
+            monkeypatch.setattr(CloseSession, "apply", failing_close)
+            merged = await ask(
+                {"op": "end_session", "program": "family", "session": "s"}
+            )
+            health = await ask({"op": "health"})
+            monkeypatch.undo()
+            sessions_merged = svc.router.sessions_merged
+            writer.close()
+            await writer.wait_closed()
+            await svc.stop()
+            return query, merged, health, sessions_merged
+
+        query, merged, health, sessions_merged = run(body())
+        assert query["ok"]
+        assert merged == {
+            "ok": False, "error": "RuntimeError: OSError: lane close failed"
+        }
+        assert sessions_merged == 0
+        assert health is not None and health["ok"]
 
     def test_oversized_line_gets_error_reply_and_connection_survives(self):
         """A request line over the 64 KiB line limit is answered with an

@@ -437,8 +437,8 @@ class TestBoundedOutcomeRecord:
                 died = set()
 
                 def die_once(real, worker, msg):
-                    if msg["session"] not in died:
-                        died.add(msg["session"])
+                    if msg.session not in died:
+                        died.add(msg.session)
                         raise WorkerDied("injected")
                     return real(worker, msg)
 
@@ -469,7 +469,7 @@ class TestBoundedOutcomeRecord:
             await svc.start()
             try:
                 def stall(real, worker, msg):
-                    if msg["session"] != "default":
+                    if msg.session != "default":
                         time.sleep(0.3)
                     return real(worker, msg)
 
