@@ -114,8 +114,8 @@ def test_e4_corrupted_session_safety(benchmark):
         good_a = learn_store()
         good_b = learn_store()
         rogue = corrupt(good_a)
-        cons_report = merge_conservative(good_a, rogue)
-        merge_strong(good_b, corrupt(good_b))
+        cons_report = merge_conservative(good_a, rogue.snapshot())
+        merge_strong(good_b, corrupt(good_b).snapshot())
         return (
             to_first_with(learn_store()),  # healthy warm start
             to_first_with(good_a),  # conservative after corruption

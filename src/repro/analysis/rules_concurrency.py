@@ -64,7 +64,7 @@ class StoreMutationRule(Rule):
     #: unambiguous mutator method/function names
     MUTATORS = frozenset({"set_known", "set_infinite", "apply_delta"})
     #: merge APIs that write a global store
-    MERGE_APIS = frozenset({"merge_conservative", "merge_strong", "merge_delta"})
+    MERGE_APIS = frozenset({"merge_conservative", "merge_strong"})
     #: generic names only flagged when the receiver looks like a store
     STORE_GUARDED = frozenset({"forget", "clear"})
     #: module prefixes (or exact files) allowed to mutate

@@ -19,7 +19,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 from dataclasses import dataclass, field, replace
-from typing import Any, Generic, Optional, Sequence, TypeVar, Union
+from typing import Generic, Optional, Sequence, TypeVar, Union
 
 from ..logic.program import Program
 from ..logic.solver import Solver
@@ -27,8 +27,7 @@ from ..logic.terms import Term, reset_var_counter
 from ..logic.unify import Bindings, unify
 from ..machine.blog_machine import BLogMachine, MachineConfig
 from ..ortree.tree import NodeStatus, OrTree
-from ..weights.persist import apply_delta, store_delta
-from ..weights.store import WeightStore
+from ..weights.store import StoreDelta, WeightStore
 from .config import BLogConfig
 from .engine import BLogEngine
 
@@ -185,8 +184,8 @@ def or_parallel_solve(
 # calls ``worker.handle(msg)`` in process (queries on its executor), a
 # process lane pickles the same messages over a duplex pipe to
 # ``lane_worker_main`` in a child.  Every field is plain data — primitives,
-# terms, programs, configs — so a message a thread lane accepts also
-# crosses the pipe.
+# terms, programs, configs, store deltas — so a message a thread lane
+# accepts also crosses the pipe.
 
 R = TypeVar("R")
 
@@ -224,12 +223,10 @@ class SyncStore(Op[int]):
     the number of entries applied."""
 
     name: str
-    #: a :func:`~repro.weights.persist.store_delta`, the dict the WAL
-    #: journals as JSON
-    delta: dict[str, Any]
+    delta: StoreDelta
 
     def apply(self, worker: LaneWorker) -> int:
-        return apply_delta(worker.mirrors[self.name], self.delta)
+        return worker.mirrors[self.name].apply_delta(self.delta)
 
 
 @dataclass(frozen=True, slots=True)
@@ -276,19 +273,19 @@ class Query(Op[QueryReply]):
 
 
 @dataclass(frozen=True, slots=True)
-class CloseSession(Op[Optional[dict[str, Any]]]):
+class CloseSession(Op[Optional[StoreDelta]]):
     """End a session; replies with its touched-keys delta (the parent
     merges it into the true global store), or None if it is not open."""
 
     name: str
     session: str
 
-    def apply(self, worker: LaneWorker) -> Optional[dict[str, Any]]:
+    def apply(self, worker: LaneWorker) -> Optional[StoreDelta]:
         state = worker.sessions.pop((self.name, self.session), None)
         if state is None:
             return None
         engine, base_generation = state
-        return store_delta(engine.store, since=base_generation)
+        return engine.store.delta_since(base_generation)
 
 
 @dataclass(frozen=True, slots=True)

@@ -18,9 +18,9 @@ The session's engine and local store live in the lane's
 :class:`~repro.core.procpool.LaneWorker` (a thread lane's or a lane
 child's, alike); the router keeps a :class:`SessionState` for
 accounting, ships weight-store **deltas** to the lane's mirror (what
-changed since the mirror last synced —
-:func:`~repro.weights.persist.store_delta` — never the whole store),
-and merges the touched-keys delta a lane returns at session close.
+changed since the mirror last synced, a
+:class:`~repro.weights.store.StoreDelta` — never the whole store), and
+merges the touched-keys delta a lane returns at session close.
 When a lane is reset (its worker lost), every session routed to it is
 lost with it: :meth:`drop_lane` discards their states without merging,
 so an abandoned session can never leak into the global store.
@@ -33,9 +33,8 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..weights.persist import store_delta
-from ..weights.session import MergeReport, merge_delta
-from ..weights.store import WeightStore
+from ..weights.session import MergeReport, merge_conservative, merge_strong
+from ..weights.store import StoreDelta, WeightStore
 
 if TYPE_CHECKING:  # telemetry imports stats; keep this edge type-only
     from .telemetry import MetricsRegistry
@@ -97,7 +96,7 @@ class SessionRouter:
 
     def store_sync(
         self, global_store: WeightStore, synced_generation: Optional[int]
-    ) -> Optional[dict]:
+    ) -> Optional[StoreDelta]:
         """The delta a lane mirror needs to catch up to ``global_store``,
         or None when it is already current.
 
@@ -111,13 +110,13 @@ class SessionRouter:
             synced_generation >= global_store.generation
         ):
             return None
-        return store_delta(global_store, since=synced_generation)
+        return global_store.delta_since(synced_generation)
 
     def close(
         self,
         program_name: str,
         session: str,
-        delta: Optional[dict],
+        delta: Optional[StoreDelta],
         global_store: WeightStore,
         alpha: float = 0.5,
         conservative: bool = True,
@@ -137,7 +136,10 @@ class SessionRouter:
         self._m_live.set(len(self._sessions))
         if delta is None:
             return None
-        report = merge_delta(global_store, delta, alpha, conservative)
+        if conservative:
+            report = merge_conservative(global_store, delta.entries, alpha)
+        else:
+            report = merge_strong(global_store, delta.entries)
         self.sessions_merged += 1
         self._m_merged.inc()
         return report

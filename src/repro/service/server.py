@@ -48,16 +48,15 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 from ..core.config import BLogConfig
 from ..core.procpool import CloseSession, LoadProgram, OpenSession, Query, SyncStore
 from ..logic.parser import ParseError, parse_query
 from ..logic.program import Program
 from ..machine.blog_machine import MachineConfig
-from ..weights.persist import store_delta
 from ..weights.session import MergeReport
-from ..weights.store import WeightStore
+from ..weights.store import StoreDelta, WeightStore
 from ..weights.wal import DurableStore
 from .admission import AdmissionController, Overloaded
 from .cache import AnswerCache, canonical_cache_key, canonical_query, slot_names
@@ -403,9 +402,9 @@ class BLogService:
         """WAL-append what a just-completed merge changed, fsynced before
         the caller acknowledges the merge.  The delta is computed *here*,
         on the loop thread with no await since the merge applied (so it
-        is exactly the store change being acknowledged); only the disk
-        write runs on the WAL executor.  A no-op merge (generation
-        unchanged) journals nothing.
+        is exactly the store change being acknowledged); only its JSON
+        encoding and the disk write run on the WAL executor.  A no-op
+        merge (generation unchanged) journals nothing.
         """
         ds = self._durable.get(entry.name)
         if ds is None:
@@ -413,7 +412,7 @@ class BLogService:
         store = entry.global_store
         if store.generation == pre_generation:
             return
-        delta = store_delta(store, since=pre_generation)
+        delta = store.delta_since(pre_generation)
         generation = store.generation
         loop = asyncio.get_running_loop()
         with trace.span("wal-append", program=entry.name) as span:
@@ -657,7 +656,7 @@ class BLogService:
                 )
                 # the generation the delta was cut at: a merge on another
                 # lane during the await is still missing from this mirror
-                view.synced_gen[entry.name] = delta["generation"]
+                view.synced_gen[entry.name] = delta.generation
                 span.set("synced_store", True)
             self.router.open(entry.name, session).queries += 1
             if (entry.name, session) not in view.open_sessions:
@@ -689,7 +688,7 @@ class BLogService:
 
         async def merge() -> Optional[MergeReport]:
             view = self.pool.lane(lane)
-            delta: Optional[dict[str, Any]] = None
+            delta: Optional[StoreDelta] = None
             # not open in the worker: the lane was reset since — abandoned
             if (program, session) in view.open_sessions:
                 try:

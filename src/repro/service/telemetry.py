@@ -118,7 +118,7 @@ class Span:
     parent_id: Optional[int]
     start_s: float
     end_s: Optional[float] = None
-    attributes: dict[str, Any] = field(default_factory=dict)
+    attributes: dict[str, object] = field(default_factory=dict)
 
     def set(self, key: str, value: Any) -> None:
         self.attributes[key] = value
@@ -144,7 +144,7 @@ class _SpanContext:
     """``with trace.span("engine") as sp:`` — starts on enter, ends on
     exit; an escaping exception is recorded as the span's ``error``."""
 
-    def __init__(self, trace: "Trace", name: str, attrs: dict[str, Any]):
+    def __init__(self, trace: "Trace", name: str, attrs: dict[str, object]):
         self._trace = trace
         self._name = name
         self._attrs = attrs
@@ -184,7 +184,7 @@ class Trace:
         tracer: "Tracer",
         trace_id: str,
         name: str,
-        attributes: dict[str, Any],
+        attributes: dict[str, object],
     ):
         self._tracer = tracer
         self.trace_id = trace_id

@@ -27,7 +27,7 @@ from .session import (
     merge_conservative,
     merge_strong,
 )
-from .store import WeightEntry, WeightState, WeightStore
+from .store import StoreDelta, WeightEntry, WeightState, WeightStore
 from .theory import TheoryResult, solve_weights, store_from_theory, verify_assignment
 from .update import UpdateLog, apply_outcome, on_failure, on_success
 from .wal import DurableStore, RecoveryInfo, WalCorruptError, WeightWal
@@ -36,6 +36,7 @@ __all__ = [
     "WeightStore",
     "WeightState",
     "WeightEntry",
+    "StoreDelta",
     "UpdateLog",
     "on_failure",
     "on_success",

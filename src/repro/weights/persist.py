@@ -6,10 +6,11 @@ write-back (:mod:`repro.spd.weights_io`) models the *cost* of that, and
 this module provides the practical library feature: save/load a
 :class:`WeightStore` so learning survives process restarts.
 
-Arc keys serialize structurally.  Pointer and builtin keys round-trip
-exactly; goal-policy keys (which embed terms) serialize via the term
-text and re-parse on load, with canonical variable ids preserved by the
-canonicalization being deterministic.
+Arc keys serialize structurally, goal-policy keys' terms included, so
+every key round-trips exactly.  The same entry encoding serves a whole
+store (:func:`store_to_dict`) and a :class:`~repro.weights.store.StoreDelta`
+(:func:`delta_to_dict`, the payload of a WAL record): JSON exists only
+here, at the disk.
 """
 
 from __future__ import annotations
@@ -20,17 +21,17 @@ from pathlib import Path
 from typing import Union
 
 from ..logic.parser import parse_term
+from ..logic.terms import Atom, Int, Struct, Term, Var
 from ..ortree.tree import ArcKey, canonical_goal
-from .store import WeightEntry, WeightState, WeightStore
+from .store import StoreDelta, WeightEntry, WeightState, WeightStore
 
 __all__ = [
     "save_store",
     "load_store",
     "store_to_dict",
     "store_from_dict",
-    "store_delta",
-    "apply_delta",
-    "delta_store",
+    "delta_to_dict",
+    "delta_from_dict",
     "StoreCorruptError",
 ]
 
@@ -46,6 +47,32 @@ class StoreCorruptError(ValueError):
     """
 
 
+def _term_to_json(term: Term) -> object:
+    """A canonical goal as JSON: an atom as a string, an integer as a
+    number, a variable as ``{"var": k}`` for canonical ``_Ck``, and a
+    struct as ``[functor, args...]``."""
+    if isinstance(term, Atom):
+        return term.name
+    if isinstance(term, Int):
+        return term.value
+    if isinstance(term, Var):
+        return {"var": -term.id}
+    if isinstance(term, Struct):
+        return [term.functor, *map(_term_to_json, term.args)]
+    raise ValueError(f"cannot encode term {term!r}")
+
+
+def _term_from_json(data) -> Term:
+    if isinstance(data, str):
+        return Atom(data)
+    if isinstance(data, int):
+        return Int(data)
+    if isinstance(data, dict):
+        k = int(data["var"])
+        return Var(f"_C{k}", vid=-k)
+    return Struct(data[0], [_term_from_json(a) for a in data[1:]])
+
+
 def _key_to_json(key: ArcKey) -> dict:
     if key.kind == "pointer":
         caller, literal, callee = key.key
@@ -55,7 +82,7 @@ def _key_to_json(key: ArcKey) -> dict:
         return {"kind": "builtin", "name": indicator[0], "arity": indicator[1]}
     if key.kind == "goal":
         term, callee = key.key
-        return {"kind": "goal", "goal": str(term), "callee": callee}
+        return {"kind": "goal", "term": _term_to_json(term), "callee": callee}
     raise ValueError(f"unknown arc key kind {key.kind!r}")
 
 
@@ -66,23 +93,21 @@ def _key_from_json(data: dict) -> ArcKey:
     if kind == "builtin":
         return ArcKey("builtin", ((data["name"], data["arity"]),))
     if kind == "goal":
-        term = canonical_goal(parse_term(data["goal"]))
+        if "term" in data:
+            term = _term_from_json(data["term"])
+        else:  # the term text earlier versions wrote
+            term = canonical_goal(parse_term(data["goal"]))
         return ArcKey("goal", (term, data["callee"]))
     raise ValueError(f"unknown arc key kind {kind!r}")
 
 
+def _entry_to_json(key: ArcKey, entry: WeightEntry) -> dict:
+    return {"key": _key_to_json(key), "state": entry.state.value, "value": entry.value}
+
+
 def store_to_dict(store: WeightStore) -> dict:
     """The JSON-ready representation of a store."""
-    entries = []
-    for key in store.keys():
-        entry = store.entry(key)
-        entries.append(
-            {
-                "key": _key_to_json(key),
-                "state": entry.state.value,
-                "value": entry.value,
-            }
-        )
+    entries = [_entry_to_json(k, e) for k, e in store.snapshot().items()]
     return {"format": "blog-weights-v1", "n": store.n, "a": store.a, "entries": entries}
 
 
@@ -102,88 +127,30 @@ def store_from_dict(data: dict) -> WeightStore:
     return store
 
 
-def store_delta(store: WeightStore, since: Union[int, None] = None) -> dict:
-    """What changed in ``store`` after generation ``since``.
-
-    ``since=None`` means "everything": the full entry set, for a reader
-    that has no mirror yet.  The delta is JSON-ready (same key encoding
-    as :func:`store_to_dict`) and carries UNKNOWN *tombstones* for keys
-    that were dropped (``forget`` / ``clear``) so a mirror applies the
-    removal too.  This is what the serving layer ships to a process
-    lane on session open — the lane's mirror catches up from whatever
-    generation it last saw, instead of receiving the whole store — and
-    what a lane ships back on session close (the session's touched keys
-    only).
-    """
-    if since is None:
-        keys = list(store.keys())
-    else:
-        keys = store.modified_since(int(since))
-    entries = []
-    for key in keys:
-        entry = store.entry(key)
-        entries.append(
-            {
-                "key": _key_to_json(key),
-                "state": entry.state.value,
-                "value": entry.value,
-            }
-        )
+def delta_to_dict(delta: StoreDelta, n: float, a: int) -> dict:
+    """The JSON-ready form of a delta (a WAL record's ``delta``), for a
+    store with encodings ``n`` and ``a``."""
     return {
         "format": DELTA_FORMAT,
-        "base": since,
-        "generation": store.generation,
-        "n": store.n,
-        "a": store.a,
-        "entries": entries,
+        "base": delta.base,
+        "generation": delta.generation,
+        "n": n,
+        "a": a,
+        "entries": [_entry_to_json(k, e) for k, e in delta.entries.items()],
     }
 
 
-def apply_delta(store: WeightStore, delta: dict) -> int:
-    """Apply a :func:`store_delta` to a mirror in place.
-
-    Entries are written directly (UNKNOWN tombstones delete) and the
-    mirror's generation jumps to the delta's source generation, so a
-    later ``store_delta(source, since=mirror.generation)`` yields
-    exactly what the mirror still misses.  Returns how many entries
-    were applied.
-    """
-    if delta.get("format") != DELTA_FORMAT:
-        raise ValueError(f"unrecognized weight delta format {delta.get('format')!r}")
-    generation = int(delta["generation"])
-    applied = 0
-    for item in delta["entries"]:
-        key = _key_from_json(item["key"])
-        state = WeightState(item["state"])
-        if state is WeightState.UNKNOWN:
-            store._entries.pop(key, None)
-        else:
-            store._entries[key] = WeightEntry(state, float(item["value"]))
-        store._modified[key] = generation
-        applied += 1
-    store.generation = generation
-    return applied
-
-
-def delta_store(delta: dict) -> WeightStore:
-    """A standalone store holding just a delta's non-tombstone entries.
-
-    Shaped for :func:`~repro.weights.session.merge_delta`: the
-    end-of-session merge iterates the local store's keys, and for a
-    served session the "local store" the parent sees *is* the delta the
-    lane worker shipped back.  UNKNOWN tombstones are omitted —
-    both merge policies treat a local UNKNOWN as "session learned
-    nothing here".
-    """
-    out = WeightStore(n=delta["n"], a=delta["a"])
-    for item in delta["entries"]:
-        state = WeightState(item["state"])
-        if state is WeightState.UNKNOWN:
-            continue
-        key = _key_from_json(item["key"])
-        out._entries[key] = WeightEntry(state, float(item["value"]))
-        out._modified[key] = out.generation = out.generation + 1
-    return out
+def delta_from_dict(data: dict) -> StoreDelta:
+    """Rebuild a delta from :func:`delta_to_dict` output."""
+    if data.get("format") != DELTA_FORMAT:
+        raise ValueError(f"unrecognized weight delta format {data.get('format')!r}")
+    entries = {
+        _key_from_json(item["key"]): WeightEntry(
+            WeightState(item["state"]), float(item["value"])
+        )
+        for item in data["entries"]
+    }
+    return StoreDelta(data["base"], int(data["generation"]), entries)
 
 
 def save_store(store: WeightStore, path: Union[str, Path]) -> None:

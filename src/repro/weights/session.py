@@ -29,17 +29,15 @@ INFINITE           INFINITE           unchanged
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Mapping, Optional
 
 from ..ortree.tree import ArcKey
-from .persist import delta_store
-from .store import WeightState, WeightStore
+from .store import WeightEntry, WeightState, WeightStore
 
 __all__ = [
     "MergeReport",
     "merge_conservative",
     "merge_strong",
-    "merge_delta",
     "SessionManager",
 ]
 
@@ -62,25 +60,21 @@ class MergeReport:
 
 def merge_conservative(
     global_store: WeightStore,
-    local_store: WeightStore,
+    entries: Mapping[ArcKey, WeightEntry],
     alpha: float = 0.5,
-    keys: Optional[Iterable[ArcKey]] = None,
 ) -> MergeReport:
     """Apply the §5 conservative end-of-session merge in place.
 
-    ``keys`` restricts the merge to the given keys — the session's
-    *touched* set.  The paper keeps session updates "in a separate
-    buffer"; merging only what the session actually wrote means a key
-    another session merged mid-way is not dragged back toward the stale
-    copy this session inherited at open.  ``None`` merges every local
-    key (the historical behavior, still right when the local store *is*
-    the buffer of updates).
+    ``entries`` is the session's "separate buffer" of updates,
+    ``local.delta_since(start).entries``: only the keys the session
+    wrote, so a key another session merged mid-way is not dragged back
+    toward the stale copy this session inherited at open.  Pass
+    ``local.snapshot()`` to merge a whole store.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     report = MergeReport()
-    for key in list(local_store.keys()) if keys is None else list(keys):
-        local = local_store.entry(key)
+    for key, local in entries.items():
         if local.state is WeightState.UNKNOWN:
             report.unchanged += 1
             continue
@@ -109,15 +103,12 @@ def merge_conservative(
 
 
 def merge_strong(
-    global_store: WeightStore,
-    local_store: WeightStore,
-    keys: Optional[Iterable[ArcKey]] = None,
+    global_store: WeightStore, entries: Mapping[ArcKey, WeightEntry]
 ) -> MergeReport:
     """The non-conservative alternative (E4 ablation): local wins outright,
     including infinities overriding known weights."""
     report = MergeReport()
-    for key in list(local_store.keys()) if keys is None else list(keys):
-        local = local_store.entry(key)
+    for key, local in entries.items():
         if local.state is WeightState.UNKNOWN:
             report.unchanged += 1
         elif local.state is WeightState.INFINITE:
@@ -127,26 +118,6 @@ def merge_strong(
             global_store.set_known(key, local.value)
             report.adopted += 1
     return report
-
-
-def merge_delta(
-    global_store: WeightStore,
-    delta: dict,
-    alpha: float = 0.5,
-    conservative: bool = True,
-) -> MergeReport:
-    """Merge a session's touched-keys delta (what a lane worker ships
-    back at session close, see :func:`~repro.weights.persist.store_delta`)
-    into the global store, under either policy.
-
-    The delta holds exactly the keys the session wrote, in the order it
-    wrote them, so this is :meth:`SessionManager.end_session` applied at
-    a distance: same reports, same store, same generations.
-    """
-    local = delta_store(delta)
-    if conservative:
-        return merge_conservative(global_store, local, alpha)
-    return merge_strong(global_store, local)
 
 
 class SessionManager:
@@ -200,13 +171,11 @@ class SessionManager:
         """
         if self.local is None:
             raise RuntimeError("no active session")
-        touched = self.local.modified_since(self._base_generation)
+        touched = self.local.delta_since(self._base_generation).entries
         if conservative:
-            report = merge_conservative(
-                self.global_store, self.local, self.alpha, keys=touched
-            )
+            report = merge_conservative(self.global_store, touched, self.alpha)
         else:
-            report = merge_strong(self.global_store, self.local, keys=touched)
+            report = merge_strong(self.global_store, touched)
         self.local = None
         self.sessions_completed += 1
         self.merge_reports.append(report)

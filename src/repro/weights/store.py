@@ -15,6 +15,10 @@ A weight is in one of three states:
 * ``UNKNOWN``  — never informed; numeric value N+1;
 * ``KNOWN``    — set by a successful search; numeric value stored;
 * ``INFINITE`` — set by a failed search; numeric value A·N.
+
+What a store changed after some generation is a :class:`StoreDelta`
+(the §5 "separate buffer" of a session's updates): the serving layer
+ships it to lane mirrors and back, merges it, and journals it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Iterator, Optional
 
 from ..ortree.tree import ArcKey
 
-__all__ = ["WeightState", "WeightEntry", "WeightStore"]
+__all__ = ["WeightState", "WeightEntry", "StoreDelta", "WeightStore"]
 
 
 class WeightState(enum.Enum):
@@ -38,6 +42,21 @@ class WeightState(enum.Enum):
 class WeightEntry:
     state: WeightState
     value: float
+
+
+@dataclass(frozen=True, slots=True)
+class StoreDelta:
+    """What a store changed after generation ``base``.
+
+    ``entries`` maps every key written after ``base`` to its entry at
+    ``generation``, in journal order; an UNKNOWN entry is a tombstone
+    (the key was dropped by ``forget`` / ``clear``).  ``base=None`` is
+    the full entry set, for a reader that has no mirror yet.
+    """
+
+    base: Optional[int]
+    generation: int
+    entries: dict[ArcKey, WeightEntry]
 
 
 #: the entry every builtin key reads: probability 1, weight 0
@@ -156,14 +175,36 @@ class WeightStore:
         self._entries.clear()
 
     # -- change tracking ----------------------------------------------------
-    def modified_since(self, generation: int) -> list[ArcKey]:
-        """Keys written strictly after ``generation`` (current-timeline).
+    def delta_since(self, generation: Optional[int]) -> StoreDelta:
+        """The :class:`StoreDelta` of writes strictly after ``generation``
+        (the whole store for ``None``).
 
-        Includes keys that were dropped back to UNKNOWN (``forget`` /
-        ``clear``): a reader that mirrors this store needs the drop as
+        Keys dropped back to UNKNOWN (``forget`` / ``clear``) come as
+        tombstones: a reader that mirrors this store needs the drop as
         much as it needs a new value.
         """
-        return [k for k, g in self._modified.items() if g > generation]
+        if generation is None:
+            entries = dict(self._entries)
+        else:
+            entries = {k: self.entry(k) for k, g in self._modified.items() if g > generation}
+        return StoreDelta(generation, self.generation, entries)
+
+    def apply_delta(self, delta: StoreDelta) -> int:
+        """Catch a mirror up with another store's ``delta`` in place.
+
+        Entries are written directly (tombstones delete) and the
+        generation jumps to the delta's, so a later
+        ``source.delta_since(mirror.generation)`` holds exactly what the
+        mirror still misses.  Returns how many entries were applied.
+        """
+        for key, entry in delta.entries.items():
+            if entry.state is WeightState.UNKNOWN:
+                self._entries.pop(key, None)
+            else:
+                self._entries[key] = entry
+            self._modified[key] = delta.generation
+        self.generation = delta.generation
+        return len(delta.entries)
 
     # -- copies / views -----------------------------------------------------------
     def copy(self) -> "WeightStore":

@@ -25,12 +25,13 @@ serving stack builds on:
   applied twice — not across a crash between snapshot-replace and
   journal-truncate, and not for a duplicate append after a lost ack.
 
-The journal payload reuses PR-2's delta machinery
-(:func:`~repro.weights.persist.store_delta` /
-:func:`~repro.weights.persist.apply_delta`): a record's ``delta`` is
-exactly what the merge changed in the global store, so replay is a
-plain ``apply_delta``, not a re-merge — byte-deterministic regardless
-of merge policy or α.
+A record's ``delta`` is the :class:`~repro.weights.store.StoreDelta`
+of what the merge changed in the global store, written with
+:func:`~repro.weights.persist.delta_to_dict` (the entry encoding of a
+snapshot, goal keys' terms as JSON structure) and read back with
+:func:`~repro.weights.persist.delta_from_dict`.  Replay is a plain
+``store.apply_delta``, not a re-merge — byte-deterministic regardless
+of merge policy or α.  This is the only place a delta becomes JSON.
 
 This module is deliberately zero-dependency and telemetry-free (it
 lives in ``repro/weights``); the service layer wraps the calls with
@@ -51,8 +52,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-from .persist import StoreCorruptError, apply_delta, store_from_dict, store_to_dict
-from .store import WeightStore
+from .persist import (
+    StoreCorruptError,
+    delta_from_dict,
+    delta_to_dict,
+    store_from_dict,
+    store_to_dict,
+)
+from .store import StoreDelta, WeightStore
 
 __all__ = [
     "WalCorruptError",
@@ -317,9 +324,11 @@ class DurableStore:
             if self.applied.get(session, -1) >= generation:
                 info.records_skipped += 1
                 continue
-            apply_delta(store, rec["delta"])
+            store.apply_delta(delta_from_dict(rec["delta"]))
             self.applied[session] = generation
             info.records_replayed += 1
+        # journal records carry the encodings of the store they change
+        self.n, self.a = store.n, store.a
         self.wal.seq = last_seq
         self.wal.open_append(truncate_at=good_offset)
         info.seq = last_seq
@@ -327,11 +336,12 @@ class DurableStore:
         return store, info
 
     # -- journaling ----------------------------------------------------------
-    def log_merge(self, session: str, generation: int, delta: dict) -> int:
+    def log_merge(self, session: str, generation: int, delta: StoreDelta) -> int:
         """Append one acknowledged merge; durable (fsynced) on return."""
+        payload = delta_to_dict(delta, self.n, self.a)
         with self._lock:
             seq = self.wal.append(
-                {"session": session, "generation": int(generation), "delta": delta}
+                {"session": session, "generation": int(generation), "delta": payload}
             )
             self.applied[session] = int(generation)
         return seq

@@ -24,8 +24,8 @@ from repro.logic import Program, Solver
 from repro.logic.parser import parse_query
 from repro.logic.terms import Term
 from repro.machine.blog_machine import MachineConfig
-from repro.weights.persist import store_delta
-from repro.weights.store import WeightStore
+from repro.ortree.tree import ArcKey
+from repro.weights.store import StoreDelta, WeightEntry, WeightStore
 from repro.workloads import synthetic_tree
 
 
@@ -131,7 +131,7 @@ class TestLaneWorker:
         source = WeightStore()
         engine = BLogEngine(figure1, global_store=source)
         engine.query("gf(sam, G)")
-        assert worker.handle(SyncStore("fam", store_delta(source))) == len(source)
+        assert worker.handle(SyncStore("fam", source.delta_since(None))) == len(source)
         mirror = worker.mirrors["fam"]
         assert mirror.generation == source.generation
         assert mirror.snapshot() == source.snapshot()
@@ -145,7 +145,7 @@ class TestLaneWorker:
         assert reply.complete
         delta = worker.handle(CloseSession("fam", "s"))
         # the delta carries what the session learned; the mirror is untouched
-        assert delta["entries"]
+        assert isinstance(delta, StoreDelta) and delta.entries
         assert len(worker.mirrors["fam"]) == 0
         assert ("fam", "s") not in worker.sessions
 
@@ -198,7 +198,7 @@ def _seeded_messages(figure1):
     assert isinstance(reply, QueryReply) and reply.answers
     return [
         LoadProgram("fam", figure1, config, machine_config),
-        SyncStore("fam", store_delta(source)),
+        SyncStore("fam", source.delta_since(None)),
         OpenSession("fam", "s"),
         Query("fam", "s", "machine", goals, 2),
         Query("fam", "s", "blog", goals),
@@ -215,12 +215,18 @@ MESSAGE_TYPES = {
     obj for name in procpool.__all__
     if isinstance(obj := getattr(procpool, name), type) and issubclass(obj, Op) and obj is not Op
 } | {QueryReply, LaneError}
-LEAF_TYPES = (str, int, float, bool, type(None), Term, Program, BLogConfig, MachineConfig)
+LEAF_TYPES = (
+    str, int, float, bool, type(None), Term, Program, BLogConfig, MachineConfig,
+    ArcKey, WeightEntry,
+)
 
 
 def _plain_data(hint) -> bool:
-    """A primitive, a term, a program, a config, or an Optional/Union,
-    tuple, list or dict of those."""
+    """A primitive, a term, a program, a config, an arc key, a weight
+    entry, a store delta of those, or an Optional/Union, tuple, list or
+    dict of those."""
+    if hint is StoreDelta:
+        return all(map(_plain_data, typing.get_type_hints(StoreDelta).values()))
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (typing.Union, types.UnionType, tuple, list, dict):
         return all(a is Ellipsis or _plain_data(a) for a in args)
@@ -251,8 +257,4 @@ class TestProtocolContract:
     def test_fields_are_plain_data(self):
         for cls in MESSAGE_TYPES:
             for name, hint in typing.get_type_hints(cls).items():
-                if (cls, name) == (SyncStore, "delta"):
-                    # the WAL journals the same dict as JSON
-                    assert hint == dict[str, typing.Any]
-                    continue
                 assert _plain_data(hint), f"{cls.__name__}.{name}: {hint}"

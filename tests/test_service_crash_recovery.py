@@ -35,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from repro.weights import WeightStore
-from repro.weights.persist import apply_delta, store_from_dict
+from repro.weights.persist import delta_from_dict, store_from_dict
 from repro.weights.wal import DurableStore, WeightWal
 
 BACKEND = os.environ.get("BLOG_SERVICE_BACKEND", "thread")
@@ -141,7 +141,7 @@ def independent_replay(program_dir: Path) -> tuple[WeightStore, dict, list]:
             continue
         if applied.get(rec["session"], -1) >= rec["generation"]:
             continue
-        apply_delta(store, rec["delta"])
+        store.apply_delta(delta_from_dict(rec["delta"]))
         applied[rec["session"]] = rec["generation"]
         replayed.append((rec["session"], rec["generation"]))
     return store, applied, replayed

@@ -17,11 +17,15 @@ different weights than the in-process one would.
 
 import asyncio
 import random
+import shutil
 
 import pytest
 
+from repro.core import BLogConfig, BLogEngine
+from repro.logic import Program
 from repro.service import BLogService, QueryRequest
 from repro.weights.store import WeightState
+from repro.weights.wal import DurableStore
 from repro.workloads import family_program, nrev_program
 
 FAMILY_QUERIES = [
@@ -145,3 +149,59 @@ def test_backends_identical_under_strong_merge():
     (t_answers, t_stores, _), (p_answers, p_stores, _) = asyncio.run(body())
     assert t_answers == p_answers
     assert t_stores == p_stores
+
+
+#: goals whose text does not parse back to the same term: an operator
+#: term and a quoted capitalized atom
+GOAL_SOURCE = "p(a-b, c).\np(X, d) :- q(X).\nq(a-b).\nq('A').\nr(1 - -1, 'A').\n"
+GOAL_QUERIES = ["p(a-b, X)", "q(X)", "p(Y, d)", "r(X, 'A')"]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_goal_policy_session_merges_and_recovers(backend, tmp_path):
+    """Goal-policy arc keys embed terms: a session's delta carries them
+    to the merge and the journal, and a restart recovers them."""
+    config = BLogConfig(arc_key_policy="goal")
+    program = Program.from_source(GOAL_SOURCE)
+    library = BLogEngine(program, config)
+    library.begin_session()
+    for q in GOAL_QUERIES:
+        library.query(q)
+    library.end_session()
+    expected = library.sessions.global_store.snapshot()
+    assert any(k.kind == "goal" for k in expected)
+
+    def service() -> BLogService:
+        return BLogService(
+            {"g": program}, config=config, n_workers=1, backend=backend, data_dir=tmp_path
+        )
+
+    async def body():
+        svc = service()
+        await svc.start()
+        try:
+            for q in GOAL_QUERIES:
+                resp = await svc.submit(QueryRequest("g", q, session="s", cache=False))
+                assert resp.ok, resp.error
+            assert await svc.end_session("g", "s") is not None
+            merged = svc.programs["g"].global_store.snapshot()
+            # the journal alone (no checkpoint yet) recovers the merge
+            shutil.copytree(tmp_path / "g", tmp_path / "copy")
+            copy = DurableStore(tmp_path / "copy", n=config.n, a=config.a)
+            journaled, info = copy.recover()
+            copy.close()
+            assert info.records_replayed == 1
+        finally:
+            await svc.stop()
+        restarted = service()
+        await restarted.start()
+        try:
+            recovered = restarted.programs["g"].global_store.snapshot()
+        finally:
+            await restarted.stop()
+        return merged, journaled.snapshot(), recovered
+
+    merged, journaled, recovered = asyncio.run(body())
+    assert merged == expected
+    assert journaled == expected
+    assert recovered == expected

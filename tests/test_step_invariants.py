@@ -21,7 +21,7 @@ from repro.logic import Program, parse_term
 from repro.ortree import OrTree
 from repro.ortree.tree import ArcKey, NodeStatus, canonical_goal
 from repro.weights.conditional import ConditionalWeightStore
-from repro.weights.persist import _key_from_json, _key_to_json, apply_delta, store_delta
+from repro.weights.persist import _key_from_json, _key_to_json
 from repro.weights.store import WeightState, WeightStore
 from repro.workloads import nqueens_program, nqueens_query, nrev_program, nrev_query
 
@@ -84,10 +84,10 @@ def test_weight_agrees_with_entry_in_every_state(seed):
                 source.set_known(k, rng.uniform(0.0, 8.0))
             else:
                 source.forget(k)
-            apply_delta(store, store_delta(source, since))
+            store.apply_delta(source.delta_since(since))
         else:
             source.set_infinite(k)
-            apply_delta(store, store_delta(source, None))
+            store.apply_delta(source.delta_since(None))
         _check_reads(store, keys)
 
 

@@ -3,10 +3,11 @@
 The process-lane backend stands on three mechanisms added to the
 weights layer — each pinned here at the unit level:
 
-* ``modified_since`` — the per-key modification journal behind "ship
+* ``delta_since`` — the per-key modification journal behind "ship
   deltas, not stores";
-* ``store_delta`` / ``apply_delta`` — the wire form, including UNKNOWN
-  tombstones for dropped keys and the mirror's generation jump;
+* ``StoreDelta`` / ``apply_delta`` — the typed delta lanes
+  exchange, including UNKNOWN tombstones for dropped keys and the
+  mirror's generation jump, and its JSON form on disk;
 * ``SessionManager``'s touched-keys merge — only keys the session
   actually wrote participate in the end-of-session merge (the §5
   "separate buffer" of weight updates), never the stale copies it
@@ -18,14 +19,9 @@ import json
 import pytest
 
 from repro.ortree.tree import ArcKey
-from repro.weights.persist import (
-    DELTA_FORMAT,
-    apply_delta,
-    delta_store,
-    store_delta,
-)
+from repro.weights.persist import DELTA_FORMAT, delta_from_dict, delta_to_dict
 from repro.weights.session import SessionManager, merge_conservative
-from repro.weights.store import WeightState, WeightStore
+from repro.weights.store import StoreDelta, WeightState, WeightStore
 
 
 def arc(i: int) -> ArcKey:
@@ -38,11 +34,11 @@ class TestModifiedSince:
         g0 = s.generation
         s.set_known(arc(1), 3.0)
         s.set_infinite(arc(2))
-        assert set(s.modified_since(g0)) == {arc(1), arc(2)}
+        assert set(s.delta_since(g0).entries) == {arc(1), arc(2)}
         g1 = s.generation
         s.set_known(arc(3), 1.0)
-        assert set(s.modified_since(g1)) == {arc(3)}
-        assert s.modified_since(s.generation) == []
+        assert set(s.delta_since(g1).entries) == {arc(3)}
+        assert s.delta_since(s.generation).entries == {}
 
     def test_forget_and_clear_are_modifications(self):
         s = WeightStore()
@@ -50,9 +46,9 @@ class TestModifiedSince:
         s.set_known(arc(2), 4.0)
         g = s.generation
         s.forget(arc(1))
-        assert set(s.modified_since(g)) == {arc(1)}
+        assert set(s.delta_since(g).entries) == {arc(1)}
         s.clear()
-        assert set(s.modified_since(g)) == {arc(1), arc(2)}
+        assert set(s.delta_since(g).entries) == {arc(1), arc(2)}
 
     def test_copy_inherits_the_journal(self):
         s = WeightStore()
@@ -60,9 +56,9 @@ class TestModifiedSince:
         c = s.copy()
         g = c.generation
         c.set_known(arc(2), 5.0)
-        assert set(c.modified_since(g)) == {arc(2)}
-        assert set(c.modified_since(0)) == {arc(1), arc(2)}
-        assert s.modified_since(s.generation) == []  # parent untouched
+        assert set(c.delta_since(g).entries) == {arc(2)}
+        assert set(c.delta_since(0).entries) == {arc(1), arc(2)}
+        assert s.delta_since(s.generation).entries == {}  # parent untouched
 
 
 class TestDeltaRoundtrip:
@@ -70,10 +66,10 @@ class TestDeltaRoundtrip:
         src = WeightStore(n=8.0, a=4)
         src.set_known(arc(1), 3.0)
         src.set_infinite(arc(2))
-        delta = store_delta(src)  # since=None: the full entry set
-        assert delta["format"] == DELTA_FORMAT
+        delta = src.delta_since(None)  # the full entry set
+        assert isinstance(delta, StoreDelta) and delta.base is None
         mirror = WeightStore(n=8.0, a=4)
-        assert apply_delta(mirror, delta) == 2
+        assert mirror.apply_delta(delta) == 2
         assert mirror.snapshot() == src.snapshot()
         assert mirror.generation == src.generation
 
@@ -81,27 +77,27 @@ class TestDeltaRoundtrip:
         src = WeightStore()
         src.set_known(arc(1), 3.0)
         mirror = WeightStore()
-        apply_delta(mirror, store_delta(src))
+        mirror.apply_delta(src.delta_since(None))
         src.set_known(arc(2), 5.0)
         src.set_known(arc(1), 2.5)  # re-write: also newer than the sync
-        delta = store_delta(src, since=mirror.generation)
-        assert len(delta["entries"]) == 2  # arc(1) rewrite + arc(2), no more
-        apply_delta(mirror, delta)
+        delta = src.delta_since(mirror.generation)
+        assert list(delta.entries) == [arc(1), arc(2)]  # journal order, no more
+        mirror.apply_delta(delta)
         assert mirror.snapshot() == src.snapshot()
         # now current: the next delta is empty
-        assert store_delta(src, since=mirror.generation)["entries"] == []
+        assert src.delta_since(mirror.generation).entries == {}
 
     def test_tombstones_propagate_removals(self):
         src = WeightStore()
         src.set_known(arc(1), 3.0)
         src.set_known(arc(2), 4.0)
         mirror = WeightStore()
-        apply_delta(mirror, store_delta(src))
+        mirror.apply_delta(src.delta_since(None))
         src.forget(arc(1))
-        delta = store_delta(src, since=mirror.generation)
-        states = {e["state"] for e in delta["entries"]}
-        assert states == {WeightState.UNKNOWN.value}  # a pure tombstone
-        apply_delta(mirror, delta)
+        delta = src.delta_since(mirror.generation)
+        states = {e.state for e in delta.entries.values()}
+        assert states == {WeightState.UNKNOWN}  # a pure tombstone
+        mirror.apply_delta(delta)
         assert arc(1) not in mirror
         assert mirror.snapshot() == src.snapshot()
 
@@ -110,39 +106,54 @@ class TestDeltaRoundtrip:
         src.set_known(arc(1), 3.0)
         src.set_infinite(arc(2))
         mirror = WeightStore()
-        apply_delta(mirror, store_delta(src))
+        mirror.apply_delta(src.delta_since(None))
         src.clear()
-        apply_delta(mirror, store_delta(src, since=mirror.generation))
+        mirror.apply_delta(src.delta_since(mirror.generation))
         assert len(mirror) == 0
+
+    def test_generation_jumps_to_the_source(self):
+        src = WeightStore()
+        for i in range(5):
+            src.set_known(arc(i), float(i))
+        mirror = WeightStore()
+        mirror.set_known(arc(9), 1.0)  # the mirror's own counter: 1
+        mirror.apply_delta(src.delta_since(3))
+        assert mirror.generation == src.generation == 5
+        assert src.delta_since(mirror.generation).entries == {}
 
     def test_delta_is_json_serializable(self):
         src = WeightStore()
         src.set_known(arc(1), 3.0)
         src.set_known(ArcKey("builtin", (("is", 2),)), 0.0)  # ignored write
         src.set_infinite(arc(2))
-        delta = store_delta(src)
-        wire = json.dumps(delta)  # the whole point of the JSON key forms
-        assert json.loads(wire)["generation"] == src.generation
+        src.set_known(arc(3), 1.0)
+        g = src.generation
+        src.forget(arc(3))
+        delta = src.delta_since(0)
+        wire = json.dumps(delta_to_dict(delta, src.n, src.a))
+        data = json.loads(wire)
+        assert data["format"] == DELTA_FORMAT and data["generation"] == src.generation
+        assert delta_from_dict(data) == delta  # the tombstone included
+        assert g  # (quiet the linters: g documents the pre-forget point)
 
     def test_bad_format_is_rejected(self):
         with pytest.raises(ValueError, match="format"):
-            apply_delta(WeightStore(), {"format": "something-else", "entries": []})
+            delta_from_dict({"format": "something-else", "entries": []})
 
-    def test_delta_store_drops_tombstones(self):
+    def test_merging_a_tombstone_leaves_the_global_entry(self):
         src = WeightStore()
         src.set_known(arc(1), 3.0)
         src.set_known(arc(2), 4.0)
-        g = src.generation
         src.forget(arc(2))
-        local = delta_store(store_delta(src, since=0))
-        assert arc(1) in local and arc(2) not in local
-        assert local.weight(arc(1)) == 3.0
-        # and it is merge-ready: conservative-merging it into a fresh
-        # global adopts exactly the live entries
+        entries = src.delta_since(0).entries
+        assert entries[arc(2)].state is WeightState.UNKNOWN
+        # conservative-merging it into a global that knows arc(2)
+        # adopts the live entry and leaves arc(2) as it was
         glob = WeightStore()
-        report = merge_conservative(glob, local)
-        assert report.adopted == 1 and len(glob) == 1
-        assert g  # (quiet the linters: g documents the pre-forget point)
+        glob.set_known(arc(2), 7.0)
+        report = merge_conservative(glob, entries)
+        assert report.adopted == 1 and report.unchanged == 1
+        assert glob.weight(arc(1)) == 3.0 and glob.weight(arc(2)) == 7.0
 
 
 class TestTouchedKeysMerge:

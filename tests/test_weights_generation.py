@@ -85,12 +85,12 @@ class TestMergeBumpsGeneration:
         local.set_known(ptr(1), 3.0)
         local.set_infinite(ptr(2))
         before = glob.generation
-        merge_conservative(glob, local)
+        merge_conservative(glob, local.snapshot())
         assert glob.generation > before
 
     def test_merge_that_learns_nothing_leaves_generation(self):
         glob = WeightStore()
         local = glob.copy()  # session ran no informative queries
         before = glob.generation
-        merge_conservative(glob, local)
+        merge_conservative(glob, local.snapshot())
         assert glob.generation == before

@@ -20,21 +20,21 @@ class TestConservativeMerge:
     def test_unknown_local_leaves_global(self):
         g, l = WeightStore(), WeightStore()
         g.set_known(key(1), 3.0)
-        report = merge_conservative(g, l)
+        report = merge_conservative(g, l.snapshot())
         assert g.weight(key(1)) == 3.0
         assert report.adopted == report.averaged == 0
 
     def test_adopt_known_into_unknown(self):
         g, l = WeightStore(), WeightStore()
         l.set_known(key(1), 4.0)
-        report = merge_conservative(g, l)
+        report = merge_conservative(g, l.snapshot())
         assert g.weight(key(1)) == 4.0
         assert report.adopted == 1
 
     def test_adopt_infinity_into_unknown(self):
         g, l = WeightStore(), WeightStore()
         l.set_infinite(key(1))
-        report = merge_conservative(g, l)
+        report = merge_conservative(g, l.snapshot())
         assert g.is_infinite(key(1))
         assert report.adopted == 1
 
@@ -44,7 +44,7 @@ class TestConservativeMerge:
         g, l = WeightStore(), WeightStore()
         g.set_known(key(1), 2.0)
         l.set_infinite(key(1))
-        report = merge_conservative(g, l)
+        report = merge_conservative(g, l.snapshot())
         assert g.is_known(key(1))
         assert g.weight(key(1)) == 2.0
         assert report.suppressed_infinities == 1
@@ -53,7 +53,7 @@ class TestConservativeMerge:
         g, l = WeightStore(), WeightStore()
         g.set_known(key(1), 2.0)
         l.set_known(key(1), 6.0)
-        report = merge_conservative(g, l, alpha=0.5)
+        report = merge_conservative(g, l.snapshot(), alpha=0.5)
         assert g.weight(key(1)) == pytest.approx(4.0)
         assert report.averaged == 1
 
@@ -61,28 +61,28 @@ class TestConservativeMerge:
         g, l = WeightStore(), WeightStore()
         g.set_known(key(1), 2.0)
         l.set_known(key(1), 6.0)
-        merge_conservative(g, l, alpha=1.0)
+        merge_conservative(g, l.snapshot(), alpha=1.0)
         assert g.weight(key(1)) == pytest.approx(6.0)
 
     def test_success_retracts_global_infinity(self):
         g, l = WeightStore(), WeightStore()
         g.set_infinite(key(1))
         l.set_known(key(1), 1.0)
-        report = merge_conservative(g, l)
+        report = merge_conservative(g, l.snapshot())
         assert g.is_known(key(1))
         assert report.retracted == 1
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
-            merge_conservative(WeightStore(), WeightStore(), alpha=0.0)
+            merge_conservative(WeightStore(), {}, alpha=0.0)
         with pytest.raises(ValueError):
-            merge_conservative(WeightStore(), WeightStore(), alpha=1.5)
+            merge_conservative(WeightStore(), {}, alpha=1.5)
 
     def test_both_infinite_unchanged(self):
         g, l = WeightStore(), WeightStore()
         g.set_infinite(key(1))
         l.set_infinite(key(1))
-        report = merge_conservative(g, l)
+        report = merge_conservative(g, l.snapshot())
         assert g.is_infinite(key(1))
         assert report.unchanged == 1
 
@@ -92,14 +92,14 @@ class TestStrongMerge:
         g, l = WeightStore(), WeightStore()
         g.set_known(key(1), 2.0)
         l.set_infinite(key(1))
-        merge_strong(g, l)
+        merge_strong(g, l.snapshot())
         assert g.is_infinite(key(1))
 
     def test_local_known_wins(self):
         g, l = WeightStore(), WeightStore()
         g.set_known(key(1), 2.0)
         l.set_known(key(1), 9.0)
-        merge_strong(g, l)
+        merge_strong(g, l.snapshot())
         assert g.weight(key(1)) == 9.0
 
 

@@ -15,14 +15,13 @@ import zlib
 
 import pytest
 
+from repro.logic.parser import parse_term
+from repro.logic.terms import Int, Struct
 from repro.ortree import ArcKey
+from repro.ortree.tree import canonical_goal
 from repro.weights import WeightStore
-from repro.weights.persist import (
-    StoreCorruptError,
-    load_store,
-    save_store,
-    store_delta,
-)
+from repro.weights.persist import StoreCorruptError, load_store, save_store
+from repro.weights.store import StoreDelta
 from repro.weights.wal import DurableStore, WalCorruptError, WeightWal
 
 
@@ -34,12 +33,12 @@ def entries(store: WeightStore) -> dict:
     return {k: store.entry(k) for k in store.keys()}
 
 
-def learned_delta(store: WeightStore, n: int = 3, offset: int = 0) -> dict:
+def learned_delta(store: WeightStore, n: int = 3, offset: int = 0) -> StoreDelta:
     """Mutate ``store`` like a merge would and return the acked delta."""
     since = store.generation
     for i in range(n):
         store.set_known(key(offset + i), 1.0 + i)
-    return store_delta(store, since=since)
+    return store.delta_since(since)
 
 
 class TestWalFraming:
@@ -286,3 +285,100 @@ class TestAtomicSaveStore:
         path.write_text("{")
         with pytest.raises(StoreCorruptError, match="broken.json"):
             load_store(path)
+
+
+def goal(term, callee: int = 1) -> ArcKey:
+    if isinstance(term, str):
+        term = parse_term(term)
+    return ArcKey("goal", (canonical_goal(term), callee))
+
+
+#: goal keys whose term text does not parse back to the same term
+GOAL_KEYS = [
+    goal("p('hello world', X)"),
+    goal("p('A', X, 'A')"),
+    goal("p(a-b, X)"),
+    goal(Struct("q", (Struct("-", (Int(1), Int(-1))),))),
+    goal("r([1, [x, Y] | T], f(Y, 'Z z'), [])", callee=7),
+]
+
+
+class TestGoalKeysOnDisk:
+    @pytest.mark.parametrize("k", GOAL_KEYS, ids=str)
+    def test_save_load_round_trip(self, tmp_path, k):
+        store = WeightStore(n=8, a=16)
+        store.set_known(k, 2.5)
+        store.set_infinite(key(1))
+        save_store(store, tmp_path / "w.json")
+        assert entries(load_store(tmp_path / "w.json")) == entries(store)
+
+    def test_journal_round_trip(self, tmp_path):
+        live = WeightStore(n=8, a=16)
+        ds = DurableStore(tmp_path / "p", n=8, a=16)
+        for i, k in enumerate(GOAL_KEYS):
+            since = live.generation
+            live.set_known(k, 1.0 + i)
+            ds.log_merge(f"s{i}", live.generation, live.delta_since(since))
+        ds.close()
+        recovered, info = DurableStore(tmp_path / "p", n=8, a=16).recover()
+        assert info.records_replayed == len(GOAL_KEYS)
+        assert entries(recovered) == entries(live)
+
+
+#: what a merge of pointer keys journals and snapshots, byte for byte, in
+#: the format every earlier version wrote
+POINTER_RECORD = (
+    '{"seq": 1, "session": "alice", "generation": 4, "delta": {"format": '
+    '"blog-weights-delta-v1", "base": 1, "generation": 4, "n": 8.0, "a": 16, '
+    '"entries": [{"key": {"kind": "pointer", "caller": -1, "literal": 0, '
+    '"callee": 3}, "state": "unknown", "value": 9.0}, {"key": {"kind": '
+    '"pointer", "caller": 0, "literal": 1, "callee": 5}, "state": "known", '
+    '"value": 7.25}, {"key": {"kind": "pointer", "caller": 2, "literal": 0, '
+    '"callee": 4}, "state": "infinite", "value": 128.0}]}}'
+)
+POINTER_SNAPSHOT = (
+    '{"format": "blog-wal-snapshot-v1", "seq": 1, "generation": 4, '
+    '"applied": {"alice": 4}, "store": {"format": "blog-weights-v1", '
+    '"n": 8.0, "a": 16, "entries": [{"key": {"kind": "pointer", "caller": 0, '
+    '"literal": 1, "callee": 5}, "state": "known", "value": 7.25}, {"key": '
+    '{"kind": "pointer", "caller": 2, "literal": 0, "callee": 4}, "state": '
+    '"infinite", "value": 128.0}]}}'
+)
+
+
+def frame(payload: str) -> bytes:
+    data = payload.encode("utf-8")
+    return struct.pack(">II", len(data), zlib.crc32(data)) + data
+
+
+class TestOnDiskFormat:
+    def test_pointer_merge_bytes_are_unchanged(self, tmp_path):
+        live = WeightStore(n=8, a=16)
+        live.set_known(ArcKey("pointer", (-1, 0, 3)), 2.0)
+        since = live.generation
+        live.set_known(ArcKey("pointer", (0, 1, 5)), 7.25)
+        live.set_known(ArcKey("builtin", (("is", 2),)), 0.0)  # ignored write
+        live.set_infinite(ArcKey("pointer", (2, 0, 4)))
+        live.forget(ArcKey("pointer", (-1, 0, 3)))  # a tombstone
+        ds = DurableStore(tmp_path / "p", n=8, a=16)
+        ds.log_merge("alice", live.generation, live.delta_since(since))
+        assert ds.wal.path.read_bytes() == frame(POINTER_RECORD)
+        payload = ds.prepare_checkpoint(live)
+        assert json.dumps(payload) == POINTER_SNAPSHOT
+        ds.write_checkpoint(payload)
+        assert ds.snapshot_path.read_text() == json.dumps(payload, indent=1)
+
+    def test_records_with_goal_text_still_recover(self, tmp_path):
+        # earlier versions wrote a goal key's term as its text
+        record = (
+            '{"seq": 2, "session": "s", "generation": 5, "delta": {"format": '
+            '"blog-weights-delta-v1", "base": 4, "generation": 5, "n": 8.0, '
+            '"a": 16, "entries": [{"key": {"kind": "goal", "goal": '
+            '"gf(sam, _C1)", "callee": 3}, "state": "known", "value": 2.0}]}}'
+        )
+        (tmp_path / "p").mkdir()
+        (tmp_path / "p" / "wal.log").write_bytes(frame(POINTER_RECORD) + frame(record))
+        recovered, info = DurableStore(tmp_path / "p", n=8, a=16).recover()
+        assert info.records_replayed == 2 and recovered.generation == 5
+        assert recovered.weight(goal("gf(sam, X)", callee=3)) == 2.0
+        assert recovered.weight(ArcKey("pointer", (0, 1, 5))) == 7.25
