@@ -33,7 +33,7 @@ from conftest import emit
 
 from repro.core import BLogConfig, BLogEngine
 from repro.ortree import ArcKey
-from repro.weights import WeightStore, merge_conservative, merge_strong
+from repro.weights import WeightStore, plan_merge
 from repro.workloads import comb_tree, scaled_family
 
 
@@ -114,8 +114,10 @@ def test_e4_corrupted_session_safety(benchmark):
         good_a = learn_store()
         good_b = learn_store()
         rogue = corrupt(good_a)
-        cons_report = merge_conservative(good_a, rogue.snapshot())
-        merge_strong(good_b, corrupt(good_b).snapshot())
+        delta, cons_report = plan_merge(good_a, rogue.snapshot())
+        good_a.apply_delta(delta)
+        delta, _ = plan_merge(good_b, corrupt(good_b).snapshot(), conservative=False)
+        good_b.apply_delta(delta)
         return (
             to_first_with(learn_store()),  # healthy warm start
             to_first_with(good_a),  # conservative after corruption

@@ -48,23 +48,22 @@ class StoreMutationRule(Rule):
     makes the event-loop thread the only mutator of global weight
     stores.  Statically we cannot see threads, but we *can* see modules:
     every legitimate mutation site lives in the weights package, the
-    router's end-of-session merge path (loop-thread by contract), or
-    the lane-worker child loop (which owns its mirror outright).  A
-    mutator call anywhere else is a new mutation site that the contract
-    never audited — flag it.
+    router's commit of a journaled session merge (loop-thread by
+    contract), or the lane worker (which owns its mirror outright).  A
+    session merge is only planned (``plan_merge`` writes nothing), so
+    the mutators are the whole surface.  A mutator call anywhere else is
+    a new mutation site that the contract never audited — flag it.
     """
 
     code = "BLG001"
     name = "store-mutation-discipline"
     summary = (
-        "WeightStore mutators / session merges called outside the "
-        "whitelisted loop-thread modules"
+        "WeightStore mutators called outside the whitelisted "
+        "loop-thread modules"
     )
 
     #: unambiguous mutator method/function names
     MUTATORS = frozenset({"set_known", "set_infinite", "apply_delta"})
-    #: merge APIs that write a global store
-    MERGE_APIS = frozenset({"merge_conservative", "merge_strong"})
     #: generic names only flagged when the receiver looks like a store
     STORE_GUARDED = frozenset({"forget", "clear"})
     #: module prefixes (or exact files) allowed to mutate
@@ -90,7 +89,7 @@ class StoreMutationRule(Rule):
             attr = call_attr(node)
             bare = node.func.id if isinstance(node.func, ast.Name) else None
             name = attr or bare
-            if name in self.MUTATORS or name in self.MERGE_APIS:
+            if name in self.MUTATORS:
                 yield self.finding(
                     ctx,
                     node,
@@ -98,7 +97,7 @@ class StoreMutationRule(Rule):
                     "whitelisted modules "
                     f"({', '.join(self.ALLOWED_MODULES)}); global stores are "
                     "loop-thread-only — route the write through the router's "
-                    "merge path or a weights API",
+                    "commit or a weights API",
                 )
             elif attr in self.STORE_GUARDED and isinstance(
                 node.func, ast.Attribute

@@ -240,7 +240,7 @@ class OpenSession(Op[None]):
         load = worker.programs[self.name]
         engine = BLogEngine(load.program, load.config, global_store=worker.mirrors[self.name])
         engine.begin_session()
-        worker.sessions[(self.name, self.session)] = (engine, engine.store.generation)
+        worker.sessions[(self.name, self.session)] = engine
 
 
 @dataclass(frozen=True, slots=True)
@@ -264,12 +264,12 @@ class Query(Op[QueryReply]):
     max_solutions: Optional[int] = None
 
     def apply(self, worker: LaneWorker) -> QueryReply:
-        state = worker.sessions.get((self.name, self.session))
-        if state is None:
+        engine = worker.sessions.get((self.name, self.session))
+        if engine is None:
             raise KeyError(
                 f"session {self.session!r} of {self.name!r} is not open on lane {worker.lane}"
             )
-        return run_engine_query(self, state[0], worker.programs[self.name], worker.processes)
+        return run_engine_query(self, engine, worker.programs[self.name], worker.processes)
 
 
 @dataclass(frozen=True, slots=True)
@@ -281,11 +281,10 @@ class CloseSession(Op[Optional[StoreDelta]]):
     session: str
 
     def apply(self, worker: LaneWorker) -> Optional[StoreDelta]:
-        state = worker.sessions.pop((self.name, self.session), None)
-        if state is None:
+        engine = worker.sessions.pop((self.name, self.session), None)
+        if engine is None:
             return None
-        engine, base_generation = state
-        return engine.store.delta_since(base_generation)
+        return engine.sessions.session_delta()
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,8 +317,8 @@ class LaneWorker:
         self.processes = processes
         self.programs: dict[str, LoadProgram] = {}
         self.mirrors: dict[str, WeightStore] = {}
-        #: (program, session) -> (engine, local-store generation at open)
-        self.sessions: dict[tuple[str, str], tuple[BLogEngine, int]] = {}
+        #: (program, session) -> the engine of that open session
+        self.sessions: dict[tuple[str, str], BLogEngine] = {}
 
     def handle(self, msg: Op[R]) -> Union[R, LaneError]:
         try:

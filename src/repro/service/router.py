@@ -20,7 +20,7 @@ child's, alike); the router keeps a :class:`SessionState` for
 accounting, ships weight-store **deltas** to the lane's mirror (what
 changed since the mirror last synced, a
 :class:`~repro.weights.store.StoreDelta` — never the whole store), and
-merges the touched-keys delta a lane returns at session close.
+commits a session's planned merge once the server has journaled it.
 When a lane is reset (its worker lost), every session routed to it is
 lost with it: :meth:`drop_lane` discards their states without merging,
 so an abandoned session can never leak into the global store.
@@ -33,7 +33,6 @@ import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..weights.session import MergeReport, merge_conservative, merge_strong
 from ..weights.store import StoreDelta, WeightStore
 
 if TYPE_CHECKING:  # telemetry imports stats; keep this edge type-only
@@ -112,37 +111,27 @@ class SessionRouter:
             return None
         return global_store.delta_since(synced_generation)
 
-    def close(
-        self,
-        program_name: str,
-        session: str,
-        delta: Optional[StoreDelta],
-        global_store: WeightStore,
-        alpha: float = 0.5,
-        conservative: bool = True,
-    ) -> Optional[MergeReport]:
-        """End a session: merge the touched-keys delta its lane worker
-        shipped back into the global store (bumping the store generation
-        if anything was learned) and drop the state.  ``delta=None`` (the
-        worker had no such session, e.g. its lane was reset) just drops
-        the state — an abandoned session is never merged.
-
-        The caller runs this on the session's lane, so it cannot race an
-        in-flight query of the same session, and on the event-loop
-        thread, because it writes the global store.
-        """
+    def close(self, program_name: str, session: str) -> bool:
+        """Drop a session's state; False if it was not live (its lane was
+        reset, so it is abandoned, never merged).  Pure accounting: the
+        caller plans and journals the merge, and :meth:`commit` applies
+        it."""
         if self._sessions.pop((program_name, session), None) is None:
-            return None
+            return False
         self._m_live.set(len(self._sessions))
-        if delta is None:
-            return None
-        if conservative:
-            report = merge_conservative(global_store, delta.entries, alpha)
-        else:
-            report = merge_strong(global_store, delta.entries)
+        return True
+
+    def commit(self, global_store: WeightStore, delta: StoreDelta) -> None:
+        """Apply a planned, journaled session merge to the global store
+        and count the session as merged.
+
+        This is the one write of a service's global store.  The caller
+        runs it on the event-loop thread (global stores are
+        loop-thread-only), once a durable service has journaled the delta.
+        """
+        global_store.apply_delta(delta)
         self.sessions_merged += 1
         self._m_merged.inc()
-        return report
 
     def drop_lane(self, lane: int) -> int:
         """Abandon every session routed to ``lane`` (no merges).

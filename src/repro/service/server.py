@@ -12,9 +12,10 @@ of named programs, each with its own global weight store, and serves
 Concurrency contract (who touches what, from where):
 
 * The **event loop thread** is the only mutator of global weight
-  stores: it ships store deltas to lanes on session open and merges
-  the touched-keys delta a lane returns at session close, serialized
-  per lane.
+  stores: it ships store deltas to lanes on session open, and at
+  session close it plans the merge of the touched-keys delta the lane
+  returns, journals it, and only then applies it (one commit at a
+  time).
 * Each lane's **worker** (:class:`~repro.core.procpool.LaneWorker`)
   holds the lane's store mirrors and its sessions' engines and local
   stores, and executes their queries — on a worker thread
@@ -55,7 +56,7 @@ from ..core.procpool import CloseSession, LoadProgram, OpenSession, Query, SyncS
 from ..logic.parser import ParseError, parse_query
 from ..logic.program import Program
 from ..machine.blog_machine import MachineConfig
-from ..weights.session import MergeReport
+from ..weights.session import MergeReport, plan_merge
 from ..weights.store import StoreDelta, WeightStore
 from ..weights.wal import DurableStore
 from .admission import AdmissionController, Overloaded
@@ -279,10 +280,14 @@ class BLogService:
         )
         self.lifecycle = ServiceLifecycle(self, drain_timeout=drain_timeout)
         self._durable: dict[str, DurableStore] = {}
-        #: single-threaded on purpose: WAL appends must hit the journal in
-        #: the order their merges hit the store (the loop thread computes
-        #: deltas in merge order; a FIFO one-worker executor preserves it)
+        #: one thread on purpose: it runs every WAL append and checkpoint
+        #: write, across programs, one at a time in submission order
         self._wal_io: Optional[ThreadPoolExecutor] = None
+        #: held from a merge's plan to its apply, across the WAL append
+        #: (and by a checkpoint's snapshot): a second merge plans against
+        #: the first one's apply, and a snapshot never sees a journaled
+        #: merge that is not yet applied
+        self._commit_lock = asyncio.Lock()
         self._checkpoint_task: Optional[asyncio.Task] = None
 
     # -- registry ----------------------------------------------------------
@@ -396,40 +401,50 @@ class BLogService:
                     "blog_recovery_records_replayed_total"
                 ).inc(replayed_total)
 
-    async def _journal_merge(
-        self, entry: ProgramEntry, session: str, pre_generation: int, trace: Trace
-    ) -> None:
-        """WAL-append what a just-completed merge changed, fsynced before
-        the caller acknowledges the merge.  The delta is computed *here*,
-        on the loop thread with no await since the merge applied (so it
-        is exactly the store change being acknowledged); only its JSON
-        encoding and the disk write run on the WAL executor.  A no-op
-        merge (generation unchanged) journals nothing.
+    async def _commit(
+        self,
+        entry: ProgramEntry,
+        session: str,
+        buffer: StoreDelta,
+        conservative: bool,
+        trace: Trace,
+    ) -> MergeReport:
+        """Merge a closed session's buffer into the program's global
+        store, journal first.
+
+        The merge is planned against the store as it stands, its delta
+        is WAL-appended (fsync included) on a durable service, and only
+        then applied and acknowledged: an append that raises leaves the
+        store, its generation and the answer cache as they were.  A
+        merge that writes nothing journals nothing.
         """
-        ds = self._durable.get(entry.name)
-        if ds is None:
-            return
-        store = entry.global_store
-        if store.generation == pre_generation:
-            return
-        delta = store.delta_since(pre_generation)
-        generation = store.generation
-        loop = asyncio.get_running_loop()
-        with trace.span("wal-append", program=entry.name) as span:
-            await loop.run_in_executor(
-                self._wal_io, ds.log_merge, session, generation, delta
+        async with self._commit_lock:
+            delta, report = plan_merge(
+                entry.global_store,
+                buffer.entries,
+                alpha=entry.config.alpha,
+                conservative=conservative,
             )
-            span.set("seq", ds.wal.seq)
-        registry = self.telemetry.registry
-        registry.counter("blog_wal_appends_total").inc()
-        registry.histogram("blog_wal_fsync_seconds").observe(ds.wal.last_fsync_s)
+            ds = self._durable.get(entry.name)
+            if ds is not None and delta.generation != delta.base:
+                loop = asyncio.get_running_loop()
+                with trace.span("wal-append", program=entry.name) as span:
+                    await loop.run_in_executor(
+                        self._wal_io, ds.log_merge, session, delta.generation, delta
+                    )
+                    span.set("seq", ds.wal.seq)
+                registry = self.telemetry.registry
+                registry.counter("blog_wal_appends_total").inc()
+                registry.histogram("blog_wal_fsync_seconds").observe(ds.wal.last_fsync_s)
+            self.router.commit(entry.global_store, delta)
+        return report
 
     async def checkpoint(self) -> None:
         """Snapshot every durable store and compact its journal.
 
-        The payload is prepared on the loop thread (consistent store +
-        seq view); only the atomic file write runs on the WAL executor,
-        serialized behind any in-flight appends.
+        The payload is prepared on the loop thread, between commits
+        (consistent store + seq view); only the atomic file write runs
+        on the WAL executor, serialized behind any in-flight appends.
         """
         if not self._durable:
             return
@@ -437,7 +452,8 @@ class BLogService:
         with self.telemetry.registry.histogram("blog_checkpoint_seconds").time():
             for name, ds in sorted(self._durable.items()):
                 entry = self.programs[name]
-                payload = ds.prepare_checkpoint(entry.global_store)
+                async with self._commit_lock:
+                    payload = ds.prepare_checkpoint(entry.global_store)
                 await loop.run_in_executor(self._wal_io, ds.write_checkpoint, payload)
 
     async def _checkpoint_loop(self) -> None:
@@ -672,11 +688,11 @@ class BLogService:
         """Merge a session into the program's global store (bumping its
         generation) and drop the session state.
 
-        The merge runs as a job on the session's own lane, so it
+        The lane close runs as a job on the session's own lane, so it
         serializes behind any in-flight query of that session.  The lane
-        worker ships back the session's touched-keys delta and the merge
-        applies it here, on the event loop (global stores are
-        loop-thread-only); if the worker was lost, the session is
+        worker ships back the session's touched-keys delta, and
+        :meth:`_commit` merges it here, on the event loop (global stores
+        are loop-thread-only); if the worker was lost, the session is
         abandoned (None), never merged.
         """
         if self.router.get(program, session) is None:
@@ -686,13 +702,14 @@ class BLogService:
             return None
         lane = self.router.lane_for(session)
 
-        async def merge() -> Optional[MergeReport]:
+        async def close() -> Optional[StoreDelta]:
+            """The session's buffer, or None when it is abandoned."""
             view = self.pool.lane(lane)
-            delta: Optional[StoreDelta] = None
+            buffer: Optional[StoreDelta] = None
             # not open in the worker: the lane was reset since — abandoned
             if (program, session) in view.open_sessions:
                 try:
-                    delta = await self.pool.lane_call(
+                    buffer = await self.pool.lane_call(
                         lane, CloseSession(program, session), self.default_timeout
                     )
                 except WorkerDied:
@@ -700,29 +717,20 @@ class BLogService:
                     # reset already dropped the router state — abandoned
                     return None
                 view.open_sessions.discard((program, session))
-            return self.router.close(
-                program,
-                session,
-                delta,
-                entry.global_store,
-                alpha=entry.config.alpha,
-                conservative=conservative,
-            )
+            if not self.router.close(program, session):
+                return None
+            return buffer
 
         async def run(job: Job) -> Optional[MergeReport]:
             trace.span_at(
                 "queue", job.enqueued_at, job.started_at or job.enqueued_at, lane=lane
             )
             with trace.span("merge", lane=lane, backend=self.backend) as span:
-                pre_generation = entry.global_store.generation
-                report = await merge()
+                buffer = await close()
+                report = None
+                if buffer is not None:
+                    report = await self._commit(entry, session, buffer, conservative, trace)
                 span.set("merged", report is not None)
-                if report is not None:
-                    report.generation = entry.global_store.generation
-                    # durable before acknowledged: the journal append
-                    # (fsync included) completes before this job — and
-                    # therefore the client's end_session reply — resolves
-                    await self._journal_merge(entry, session, pre_generation, trace)
                 return report
 
         with self.telemetry.tracer.trace(

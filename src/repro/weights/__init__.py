@@ -21,12 +21,7 @@ from .policies import (
     on_failure_policy,
     on_success_policy,
 )
-from .session import (
-    MergeReport,
-    SessionManager,
-    merge_conservative,
-    merge_strong,
-)
+from .session import MergeReport, SessionManager, plan_merge
 from .store import StoreDelta, WeightEntry, WeightState, WeightStore
 from .theory import TheoryResult, solve_weights, store_from_theory, verify_assignment
 from .update import UpdateLog, apply_outcome, on_failure, on_success
@@ -47,8 +42,7 @@ __all__ = [
     "store_from_theory",
     "MergeReport",
     "SessionManager",
-    "merge_conservative",
-    "merge_strong",
+    "plan_merge",
     "ConditionalWeightStore",
     "conditional_on_failure",
     "conditional_on_success",

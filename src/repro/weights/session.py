@@ -24,22 +24,21 @@ INFINITE           INFINITE           unchanged
 =================  =================  =========================================
 
 α is the session learning rate (default 0.5).
+
+:func:`plan_merge` only plans: it returns the merge as one
+:class:`~repro.weights.store.StoreDelta`, and ``apply_delta`` is the
+commit.  The service journals the delta before it applies it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..ortree.tree import ArcKey
-from .store import WeightEntry, WeightState, WeightStore
+from .store import StoreDelta, WeightEntry, WeightState, WeightStore
 
-__all__ = [
-    "MergeReport",
-    "merge_conservative",
-    "merge_strong",
-    "SessionManager",
-]
+__all__ = ["MergeReport", "plan_merge", "SessionManager"]
 
 
 @dataclass
@@ -58,66 +57,63 @@ class MergeReport:
     generation: int = 0
 
 
-def merge_conservative(
+def plan_merge(
     global_store: WeightStore,
     entries: Mapping[ArcKey, WeightEntry],
+    *,
     alpha: float = 0.5,
-) -> MergeReport:
-    """Apply the §5 conservative end-of-session merge in place.
+    conservative: bool = True,
+) -> tuple[StoreDelta, MergeReport]:
+    """Plan the §5 end-of-session merge of ``entries`` into
+    ``global_store``; the store is only read.
 
-    ``entries`` is the session's "separate buffer" of updates,
-    ``local.delta_since(start).entries``: only the keys the session
+    ``entries`` is the session's "separate buffer" of updates
+    (:meth:`SessionManager.session_delta`): only the keys the session
     wrote, so a key another session merged mid-way is not dragged back
     toward the stale copy this session inherited at open.  Pass
-    ``local.snapshot()`` to merge a whole store.
+    ``local.snapshot()`` to merge a whole store.  ``conservative=False``
+    is the E4 ablation: local wins outright, infinities included.
+
+    The returned delta holds each entry the merge writes (values
+    clamped at 0, builtin keys never written) and advances the
+    generation by one per write, an averaged write included even when
+    its value is unchanged.  ``global_store.apply_delta(delta)`` commits
+    it; ``report.generation`` is the generation it commits to.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must be in (0, 1]")
     report = MergeReport()
+    writes: dict[ArcKey, WeightEntry] = {}
     for key, local in entries.items():
         if local.state is WeightState.UNKNOWN:
             report.unchanged += 1
             continue
         glob = global_store.entry(key)
         if local.state is WeightState.INFINITE:
-            if glob.state is WeightState.UNKNOWN:
-                global_store.set_infinite(key)
+            if conservative and glob.state is WeightState.KNOWN:
+                # never overridden by an infinity
+                report.suppressed_infinities += 1
+                continue
+            if conservative and glob.state is WeightState.INFINITE:
+                report.unchanged += 1
+                continue
+            merged = WeightEntry(WeightState.INFINITE, global_store.infinity_value)
+            report.adopted += 1
+        else:  # local KNOWN
+            value = local.value
+            if not conservative or glob.state is WeightState.UNKNOWN:
                 report.adopted += 1
             elif glob.state is WeightState.INFINITE:
-                report.unchanged += 1
-            else:  # KNOWN: never overridden by an infinity
-                report.suppressed_infinities += 1
-            continue
-        # local KNOWN
-        if glob.state is WeightState.UNKNOWN:
-            global_store.set_known(key, local.value)
-            report.adopted += 1
-        elif glob.state is WeightState.INFINITE:
-            global_store.set_known(key, local.value)
-            report.retracted += 1
-        else:
-            blended = (1.0 - alpha) * glob.value + alpha * local.value
-            global_store.set_known(key, blended)
-            report.averaged += 1
-    return report
-
-
-def merge_strong(
-    global_store: WeightStore, entries: Mapping[ArcKey, WeightEntry]
-) -> MergeReport:
-    """The non-conservative alternative (E4 ablation): local wins outright,
-    including infinities overriding known weights."""
-    report = MergeReport()
-    for key, local in entries.items():
-        if local.state is WeightState.UNKNOWN:
-            report.unchanged += 1
-        elif local.state is WeightState.INFINITE:
-            global_store.set_infinite(key)
-            report.adopted += 1
-        else:
-            global_store.set_known(key, local.value)
-            report.adopted += 1
-    return report
+                report.retracted += 1
+            else:
+                value = (1.0 - alpha) * glob.value + alpha * local.value
+                report.averaged += 1
+            merged = WeightEntry(WeightState.KNOWN, max(0.0, float(value)))
+        if key.kind != "builtin":  # builtins stay at probability 1
+            writes[key] = merged
+    base = global_store.generation
+    report.generation = base + len(writes)
+    return StoreDelta(base, report.generation, writes), report
 
 
 class SessionManager:
@@ -142,7 +138,6 @@ class SessionManager:
         self.local: Optional[WeightStore] = None
         self._base_generation: int = 0  # local generation at begin_session
         self.sessions_completed = 0
-        self.merge_reports: list[MergeReport] = []
 
     @property
     def in_session(self) -> bool:
@@ -161,6 +156,13 @@ class SessionManager:
         self._base_generation = self.local.generation
         return self.local
 
+    def session_delta(self) -> StoreDelta:
+        """The session's "separate buffer" (§5): what the local store
+        wrote since ``begin_session``."""
+        if self.local is None:
+            raise RuntimeError("no active session")
+        return self.local.delta_since(self._base_generation)
+
     def end_session(self, conservative: bool = True) -> MergeReport:
         """End the session, merging local results into the global store.
 
@@ -169,16 +171,15 @@ class SessionManager:
         ``begin_session`` are not re-asserted, so a concurrent merge of
         another session is never averaged back toward a stale copy.
         """
-        if self.local is None:
-            raise RuntimeError("no active session")
-        touched = self.local.delta_since(self._base_generation).entries
-        if conservative:
-            report = merge_conservative(self.global_store, touched, self.alpha)
-        else:
-            report = merge_strong(self.global_store, touched)
+        delta, report = plan_merge(
+            self.global_store,
+            self.session_delta().entries,
+            alpha=self.alpha,
+            conservative=conservative,
+        )
+        self.global_store.apply_delta(delta)
         self.local = None
         self.sessions_completed += 1
-        self.merge_reports.append(report)
         return report
 
     def abort_session(self) -> None:

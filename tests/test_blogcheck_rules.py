@@ -62,11 +62,6 @@ class TestStoreMutation:
         result = lint_snippet(tmp_path, "scratch.py", self.BAD)
         assert result.ok
 
-    def test_merge_api_flagged(self, tmp_path):
-        src = "def f(g, l):\n    return merge_strong(g, l)\n"
-        result = lint_snippet(tmp_path, "repro/service/bad.py", src)
-        assert codes(result) == ["BLG001"]
-
     def test_clear_needs_storelike_receiver(self, tmp_path):
         src = "def f(self):\n    self.marks.clear()\n    self.store.clear()\n"
         result = lint_snippet(tmp_path, "repro/spd/x.py", src)

@@ -278,7 +278,7 @@ class TestSessionAffinity:
                 QueryRequest("family", "gf(sam, G)", session="b", cache=False)
             )
             engines = [
-                svc.pool.backend.workers[svc.router.lane_for(s)].sessions[("family", s)][0]
+                svc.pool.backend.workers[svc.router.lane_for(s)].sessions[("family", s)]
                 for s in ("a", "b")
             ]
             return engines, svc.programs["family"].global_store

@@ -20,7 +20,7 @@ import pytest
 
 from repro.ortree.tree import ArcKey
 from repro.weights.persist import DELTA_FORMAT, delta_from_dict, delta_to_dict
-from repro.weights.session import SessionManager, merge_conservative
+from repro.weights.session import SessionManager, plan_merge
 from repro.weights.store import StoreDelta, WeightState, WeightStore
 
 
@@ -151,7 +151,8 @@ class TestDeltaRoundtrip:
         # adopts the live entry and leaves arc(2) as it was
         glob = WeightStore()
         glob.set_known(arc(2), 7.0)
-        report = merge_conservative(glob, entries)
+        delta, report = plan_merge(glob, entries)
+        glob.apply_delta(delta)
         assert report.adopted == 1 and report.unchanged == 1
         assert glob.weight(arc(1)) == 3.0 and glob.weight(arc(2)) == 7.0
 

@@ -6,7 +6,7 @@ single integer compare instead of deep-comparing stores.
 """
 
 from repro.ortree.tree import ArcKey
-from repro.weights.session import merge_conservative
+from repro.weights.session import plan_merge
 from repro.weights.store import WeightStore
 
 
@@ -85,12 +85,14 @@ class TestMergeBumpsGeneration:
         local.set_known(ptr(1), 3.0)
         local.set_infinite(ptr(2))
         before = glob.generation
-        merge_conservative(glob, local.snapshot())
+        delta, _ = plan_merge(glob, local.snapshot())
+        glob.apply_delta(delta)
         assert glob.generation > before
 
     def test_merge_that_learns_nothing_leaves_generation(self):
         glob = WeightStore()
         local = glob.copy()  # session ran no informative queries
         before = glob.generation
-        merge_conservative(glob, local.snapshot())
+        delta, _ = plan_merge(glob, local.snapshot())
+        glob.apply_delta(delta)
         assert glob.generation == before
