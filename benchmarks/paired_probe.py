@@ -12,6 +12,12 @@ query in CPU seconds, with a fresh engine and session as the
 side's min and quartiles, and the median of the per-round ratios
 CHANGE/BASE: below 1 means CHANGE spends less CPU.  Pairing the two
 sides query by query cancels the host's slow swings in speed.
+
+Each worker also reports every query's work: expansions, children
+generated and ``words_copied``.  The probe prints them per shape and
+exits with status 1 when the two sides did different work, or one
+shape's work changed from one query to the next: a saving must not
+come from doing less.
 """
 
 from __future__ import annotations
@@ -28,9 +34,21 @@ SHAPES = ("queens5", "nrev30")
 
 def worker(core: int) -> None:
     os.sched_setaffinity(0, {core})
+    import repro.core.engine as engine_mod
     from repro.core import BLogConfig, BLogEngine
     from repro.logic.program import Program
     from repro.workloads import NREV_SOURCE, nqueens_program, nqueens_query
+
+    trees = []
+
+    class Recorded(engine_mod.OrTree):
+        """The engine's tree, kept for its ``words_copied``."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            trees.append(self)
+
+    engine_mod.OrTree = Recorded
 
     nrev = f"nrev([{', '.join(str(v) for v in range(30))}], R)"
     shapes = {"queens5": (nqueens_program(5), nqueens_query(), None),
@@ -41,9 +59,11 @@ def worker(core: int) -> None:
         t0 = time.process_time()
         engine = BLogEngine(program, config)
         engine.begin_session()
-        engine.query(query, max_solutions=max_solutions)
+        result = engine.query(query, max_solutions=max_solutions)
         engine.end_session()
-        print(time.process_time() - t0, flush=True)
+        seconds = time.process_time() - t0
+        tree = trees.pop()
+        print(seconds, result.expansions, result.generated, tree.words_copied, flush=True)
 
 
 def main() -> None:
@@ -60,19 +80,25 @@ def main() -> None:
             [sys.executable, os.path.abspath(__file__), "--worker", str(core)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env))
 
-    def ask(side: subprocess.Popen, shape: str) -> float:
+    #: (shape, side) -> every query's (expansions, generated, words_copied)
+    work: dict[tuple[str, int], set] = {(shape, i): set() for shape in SHAPES for i in (0, 1)}
+
+    def ask(i: int, shape: str) -> float:
+        side = sides[i]
         side.stdin.write(shape + "\n")
         side.stdin.flush()
-        return float(side.stdout.readline())
+        seconds, *counts = side.stdout.readline().split()
+        work[shape, i].add(tuple(int(c) for c in counts))
+        return float(seconds)
 
     times = {(shape, i): [] for shape in SHAPES for i in (0, 1)}
     for shape in SHAPES:  # warm-up: first-use compilation stays out
-        for side in sides:
-            ask(side, shape)
+        for i in (0, 1):
+            ask(i, shape)
     for r in range(args.rounds):
         for shape in SHAPES:
             for i in ((0, 1) if r % 2 == 0 else (1, 0)):
-                times[shape, i].append(ask(sides[i], shape))
+                times[shape, i].append(ask(i, shape))
     for side in sides:
         side.stdin.close()
         side.wait()
@@ -86,6 +112,18 @@ def main() -> None:
         won = sum(x < 1.0 for x in ratios)
         print(f"{shape:8} change/base median pair ratio x{statistics.median(ratios):.3f}"
               f" (change cheaper in {won}/{len(ratios)} rounds)")
+    print(f"{'shape':8} {'side':7} {'expansions':>10} {'generated':>10} {'words_copied':>12}")
+    same = True
+    for shape in SHAPES:
+        for i, name in enumerate(("base", "change")):
+            for counts in sorted(work[shape, i]):
+                print(f"{shape:8} {name:7} {counts[0]:10} {counts[1]:10} {counts[2]:12}")
+        base, change = work[shape, 0], work[shape, 1]
+        if len(base) != 1 or base != change:
+            same = False
+            print(f"{shape:8} WORK DIFFERS: each side must do one and the same work per query")
+    if not same:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -26,14 +26,22 @@ because nothing can write into it.
 
 A clause is renamed through its :class:`ClauseTemplate`, compiled once:
 head and body with each variable replaced by a numbered
-:class:`~repro.logic.terms.Slot`.  The OR-tree unifies a goal against
-the template head directly and builds the body only for a clause that
+:class:`~repro.logic.terms.Slot`.  As the WAM compiles a head into get
+and unify instructions and a body into put instructions, each template
+runs code generated for its clause's shape: ``match`` is :func:`unify`
+of a goal against the head, unrolled on the head's known structure
+(same order, same bindings), and ``build`` constructs the body from the
+values of its slots, each resolved once.  The OR-tree matches a goal
+against the template and builds the body only for a clause that
 matched; :meth:`ClauseTemplate.rename` serves the rename-then-unify
 callers.  Both take fresh ids in the order ``rename_apart`` would.
+Generated code is shared by every clause of one shape and holds no
+constant: functors, atoms and integers are passed to it as data.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Optional
 
 from .terms import Atom, Int, Slot, Struct, Term, Var, fresh_var, take_ids
@@ -269,26 +277,66 @@ class ClauseTemplate:
     ``slots`` lists the clause's distinct variables in first-occurrence
     order, head then body — the order in which ``rename_apart`` with a
     shared mapping allocates their fresh ids.
+
+    :meth:`match`, :meth:`values` and :meth:`build` run code generated
+    for the clause's *shape*: its head and body with every functor, atom, integer and
+    ground subterm taken out as data (``consts``).  Clauses of one shape,
+    such as the facts of one predicate, share one :class:`_Kernel`, and
+    the generated source never holds a constant, whatever characters its
+    name has.  A template pickles as its head and body, without the
+    kernel, and is compiled again where it is loaded.
     """
 
-    __slots__ = ("head", "body", "slots")
+    __slots__ = ("head", "body", "slots", "consts", "kernel")
 
     def __init__(self, head: Term, body: tuple[Term, ...]):
         slots: dict[int, Slot] = {}
-
-        def go(t: Term) -> Term:
-            if isinstance(t, Var):
-                slot = slots.get(t.id)
-                if slot is None:
-                    slot = slots[t.id] = Slot(t.name, len(slots))
-                return slot
-            if isinstance(t, Struct) and not t.ground:
-                return Struct(t.functor, [go(a) for a in t.args])
-            return t
-
-        self.head = go(head)
-        self.body = tuple(go(g) for g in body)
+        self.head = _slotted(head, slots)
+        self.body = tuple(_slotted(g, slots) for g in body)
         self.slots = tuple(slots.values())
+        consts: list = []
+        head_key = _head_key(self.head, consts, True)
+        for slot in self.slots:
+            consts += (slot, slot.id)
+        body_key = tuple(_body_key(g, consts) for g in self.body)
+        key = (head_key, body_key, len(self.slots))
+        kernel = _KERNELS.get(key)
+        if kernel is None:
+            kernel = _compiled(key)
+        self.consts = tuple(consts)
+        self.kernel = kernel
+
+    def __reduce__(self):
+        # the kernel is generated code: compile again where loaded
+        return (ClauseTemplate, (self.head, self.body))
+
+    def match(self, goal: Term, bindings: Bindings) -> bool:
+        """Unify ``goal`` with the head in ``bindings``.
+
+        The same bindings, made in the same order, as
+        ``unify(goal, self.head, bindings)``: right to left, each goal
+        variable bound to the head's term, each slot to the goal's.
+        ``bindings`` must not reach a slot of this template yet.
+        """
+        return self.kernel.match(goal, bindings, self)
+
+    def values(self, bmap: dict) -> list:
+        """After a match: :meth:`fill` ``bmap``, then the value of each
+        slot the body uses, resolved once, by slot index (``None`` for a
+        slot only the head uses)."""
+        return self.kernel.values(bmap, self)
+
+    def build(self, values: list) -> tuple[Term, ...]:
+        """The body with each slot replaced by its entry in ``values``:
+        equal to the body resolved through the bindings ``values`` came
+        from."""
+        return self.kernel.build(values, self)
+
+    @property
+    def counts(self) -> tuple[tuple[int, int], ...]:
+        """``(slot index, occurrences in the body)`` of each slot the body
+        uses, in slot order."""
+        return self.kernel.counts
 
     def fill(self, bmap: dict) -> None:
         """Bind each slot ``bmap`` leaves unbound to a fresh variable.
@@ -306,7 +354,20 @@ class ClauseTemplate:
         return _instantiate(self.head, fresh), tuple(_instantiate(g, fresh) for g in self.body)
 
 
-def _instantiate(t: Term, fresh: list[Var]) -> Term:
+def _slotted(t: Term, slots: dict[int, Slot]) -> Term:
+    """``t`` with each variable replaced by its slot, numbered in
+    first-occurrence order."""
+    if isinstance(t, Var):
+        slot = slots.get(t.id)
+        if slot is None:
+            slot = slots[t.id] = Slot(t.name, len(slots))
+        return slot
+    if isinstance(t, Struct) and not t.ground:
+        return Struct(t.functor, [_slotted(a, slots) for a in t.args])
+    return t
+
+
+def _instantiate(t: Term, fresh: list) -> Term:
     """Template term ``t`` with slot ``i`` replaced by ``fresh[i]``."""
     if isinstance(t, Struct):
         if t.ground:
@@ -315,3 +376,253 @@ def _instantiate(t: Term, fresh: list[Var]) -> Term:
     if isinstance(t, Slot):
         return fresh[t.index]
     return t
+
+
+# -- clause kernels ------------------------------------------------------------------
+#
+# A shape key is a nested tuple: a slot is its index, a structure the
+# tuple of its arguments' keys, and any other term a one-letter tag.  The
+# constants a key stands for are appended to ``consts`` in pre-order:
+# for the head, a functor (and, below the top, the structure itself, to
+# bind a goal variable to), then an atom, integer or ground subterm as
+# the term; then each slot and its id; then, for the body, each functor
+# and each ground subterm.
+
+#: head structures nested deeper than this are matched by ``_unify``
+#: (generated code nests two blocks per level)
+_MAX_NESTING = 32
+
+#: the kernel of each shape key, oldest first; a template holds its own
+#: kernel, so dropping the oldest shapes past the bound only stops them
+#: being shared with templates compiled later
+_KERNELS: dict[tuple, "_Kernel"] = {}
+_MAX_KERNELS = 4096
+_KERNELS_LOCK = threading.Lock()
+
+
+def _compiled(key: tuple) -> "_Kernel":
+    """The kernel of shape ``key``, compiled on first use."""
+    with _KERNELS_LOCK:
+        kernel = _KERNELS.get(key)
+        if kernel is None:
+            if len(_KERNELS) >= _MAX_KERNELS:
+                del _KERNELS[next(iter(_KERNELS))]
+            kernel = _KERNELS[key] = _Kernel(*key)
+        return kernel
+
+
+def _head_key(t: Term, consts: list, top: bool = False):
+    if isinstance(t, Slot):
+        return t.index
+    if isinstance(t, Struct) and (top or not t.ground):
+        consts.append(t.functor)
+        if not top:
+            consts.append(t)
+        return tuple(_head_key(a, consts) for a in t.args)
+    consts.append(t)
+    if isinstance(t, Atom):
+        return "a"
+    return "i" if isinstance(t, Int) else "g"
+
+
+def _body_key(t: Term, consts: list):
+    if isinstance(t, Slot):
+        return t.index
+    if isinstance(t, Struct) and not t.ground:
+        consts.append(t.functor)
+        return tuple(_body_key(a, consts) for a in t.args)
+    consts.append(t)
+    return "c"
+
+
+class _Kernel:
+    """The generated functions of one clause shape.
+
+    ``match(goal, bindings, template)`` is ``_unify(goal, head)`` unrolled
+    on the head's structure; ``values(bmap, template)`` fills the slots
+    and resolves the ones the body uses; ``build(values, template)``
+    constructs the body.  ``counts`` is each body slot's static
+    occurrence count.
+    """
+
+    __slots__ = ("match", "values", "build", "counts")
+
+    def __init__(self, head_key, body_key: tuple, nslots: int):
+        index = [0]  # the next constant's index
+
+        def take() -> int:
+            index[0] += 1
+            return index[0] - 1
+
+        def annotate(k, top: bool = False):
+            if isinstance(k, int):
+                return ("v", k)
+            if isinstance(k, tuple):
+                f = take()
+                return ("s", f, None if top else take(), [annotate(a) for a in k])
+            return (k, take())
+
+        root = annotate(head_key, True)
+        slot_base = index[0]
+        index[0] += 2 * nslots
+        counts: dict[int, int] = {}
+        for k in body_key:
+            _count_slots(k, counts)
+        self.counts = tuple(sorted(counts.items()))
+        namespace = {
+            "Var": Var, "Atom": Atom, "Int": Int, "Struct": Struct,
+            "_unify": _unify, "_resolve": _resolve, "take_ids": take_ids,
+        }
+        exec(_match_source(root, slot_base), namespace)
+        exec(_values_source(nslots, slot_base, counts), namespace)
+        exec(_build_source(body_key, take), namespace)
+        self.match = namespace["match"]
+        self.values = namespace["values"]
+        self.build = namespace["build"]
+
+
+def _count_slots(k, counts: dict[int, int]) -> None:
+    if isinstance(k, int):
+        counts[k] = counts.get(k, 0) + 1
+    elif isinstance(k, tuple):
+        for a in k:
+            _count_slots(a, counts)
+
+
+def _match_source(root: tuple, slot_base: int) -> str:
+    lines = [
+        "def match(g, b, t):",
+        "    c = t.consts",
+        "    bmap = b.map",
+        "    trail = b.trail",
+        "    x = g",
+    ]
+    seen: set[int] = set()
+    out = lines.append
+
+    def mark(node: tuple) -> None:
+        if node[0] == "v":
+            seen.add(node[1])
+        elif node[0] == "s":
+            for a in node[3]:
+                mark(a)
+
+    def deref_or_bind(ind: str, target: str) -> None:
+        # dereference x; an unbound variable is bound to ``target`` and
+        # the else-block, written next, runs for any other term
+        out(f"{ind}while isinstance(x, Var):")
+        out(f"{ind}    y = bmap.get(x.id)")
+        out(f"{ind}    if y is None:")
+        out(f"{ind}        bmap[x.id] = {target}")
+        out(f"{ind}        trail.append(x.id)")
+        out(f"{ind}        break")
+        out(f"{ind}    x = y")
+        out(f"{ind}else:")
+
+    def emit(node: tuple, ind: str, depth: int) -> None:
+        kind = node[0]
+        inner = ind + "    "
+        if kind == "v":
+            slot, sid = f"c[{slot_base + 2 * node[1]}]", f"c[{slot_base + 2 * node[1] + 1}]"
+            if node[1] not in seen:
+                # first occurrence on the match path: the slot is unbound
+                seen.add(node[1])
+                deref_or_bind(ind, slot)
+                out(f"{inner}bmap[{sid}] = x")
+                out(f"{inner}trail.append({sid})")
+                return
+            out(f"{ind}y = bmap.get({sid})")
+            out(f"{ind}if y is None:")
+            out(f"{ind}    y = {slot}")
+            out(f"{ind}else:")
+            out(f"{ind}    while isinstance(y, Var):")
+            out(f"{ind}        z = bmap.get(y.id)")
+            out(f"{ind}        if z is None:")
+            out(f"{ind}            break")
+            out(f"{ind}        y = z")
+            out(f"{ind}while isinstance(x, Var):")
+            out(f"{ind}    z = bmap.get(x.id)")
+            out(f"{ind}    if z is None:")
+            out(f"{ind}        if not isinstance(y, Var) or y.id != x.id:")
+            out(f"{ind}            bmap[x.id] = y")
+            out(f"{ind}            trail.append(x.id)")
+            out(f"{ind}        break")
+            out(f"{ind}    x = z")
+            out(f"{ind}else:")
+            out(f"{inner}if x is not y:")
+            out(f"{inner}    if isinstance(y, Var):")
+            out(f"{inner}        bmap[y.id] = x")
+            out(f"{inner}        trail.append(y.id)")
+            out(f"{inner}    elif not _unify(x, y, b, False):")
+            out(f"{inner}        return False")
+            return
+        if kind != "s":
+            term = f"c[{node[1]}]"
+            deref_or_bind(ind, term)
+            if kind == "a":
+                out(f"{inner}if not isinstance(x, Atom) or x.name != {term}.name:")
+            elif kind == "i":
+                out(f"{inner}if not isinstance(x, Int) or x.value != {term}.value:")
+            else:
+                out(f"{inner}if x is not {term} and not _unify(x, {term}, b, False):")
+            out(f"{inner}    return False")
+            return
+        _, functor, struct, args = node
+        term = "t.head" if struct is None else f"c[{struct}]"
+        if depth > _MAX_NESTING:
+            mark(node)
+            out(f"{ind}if not _unify(x, {term}, b, False):")
+            out(f"{ind}    return False")
+            return
+        deref_or_bind(ind, term)
+        out(f"{inner}if x is not {term}:")
+        out(f"{inner}    if not isinstance(x, Struct) or x.functor != c[{functor}]"
+            f" or len(x.args) != {len(args)}:")
+        out(f"{inner}        return False")
+        out(f"{inner}    a{depth} = x.args")
+        for i in reversed(range(len(args))):
+            out(f"{inner}    x = a{depth}[{i}]")
+            emit(args[i], inner + "    ", depth + 1)
+
+    emit(root, "    ", 0)
+    out("    return True")
+    return "\n".join(lines) + "\n"
+
+
+def _values_source(nslots: int, slot_base: int, used: dict[int, int]) -> str:
+    lines = ["def values(bmap, t):"]
+    if nslots:
+        lines += ["    c = t.consts", f"    ids = take_ids({nslots})"]
+    for i in range(nslots):
+        sid = f"c[{slot_base + 2 * i + 1}]"
+        lines.append(f"    if {sid} not in bmap:")
+        lines.append(f"        bmap[{sid}] = Var(c[{slot_base + 2 * i}].name, ids[{i}])")
+    # resolve only once every slot is filled: a value may reach any slot
+    for i in sorted(used):
+        lines.append(f"    v{i} = bmap[c[{slot_base + 2 * i + 1}]]")
+        lines.append(f"    if not v{i}.ground:")
+        lines.append(f"        v{i} = _resolve(v{i}, bmap)")
+    out = "".join(f"v{i}, " if i in used else "None, " for i in range(nslots))
+    lines.append(f"    return [{out}]")
+    return "\n".join(lines) + "\n"
+
+
+def _build_source(body_key: tuple, take) -> str:
+    lines = ["def build(v, t):", "    c = t.consts"]
+    temps = [0]
+
+    def expr(k) -> str:
+        if isinstance(k, int):
+            return f"v[{k}]"
+        if isinstance(k, tuple):
+            functor = take()
+            args = "".join(f"{expr(a)}, " for a in k)
+            name = f"s{temps[0]}"
+            temps[0] += 1
+            lines.append(f"    {name} = Struct(c[{functor}], ({args}))")
+            return name
+        return f"c[{take()}]"
+
+    goals = "".join(f"{expr(k)}, " for k in body_key)
+    lines.append(f"    return ({goals})")
+    return "\n".join(lines) + "\n"

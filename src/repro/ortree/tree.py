@@ -31,12 +31,16 @@ once it is expanded, through the step bindings of its chain.
 
 Copying: a step pays for the clauses that match and for the terms it
 binds.  Each clause is compiled once, on first use, into a template
-whose variables are numbered slots; the selected goal is unified
-against the template head directly, so a candidate that fails builds
-no term (it still takes the fresh variable ids renaming would have, so
-ids come in the same sequence).  For a match, each slot left unbound
-gets one fresh variable and the body is built by one resolve through
-the step's bindings.  ``words_copied`` is the §6 model's count: the
+whose variables are numbered slots, with a head match and a body build
+generated for its shape; the selected goal is matched against the
+template head directly, so a candidate that fails builds no term (it
+still takes the fresh variable ids renaming would have, so ids come in
+the same sequence).  For a match, each slot left unbound gets one fresh
+variable, each slot the body uses is resolved once, and the body is
+built from those values; the child that takes the environment over
+counts the body's variables from the same values and their static
+occurrence counts.  A determinate builtin runs as one call that binds
+into the step's bindings.  ``words_copied`` is the §6 model's count: the
 words a copying machine writes into each child, the full size of its
 resolved goals and answer.  It is computed from sizes, without building
 the copy: the parent's size, less the selected goal, plus the body,
@@ -70,7 +74,7 @@ from dataclasses import dataclass, field
 from operator import is_
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from ..logic.builtins import BUILTINS, BuiltinError, call_builtin, is_builtin
+from ..logic.builtins import BUILTINS, DETERMINATE, BuiltinError, call_builtin, is_builtin
 from ..logic.parser import parse_query
 from ..logic.program import Program
 from ..logic.terms import Atom, Struct, Term, Var, skip_ids, term_vars
@@ -148,24 +152,43 @@ def _count_vars(term: Term, occ: dict[int, int], k: int) -> None:
                 _count_vars(a, occ, k)
 
 
-def _advance(occ: dict[int, int], step: Optional[Step], body: tuple[Term, ...]) -> None:
+def _advance(
+    occ: dict[int, int],
+    step: Optional[Step],
+    body: tuple[Term, ...],
+    values: Optional[list] = None,
+    counts: Optional[tuple[tuple[int, int], ...]] = None,
+) -> None:
     """Move ``occ``, a node's counts less its selected goal, on to a
     child: each variable the child's step binds gives way to its
-    binding's variables, and the body's variables come in."""
+    binding's variables, and the body's variables come in — read from
+    the slot ``values`` times their static ``counts`` when the body was
+    built from a clause template, else from the body goals."""
     if step:
         for vid, val in step:
             n = occ.pop(vid)
             if not val.ground:
                 _count_vars(val, occ, n)
-    for g in body:
-        if not g.ground:
-            _count_vars(g, occ, 1)
+    if counts is None:
+        for g in body:
+            if not g.ground:
+                _count_vars(g, occ, 1)
+        return
+    for i, k in counts:
+        val = values[i]  # type: ignore[index]
+        if not val.ground:
+            _count_vars(val, occ, k)
 
 
 def _resolved(terms: tuple[Term, ...], b: Bindings) -> tuple[Term, ...]:
     """``terms`` resolved through ``b``; the same tuple when nothing changed."""
     out = tuple(map(b.resolve, terms))
     return terms if all(map(is_, out, terms)) else out
+
+
+#: a child made by the expansion in progress: the node, its body, and,
+#: for a body built from a clause template, the slot values and counts
+_Made = tuple["OrNode", tuple[Term, ...], Optional[list], Optional[tuple[tuple[int, int], ...]]]
 
 
 @dataclass(slots=True)
@@ -324,7 +347,7 @@ class OrTree:
         # the expansion in progress: its resolved selected goal and the
         # children made so far, with their bodies
         self._selected: Optional[Term] = None
-        self._made: list[tuple[OrNode, tuple[Term, ...]]] = []
+        self._made: list[_Made] = []
         # facts of the program, built on first use: the pointer arc key of
         # each (caller clause, literal index) and callee, and each
         # clause's body goal sources
@@ -457,16 +480,17 @@ class OrTree:
         if not made:
             return
         assert env is not None and occ is not None
-        taker: Optional[OrNode] = None
+        taker: Optional[_Made] = None
         shared: Optional[dict[int, int]] = None
-        for child, body in made:
+        for entry in made:
+            child = entry[0]
             if child.status is NodeStatus.OPEN:
                 if taker is not None:
                     # an earlier open child is not the last: it shares
                     if shared is None:
                         shared = dict(occ)
-                    taker.occ = shared
-                taker, taker_body = child, body
+                    taker[0].occ = shared
+                taker = entry
             else:
                 step = child.step or ()
                 env.map.update(step)
@@ -474,10 +498,11 @@ class OrTree:
                 for vid, _ in step:
                     del env.map[vid]
         if taker is not None:
-            _advance(occ, taker.step, taker_body)
-            if taker.step:
-                env.map.update(taker.step)
-            taker.env, taker.occ = env, occ
+            child, body, values, counts = taker
+            _advance(occ, child.step, body, values, counts)
+            if child.step:
+                env.map.update(child.step)
+            child.env, child.occ = env, occ
         made.clear()
 
     def _own_env(self, node: OrNode) -> None:
@@ -545,10 +570,13 @@ class OrTree:
         body_sources: tuple[tuple[int, int], ...],
         key: ArcKey,
         b: Optional[Bindings] = None,
+        values: Optional[list] = None,
+        counts: Optional[tuple[tuple[int, int], ...]] = None,
     ) -> int:
         """Add the child that replaces ``node``'s selected goal by the
         resolved ``body``.  ``b`` holds the step's bindings; without it
-        the step bound no variable of the resolvent."""
+        the step bound no variable of the resolvent.  A body built from
+        a clause template comes with its slot ``values`` and ``counts``."""
         size = node.size - self._selected.size  # type: ignore[union-attr]
         for g in body:
             size += g.size
@@ -556,12 +584,16 @@ class OrTree:
         if b is not None:
             occ = node.occ
             assert occ is not None
-            for vid, val in b.map.items():
+            bmap = b.map
+            for vid in b.trail:
                 # occurrences in the rest and the answer; a variable that
-                # occurred only in the selected goal is gone with it
+                # occurred only in the selected goal is gone with it.  (A
+                # variable the step binds is on its trail: filled slots,
+                # the only entries that are not, are no goal variables.)
                 n = occ.get(vid)
                 if n is None:
                     continue
+                val = bmap[vid]
                 if not val.ground:
                     val = b.resolve(val)
                 size += n * (val.size - 1)
@@ -596,7 +628,7 @@ class OrTree:
         self.nodes.append(child)
         self.arcs.append(arc)
         self.generated += 1
-        self._made.append((child, body))
+        self._made.append((child, body, values, counts))
         return nid
 
     def _expand_user(self, node: OrNode, goal: Term) -> list[int]:
@@ -613,11 +645,11 @@ class OrTree:
         for cid in program.candidates(goal):
             template = program.clause(cid).template
             b = Bindings()
-            if not unify(goal, template.head, b):
+            if not template.match(goal, b):
                 skip_ids(len(template.slots))
                 continue
-            template.fill(b.map)
-            body = tuple(map(b.resolve, template.body))
+            values = template.values(b.map)
+            body = template.build(values)
             if keys is not None:
                 key = keys.get(cid)
                 if key is None:
@@ -631,9 +663,9 @@ class OrTree:
                 )
             # every slot is bound now; any other entry binds a goal variable
             touched = len(b.map) > len(template.slots)
-            children.append(
-                self._make_child(node, body, body_sources, key, b if touched else None)
-            )
+            children.append(self._make_child(
+                node, body, body_sources, key, b if touched else None, values, template.counts
+            ))
         return children
 
     def _expand_control(self, node: OrNode, goal: Term, key: ArcKey) -> list[int]:
@@ -671,9 +703,14 @@ class OrTree:
         return [self._make_child(node, (), (), key, b if b.map else None)]
 
     def _expand_builtin(self, node: OrNode, goal: Term, key: ArcKey) -> list[int]:
-        children: list[int] = []
         b = Bindings()
+        test = DETERMINATE.get(key.key[0])
         try:
+            if test is not None:
+                if not test(goal.args if isinstance(goal, Struct) else (), b):
+                    return []
+                return [self._make_child(node, (), (), key, b if b.map else None)]
+            children: list[int] = []
             # a child copies what it needs of ``b`` before the builtin
             # moves on to its next solution
             for _ in call_builtin(goal, b):

@@ -174,7 +174,7 @@ class ServiceLifecycle:
             settle = time.monotonic() + 1.0
             while svc.admission.pending > 0 and time.monotonic() < settle:
                 await asyncio.sleep(0.02)
-            for program, session in svc.router.open_session_keys():
+            for program, session in svc.sessions_to_merge():
                 try:
                     report = await svc.end_session(program, session)
                 except Exception:

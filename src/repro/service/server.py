@@ -288,6 +288,9 @@ class BLogService:
         #: the first one's apply, and a snapshot never sees a journaled
         #: merge that is not yet applied
         self._commit_lock = asyncio.Lock()
+        #: (program, session) -> the buffer of a closed session whose
+        #: commit raised, held until a retried ``end_session`` commits it
+        self._unmerged: dict[tuple[str, str], StoreDelta] = {}
         self._checkpoint_task: Optional[asyncio.Task] = None
 
     # -- registry ----------------------------------------------------------
@@ -625,10 +628,16 @@ class BLogService:
         """A lane's worker was replaced (death or missed deadline): the
         sessions it held are gone, so the sessions routed there are
         abandoned — dropped without merging (their learning died with
-        the worker)."""
+        the worker).  So are the closed sessions routed there whose
+        commit is waiting for a retry."""
         self.lane_resets += 1
-        self.telemetry.registry.counter("blog_lane_resets_total").inc()
-        self.sessions_abandoned += self.router.drop_lane(lane)
+        registry = self.telemetry.registry
+        registry.counter("blog_lane_resets_total").inc()
+        held = [k for k in self._unmerged if self.router.lane_for(k[1]) == lane]
+        for k in held:
+            del self._unmerged[k]
+        registry.counter("blog_sessions_abandoned_total").inc(len(held))
+        self.sessions_abandoned += self.router.drop_lane(lane) + len(held)
 
     def _record_respawn(self, trace: Trace, lane: int) -> None:
         """Attach a ``respawn`` span for the lane reset the backend just
@@ -693,9 +702,12 @@ class BLogService:
         worker ships back the session's touched-keys delta, and
         :meth:`_commit` merges it here, on the event loop (global stores
         are loop-thread-only); if the worker was lost, the session is
-        abandoned (None), never merged.
+        abandoned (None), never merged.  A commit that raises keeps the
+        closed session's buffer, so a retried ``end_session`` commits it
+        (and only it: a session the same name opened since stays open).
         """
-        if self.router.get(program, session) is None:
+        key = (program, session)
+        if key not in self._unmerged and self.router.get(program, session) is None:
             return None
         entry = self.programs.get(program)
         if entry is None:
@@ -704,6 +716,9 @@ class BLogService:
 
         async def close() -> Optional[StoreDelta]:
             """The session's buffer, or None when it is abandoned."""
+            held = self._unmerged.pop(key, None)
+            if held is not None:
+                return held
             view = self.pool.lane(lane)
             buffer: Optional[StoreDelta] = None
             # not open in the worker: the lane was reset since — abandoned
@@ -729,7 +744,13 @@ class BLogService:
                 buffer = await close()
                 report = None
                 if buffer is not None:
-                    report = await self._commit(entry, session, buffer, conservative, trace)
+                    try:
+                        report = await self._commit(
+                            entry, session, buffer, conservative, trace
+                        )
+                    except Exception:
+                        self._unmerged[key] = buffer
+                        raise
                 span.set("merged", report is not None)
                 return report
 
@@ -738,6 +759,11 @@ class BLogService:
         ) as trace:
             job = self.pool.submit(lane, run)
             return await job.future
+
+    def sessions_to_merge(self) -> list[tuple[str, str]]:
+        """``(program, session)`` for every live session and every closed
+        one whose commit is waiting for a retry: what a drain ends."""
+        return sorted({*self.router.open_session_keys(), *self._unmerged})
 
     def stats(self) -> dict:
         """Operator-facing counters: latency, throughput, cache, admission,

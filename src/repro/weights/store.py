@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from ..ortree.tree import ArcKey
@@ -62,6 +63,10 @@ class StoreDelta:
 #: the entry every builtin key reads: probability 1, weight 0
 _BUILTIN_ENTRY = WeightEntry(WeightState.KNOWN, 0.0)
 
+#: a journal value's low bits hold the key's rank
+_RANK_BITS = 32
+_RANK_MASK = (1 << _RANK_BITS) - 1
+
 
 class WeightStore:
     """Pointer-weight database (the figure-4 weights, logically).
@@ -96,8 +101,14 @@ class WeightStore:
         #: journal as tombstones).  This is what lets a reader ask "what
         #: changed since generation G?" — the basis of the serving
         #: layer's delta shipping to process lanes and of touched-keys
-        #: session merges.
+        #: session merges.  A write moves its key to the end, so the
+        #: journal is in generation order and a reader scans only the
+        #: writes after its generation, from the newest end.  Each value
+        #: packs that generation with the key's *rank*, the order of its
+        #: first write, in which a delta lists its entries:
+        #: ``generation << _RANK_BITS | rank``.
         self._modified: dict[ArcKey, int] = {}
+        self._ranks = 0  # keys ever written: the next rank
 
     # -- encodings ---------------------------------------------------------
     @property
@@ -151,7 +162,7 @@ class WeightStore:
             return  # builtins stay at probability 1
         self._entries[key] = WeightEntry(WeightState.KNOWN, max(0.0, float(value)))
         self.generation += 1
-        self._modified[key] = self.generation
+        self._journal(key, self.generation)
 
     def set_infinite(self, key: ArcKey) -> None:
         """Record a failure weight (A·N encoding)."""
@@ -159,20 +170,36 @@ class WeightStore:
             return
         self._entries[key] = WeightEntry(WeightState.INFINITE, self.infinity_value)
         self.generation += 1
-        self._modified[key] = self.generation
+        self._journal(key, self.generation)
 
     def forget(self, key: ArcKey) -> None:
         """Drop a key back to UNKNOWN."""
         if self._entries.pop(key, None) is not None:
             self.generation += 1
-            self._modified[key] = self.generation
+            self._journal(key, self.generation)
 
     def clear(self) -> None:
         if self._entries:
             self.generation += 1
             for key in self._entries:
-                self._modified[key] = self.generation
+                self._journal(key, self.generation)
         self._entries.clear()
+
+    def _journal(self, key: ArcKey, generation: int) -> None:
+        """Record that ``key`` was written at ``generation``."""
+        modified = self._modified
+        packed = modified.pop(key, None)
+        if packed is None:
+            rank = self._ranks
+            self._ranks += 1
+        else:
+            rank = packed & _RANK_MASK
+        newest = next(reversed(modified.values()), 0) >> _RANK_BITS
+        modified[key] = generation << _RANK_BITS | rank
+        if generation < newest:
+            # a write below the newest one, possible only after an older
+            # delta moved the generation back: restore generation order
+            self._modified = dict(sorted(modified.items(), key=itemgetter(1)))
 
     # -- change tracking ----------------------------------------------------
     def delta_since(self, generation: Optional[int]) -> StoreDelta:
@@ -181,12 +208,20 @@ class WeightStore:
 
         Keys dropped back to UNKNOWN (``forget`` / ``clear``) come as
         tombstones: a reader that mirrors this store needs the drop as
-        much as it needs a new value.
+        much as it needs a new value.  The cost is that of the keys
+        written after ``generation``, whatever the journal's size.
         """
         if generation is None:
             entries = dict(self._entries)
         else:
-            entries = {k: self.entry(k) for k, g in self._modified.items() if g > generation}
+            limit = (generation + 1) << _RANK_BITS
+            changed = []
+            for key, packed in reversed(self._modified.items()):
+                if packed < limit:
+                    break
+                changed.append((packed & _RANK_MASK, key))
+            changed.sort(key=itemgetter(0))
+            entries = {k: self.entry(k) for _, k in changed}
         return StoreDelta(generation, self.generation, entries)
 
     def apply_delta(self, delta: StoreDelta) -> int:
@@ -202,7 +237,7 @@ class WeightStore:
                 self._entries.pop(key, None)
             else:
                 self._entries[key] = entry
-            self._modified[key] = delta.generation
+            self._journal(key, delta.generation)
         self.generation = delta.generation
         return len(delta.entries)
 
@@ -217,6 +252,7 @@ class WeightStore:
         out._entries = dict(self._entries)
         out.generation = self.generation
         out._modified = dict(self._modified)
+        out._ranks = self._ranks
         return out
 
     def snapshot(self) -> dict[ArcKey, WeightEntry]:

@@ -18,10 +18,14 @@ bound, on the id counter's position and on ``words_copied``.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
 import zlib
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -486,10 +490,12 @@ MEMORY_CASES = {
 }
 
 
-def _peak_bytes(monkeypatch, tree_cls, name) -> int:
+def measure_peak(tree_name: str, name: str) -> int:
     """The lower ``tracemalloc`` peak of two ``keep_tree`` queries: the
     first measurement in a process also pays one-time allocations."""
-    monkeypatch.setattr("repro.core.engine.OrTree", tree_cls)
+    import repro.core.engine as engine_mod
+
+    engine_mod.OrTree = {"eager": EagerTree, "lazy": OrTree}[tree_name]
     factory, query = MEMORY_CASES[name]
     program = factory()
     config = BLogConfig(max_depth=1024)
@@ -506,8 +512,25 @@ def _peak_bytes(monkeypatch, tree_cls, name) -> int:
     return min(peaks)
 
 
+def _peak_bytes(tree_name: str, name: str) -> int:
+    """:func:`measure_peak` in a fresh interpreter: a ``tracemalloc``
+    peak counts every allocation in the process, so what ran before in
+    this one must not count."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "src"), str(root), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "from tests.test_lazy_resolution import measure_peak\n"
+        f"print(measure_peak({tree_name!r}, {name!r}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=root, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    return int(out.stdout.split()[-1])
+
+
 @pytest.mark.parametrize("name", sorted(MEMORY_CASES))
-def test_tree_memory_no_higher_than_eager(monkeypatch, name):
-    eager = _peak_bytes(monkeypatch, EagerTree, name)
-    lazy = _peak_bytes(monkeypatch, OrTree, name)
+def test_tree_memory_no_higher_than_eager(name):
+    eager = _peak_bytes("eager", name)
+    lazy = _peak_bytes("lazy", name)
     assert lazy <= eager, (lazy, eager)

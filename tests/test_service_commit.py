@@ -112,6 +112,112 @@ class TestFailedAppend:
         assert run(restart()) == before
 
 
+class TestRetryAfterFailedAppend:
+    def test_retried_end_session_commits_the_held_session(self, tmp_path, monkeypatch):
+        """The session a failed append closed is held, not dropped: the
+        retried ``end_session`` (over TCP) merges it once, and a restart
+        recovers that merge from the journal."""
+        data_dir = tmp_path / "weights"
+        append = DurableStore.log_merge
+        failed: list[str] = []
+
+        def failing_once(self, session, generation, delta):
+            if not failed:
+                failed.append(session)
+                raise OSError("journal device full")
+            return append(self, session, generation, delta)
+
+        async def end_session(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            msg = {"op": "end_session", "program": "family", "session": "s1"}
+            writer.write((json.dumps(msg) + "\n").encode())
+            await writer.drain()
+            reply = json.loads(await reader.readline())
+            writer.close()
+            await writer.wait_closed()
+            return reply
+
+        async def body():
+            svc = make_service(data_dir)
+            await svc.start()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            store = svc.programs["family"].global_store
+            merged_total = svc.telemetry.registry.counter("blog_sessions_merged_total")
+
+            def counts():
+                return store.generation, merged_total.value, svc.router.sessions_merged
+
+            try:
+                resp = await svc.submit(QueryRequest("family", QUERY, session="s1", cache=False))
+                assert resp.ok
+                before = counts()
+                monkeypatch.setattr(DurableStore, "log_merge", failing_once)
+                replies = [await end_session(port)]
+                held = counts()
+                replies.append(await end_session(port))
+                after = counts()
+                replies.append(await end_session(port))
+                live = (store.generation, store.snapshot())
+                again = recovered(data_dir / "family", tmp_path)
+            finally:
+                await svc.stop()
+            return replies, before, held, after, counts(), live, again
+
+        replies, before, held, after, final, live, again = run(body())
+        failure, retry, repeat = replies
+        assert failure["ok"] is False and "journal device full" in failure["error"]
+        assert held == before
+        assert retry["ok"] is True and retry["merged"] is not None
+        assert retry["merged"]["generation"] == after[0] > before[0]
+        assert after[1:] == (before[1] + 1, before[2] + 1)
+        assert repeat == {"ok": True, "merged": None}
+        assert final == after
+        assert (again.generation, again.snapshot()) == live
+
+        async def restart():
+            svc = make_service(data_dir)
+            await svc.start()
+            try:
+                store = svc.programs["family"].global_store
+                return store.generation, store.snapshot()
+            finally:
+                await svc.stop()
+
+        assert run(restart()) == live
+
+
+    def test_a_lane_reset_abandons_the_held_session(self, tmp_path, monkeypatch):
+        """A held session is abandoned by a reset of its lane, like any
+        session routed there: the retry then merges nothing."""
+
+        def failing_log_merge(self, session, generation, delta):
+            raise OSError("journal device full")
+
+        async def body():
+            svc = make_service(tmp_path / "weights")
+            await svc.start()
+            try:
+                resp = await svc.submit(QueryRequest("family", QUERY, session="s1", cache=False))
+                assert resp.ok
+                store = svc.programs["family"].global_store
+                before = (store.generation, svc.sessions_abandoned)
+                monkeypatch.setattr(DurableStore, "log_merge", failing_log_merge)
+                with pytest.raises(OSError):
+                    await svc.end_session("family", "s1")
+                monkeypatch.undo()
+                svc._on_lane_reset(svc.router.lane_for("s1"))
+                retry = await svc.end_session("family", "s1")
+                after = (store.generation, svc.sessions_abandoned)
+            finally:
+                await svc.stop()
+            return retry, before, after
+
+        retry, before, after = run(body())
+        assert retry is None
+        assert after == (before[0], before[1] + 1)
+
+
 class TestConcurrentCommits:
     def test_two_lanes_commit_in_turn(self, tmp_path, monkeypatch):
         data_dir = tmp_path / "weights"

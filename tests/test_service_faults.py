@@ -33,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import BLogConfig
 from repro.service import BLogService, QueryRequest, read_trace_log
 from repro.workloads import family_program, nqueens_program, nrev_program
 
@@ -40,9 +41,13 @@ pytestmark = pytest.mark.skipif(
     os.name != "posix", reason="SIGKILL fault injection needs POSIX"
 )
 
-# nqueens(5) runs ~0.2s under the blog engine — long enough to kill
-# mid-flight, short enough to retry cheaply.  10 solutions.
+# nqueens(5): a quick query that a recovered lane must serve.  10
+# solutions.
 NQUEENS_ANSWERS = 10
+# the victim of a kill or a missed deadline: nqueens(7) runs for more
+# than a second of engine time, so a kill 0.2 s in, or a 50 ms deadline,
+# always lands while it executes.  40 solutions.
+VICTIM_N, VICTIM_ANSWERS = 7, 40
 
 
 def run(coro):
@@ -73,58 +78,51 @@ class TestKillMidQuery:
     def test_sigkill_is_retried_once_transparently(self):
         """Kill the lane child while a query is executing in it: the
         service must respawn the child, replay the query against a
-        freshly opened session, and answer as if nothing happened."""
+        freshly opened session, and answer as if nothing happened.
 
-        async def attempt(svc, session):
-            lane = svc.router.lane_for(session)
-            task = asyncio.ensure_future(
-                svc.submit(
-                    QueryRequest(
-                        "queens", "queens(Qs)", session=session, cache=False,
-                        request_id=session,
-                    )
-                )
-            )
-            # let the query reach the child; then kill mid-flight
-            await asyncio.sleep(0.06)
-            if task.done():
-                return None, None  # too late — query already finished
-            kill_lane_child(svc, lane)
-            return await task, lane
+        The victim is 7-queens, which runs for more than a second of
+        engine time in the child, and a first query of the session has
+        already loaded the program and opened the session there, so
+        the kill 0.2 s after submitting always lands mid-query."""
+        session = "killme"
 
         async def body():
-            svc = await make_service({"queens": nqueens_program(5)})
+            svc = await make_service(
+                {"queens": nqueens_program(VICTIM_N)}, config=BLogConfig(max_depth=1024)
+            )
             try:
-                for i in range(8):  # bounded re-tries of the *scenario*
-                    resp, lane = await attempt(svc, f"killme{i}")
-                    if resp is not None:
-                        traces = [
-                            t for t in svc.telemetry.tracer.finished
-                            if t.trace_id == resp.request_id
-                        ]
-                        registry = svc.telemetry.registry
-                        counters = {
-                            "resets": registry.counter(
-                                "blog_lane_resets_total"
-                            ).value,
-                            "retries": registry.counter(
-                                "blog_retries_total"
-                            ).value,
-                        }
-                        return (
-                            resp, lane, svc.pool.lane_stats(), svc.stats(),
-                            traces, counters,
-                        )
-                pytest.fail("query always finished before SIGKILL landed")
+                warm = await svc.submit(QueryRequest(
+                    "queens", "noattack(1, [], 1)", session=session, cache=False
+                ))
+                assert warm.ok and len(warm.answers) == 1
+                lane = svc.router.lane_for(session)
+                task = asyncio.ensure_future(svc.submit(QueryRequest(
+                    "queens", "queens(Qs)", session=session, cache=False,
+                    request_id=session,
+                )))
+                await asyncio.sleep(0.2)
+                assert not task.done(), "the victim finished before the kill"
+                kill_lane_child(svc, lane)
+                resp = await task
+                traces = [
+                    t for t in svc.telemetry.tracer.finished
+                    if t.trace_id == resp.request_id
+                ]
+                registry = svc.telemetry.registry
+                counters = {
+                    "resets": registry.counter("blog_lane_resets_total").value,
+                    "retries": registry.counter("blog_retries_total").value,
+                }
+                return resp, lane, svc.pool.lane_stats(), svc.stats(), traces, counters
             finally:
                 await svc.stop()
 
         resp, lane, lanes, stats, traces, counters = run(body())
         assert resp.ok, f"replayed query failed: {resp.error}"
         assert resp.retries == 1  # exactly one transparent replay
-        assert len(resp.answers) == NQUEENS_ANSWERS
+        assert len(resp.answers) == VICTIM_ANSWERS
         boards = [a["Qs"] for a in resp.answers]
-        assert len(set(boards)) == NQUEENS_ANSWERS  # no duplicated answers
+        assert len(set(boards)) == VICTIM_ANSWERS  # no duplicated answers
         assert lanes[lane]["respawns"] >= 1
         assert stats["lane_resets"] >= 1
 
@@ -329,14 +327,19 @@ class TestHungChild:
     def test_timeout_kills_respawns_and_lane_recovers(self):
         """A deadline miss must not leave a lane wedged: the child is
         killed and respawned, the request fails with a deadline error,
-        and the very next query on the lane is served."""
+        and the very next query on the lane is served.  The slow query
+        is the SIGKILL victim, which runs for more than a second, so it
+        always misses its 50 ms deadline."""
 
         async def body():
-            svc = await make_service({"queens": nqueens_program(5)})
+            svc = await make_service(
+                {"queens": nqueens_program(5), "victim": nqueens_program(VICTIM_N)},
+                config=BLogConfig(max_depth=1024),
+            )
             try:
                 slow = await svc.submit(
                     QueryRequest(
-                        "queens", "queens(Qs)", session="sluggish",
+                        "victim", "queens(Qs)", session="sluggish",
                         cache=False, timeout=0.05,
                     )
                 )

@@ -200,3 +200,61 @@ class TestTouchedKeysMerge:
         # never override), but the merge still *considered* the key
         assert glob.weight(arc(1)) == 4.0
         assert report.adopted == 0
+
+
+class TestJournalDifferential:
+    """``delta_since`` scans only the writes after the asked generation;
+    on seeded sequences of writes, drops, clears, deltas (older ones
+    included, which move a store's generation back) and copies, every
+    delta must equal a full scan of the journal as the store kept it
+    before: each key with the generation of its last write, in the
+    order of its first write."""
+
+    @staticmethod
+    def reference(store: WeightStore, journal: dict, generation: int) -> list:
+        return [(k, store.entry(k)) for k, g in journal.items() if g > generation]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_delta_equals_a_full_scan(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        keys = [arc(i) for i in range(12)] + [ArcKey("builtin", (("is", 2),))]
+        stores = [(WeightStore(), {}) for _ in range(3)]
+        for _ in range(300):
+            i = rng.randrange(len(stores))
+            store, journal = stores[i]
+            op = rng.random()
+            key = rng.choice(keys)
+            before = store.generation
+            if op < 0.35:
+                store.set_known(key, rng.choice((0.5, 1.0, 2.0, -1.0)))
+                if store.generation != before:
+                    journal[key] = store.generation
+            elif op < 0.5:
+                store.set_infinite(key)
+                if store.generation != before:
+                    journal[key] = store.generation
+            elif op < 0.65:
+                store.forget(key)
+                if store.generation != before:
+                    journal[key] = store.generation
+            elif op < 0.7:
+                dropped = list(store.keys())
+                store.clear()
+                for k in dropped:
+                    journal[k] = store.generation
+            elif op < 0.9:
+                source, _ = rng.choice(stores)
+                base = rng.choice((None, rng.randint(0, max(source.generation, 0))))
+                delta = source.delta_since(base)
+                store.apply_delta(delta)
+                for k in delta.entries:
+                    journal[k] = delta.generation
+            else:
+                stores[i] = (store.copy(), dict(journal))
+            for store, journal in stores:
+                for g in range(-1, store.generation + 2):
+                    assert list(store.delta_since(g).entries.items()) == self.reference(
+                        store, journal, g
+                    ), (seed, g)
