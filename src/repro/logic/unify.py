@@ -396,7 +396,7 @@ _MAX_NESTING = 32
 #: kernel, so dropping the oldest shapes past the bound only stops them
 #: being shared with templates compiled later
 _KERNELS: dict[tuple, "_Kernel"] = {}
-_MAX_KERNELS = 4096
+_MAX_KERNELS = 1024
 _KERNELS_LOCK = threading.Lock()
 
 
