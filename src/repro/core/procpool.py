@@ -11,7 +11,9 @@ swamps small trees, which is itself an honest datum for the paper's
 communication-cost discussion, the constant ``D`` of §6).
 
 The split mirrors Conery & Kibler's OR-parallelism: alternatives of
-the root goal are independent searches sharing nothing.
+the root goal are independent searches sharing nothing.  It is a
+library, not a served engine: the service's lane worker (below) runs
+the ``blog`` and ``machine`` engines only, which keep §5's sessions.
 """
 
 from __future__ import annotations
@@ -269,7 +271,7 @@ class Query(Op[QueryReply]):
             raise KeyError(
                 f"session {self.session!r} of {self.name!r} is not open on lane {worker.lane}"
             )
-        return run_engine_query(self, engine, worker.programs[self.name], worker.processes)
+        return run_engine_query(self, engine, worker.programs[self.name])
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,11 +312,8 @@ class LaneWorker:
     becomes a :class:`LaneError` reply, the same on both transports.
     """
 
-    def __init__(self, lane: int, processes: int = 1) -> None:
+    def __init__(self, lane: int) -> None:
         self.lane = lane
-        #: process count for the ``procpool`` engine (1 inside a lane
-        #: child: daemonic processes cannot fork a pool)
-        self.processes = processes
         self.programs: dict[str, LoadProgram] = {}
         self.mirrors: dict[str, WeightStore] = {}
         #: (program, session) -> the engine of that open session
@@ -329,9 +328,7 @@ class LaneWorker:
             return LaneError(f"{type(exc).__name__}: {exc}")
 
 
-def run_engine_query(
-    query: Query, blog_engine: BLogEngine, load: LoadProgram, processes: int = 1
-) -> QueryReply:
+def run_engine_query(query: Query, blog_engine: BLogEngine, load: LoadProgram) -> QueryReply:
     """Run ``query`` on its chosen engine against a session's engine state.
 
     Called by :class:`Query` on the lane's worker, on both lane
@@ -379,22 +376,6 @@ def run_engine_query(
                 "migrations": res.migrations,
                 "utilization": round(res.mean_utilization, 6),
             },
-        )
-    if query.engine == "procpool":
-        # Inside a daemonic lane worker this must stay serial (daemons
-        # cannot fork grandchildren); processes=1 short-circuits the pool.
-        par = or_parallel_solve(
-            load.program,
-            goals,
-            processes=processes,
-            max_depth=load.config.max_depth,
-            max_solutions_per_branch=max_solutions,
-        )
-        return QueryReply(
-            list(par.answers),
-            None,
-            par.depth_cutoffs == 0,
-            {"branches": par.branches, "branch_solutions": list(par.per_branch_solutions)},
         )
     raise ValueError(f"unknown engine {query.engine!r}")
 

@@ -11,7 +11,7 @@ OR-trees.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .telemetry import MetricsRegistry
@@ -35,56 +35,53 @@ class AdmissionController:
     """Counts in-flight queries against a hard bound.
 
     Used from the event-loop thread only, so plain integers are enough;
-    ``acquire`` never blocks — it admits or raises.
+    ``acquire`` never blocks — it admits or raises.  ``pending`` is the
+    one count kept here (admission reads it); the admitted, rejected and
+    peak counts live only in the registry's series.
     """
 
-    def __init__(
-        self, max_pending: int, registry: Optional["MetricsRegistry"] = None
-    ):
+    def __init__(self, max_pending: int, registry: "MetricsRegistry"):
         if max_pending < 1:
             raise ValueError("max_pending must be at least 1")
         self.max_pending = int(max_pending)
         self.pending = 0
-        self.admitted = 0
-        self.rejected = 0
-        #: High-water mark of concurrent in-flight queries — the operator
+        self._m_pending = registry.gauge("blog_pending")
+        #: high-water mark of concurrent in-flight queries — the operator
         #: signal for "how close to the bound does real traffic get"
-        #: (e.g. a respawning process lane backs its whole queue up here).
-        self.peak_pending = 0
-        self._m_pending = registry.gauge("blog_pending") if registry else None
-        self._m_peak = registry.gauge("blog_peak_pending") if registry else None
-        self._m_admitted = (
-            registry.counter("blog_admitted_total") if registry else None
-        )
-        self._m_rejected = (
-            registry.counter("blog_rejected_total") if registry else None
-        )
+        #: (e.g. a respawning process lane backs its whole queue up here)
+        self._m_peak = registry.gauge("blog_peak_pending")
+        self._m_admitted = registry.counter("blog_admitted_total")
+        self._m_rejected = registry.counter("blog_rejected_total")
+
+    @property
+    def admitted(self) -> int:
+        return int(self._m_admitted.value)
+
+    @property
+    def rejected(self) -> int:
+        return int(self._m_rejected.value)
+
+    @property
+    def peak_pending(self) -> int:
+        return int(self._m_peak.value)
 
     def acquire(self) -> None:
         """Admit one request or raise :class:`Overloaded`."""
         if self.pending >= self.max_pending:
-            self.rejected += 1
-            if self._m_rejected is not None:
-                self._m_rejected.inc()
+            self._m_rejected.inc()
             raise Overloaded(self.pending, self.max_pending)
         self.pending += 1
-        self.admitted += 1
-        if self.pending > self.peak_pending:
-            self.peak_pending = self.pending
-        if self._m_pending is not None:
-            self._m_pending.set(self.pending)
-        if self._m_peak is not None:
-            self._m_peak.set(self.peak_pending)
-        if self._m_admitted is not None:
-            self._m_admitted.inc()
+        self._m_admitted.inc()
+        self._m_pending.set(self.pending)
+        if self.pending > self._m_peak.value:
+            self._m_peak.set(self.pending)
 
     def release(self) -> None:
         """A previously admitted request finished (however it finished)."""
         if self.pending <= 0:
             raise RuntimeError("release() without matching acquire()")
         self.pending -= 1
-        if self._m_pending is not None:
-            self._m_pending.set(self.pending)
+        self._m_pending.set(self.pending)
 
     def __repr__(self) -> str:
         return (

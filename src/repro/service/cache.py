@@ -106,48 +106,46 @@ class CacheEntry:
 
 
 class AnswerCache:
-    """LRU answer cache with generation-checked lookups."""
+    """LRU answer cache with generation-checked lookups.  Its hit, miss
+    and stale counts live only in the registry's series."""
 
-    def __init__(
-        self, capacity: int = 1024, registry: Optional["MetricsRegistry"] = None
-    ):
+    def __init__(self, capacity: int, registry: "MetricsRegistry"):
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
         self.capacity = int(capacity)
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.stale = 0  # misses caused specifically by a generation bump
-        self._m_hits = registry.counter("blog_cache_hits_total") if registry else None
-        self._m_misses = (
-            registry.counter("blog_cache_misses_total") if registry else None
-        )
-        self._m_stale = registry.counter("blog_cache_stale_total") if registry else None
-        self._m_entries = registry.gauge("blog_cache_entries") if registry else None
+        self._m_hits = registry.counter("blog_cache_hits_total")
+        self._m_misses = registry.counter("blog_cache_misses_total")
+        #: misses caused specifically by a generation bump
+        self._m_stale = registry.counter("blog_cache_stale_total")
+        self._m_entries = registry.gauge("blog_cache_entries")
+
+    @property
+    def hits(self) -> int:
+        return int(self._m_hits.value)
+
+    @property
+    def misses(self) -> int:
+        return int(self._m_misses.value)
+
+    @property
+    def stale(self) -> int:
+        return int(self._m_stale.value)
 
     def get(self, key: tuple, generation: int) -> Optional[list[dict[str, str]]]:
         """The cached answers, or None; stale entries are evicted."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
-            if self._m_misses is not None:
-                self._m_misses.inc()
+            self._m_misses.inc()
             return None
         if entry.generation != generation:
             del self._entries[key]
-            self.stale += 1
-            self.misses += 1
-            if self._m_misses is not None:
-                self._m_misses.inc()
-            if self._m_stale is not None:
-                self._m_stale.inc()
-            if self._m_entries is not None:
-                self._m_entries.set(len(self._entries))
+            self._m_misses.inc()
+            self._m_stale.inc()
+            self._m_entries.set(len(self._entries))
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
-        if self._m_hits is not None:
-            self._m_hits.inc()
+        self._m_hits.inc()
         return entry.answers
 
     def put(self, key: tuple, generation: int, answers: list[dict[str, str]]) -> None:
@@ -155,25 +153,18 @@ class AnswerCache:
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-        if self._m_entries is not None:
-            self._m_entries.set(len(self._entries))
-
-    def invalidate_program(self, program: str) -> int:
-        """Drop every entry of one program; returns how many were dropped."""
-        doomed = [k for k in self._entries if k[0] == program]
-        for k in doomed:
-            del self._entries[k]
-        return len(doomed)
+        self._m_entries.set(len(self._entries))
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def stats(self) -> dict:
-        lookups = self.hits + self.misses
+        hits, misses = self.hits, self.misses
+        lookups = hits + misses
         return {
             "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
+            "hits": hits,
+            "misses": misses,
             "stale": self.stale,
-            "hit_rate": self.hits / lookups if lookups else 0.0,
+            "hit_rate": hits / lookups if lookups else 0.0,
         }

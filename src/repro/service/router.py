@@ -61,12 +61,18 @@ class SessionRouter:
             raise ValueError("need at least one lane")
         self.n_lanes = int(n_lanes)
         self._sessions: dict[tuple[str, str], SessionState] = {}
-        self.sessions_opened = 0
-        self.sessions_merged = 0
         self._m_opened = registry.counter("blog_sessions_opened_total")
         self._m_merged = registry.counter("blog_sessions_merged_total")
         self._m_abandoned = registry.counter("blog_sessions_abandoned_total")
         self._m_live = registry.gauge("blog_sessions_open")
+
+    @property
+    def sessions_opened(self) -> int:
+        return int(self._m_opened.value)
+
+    @property
+    def sessions_merged(self) -> int:
+        return int(self._m_merged.value)
 
     # -- placement ---------------------------------------------------------
     def lane_for(self, session: str) -> int:
@@ -88,7 +94,6 @@ class SessionRouter:
                 program=program_name, session=session, lane=self.lane_for(session)
             )
             self._sessions[key] = state
-            self.sessions_opened += 1
             self._m_opened.inc()
             self._m_live.set(len(self._sessions))
         return state
@@ -130,10 +135,9 @@ class SessionRouter:
         loop-thread-only), once a durable service has journaled the delta.
         """
         global_store.apply_delta(delta)
-        self.sessions_merged += 1
         self._m_merged.inc()
 
-    def drop_lane(self, lane: int) -> int:
+    def drop_lane(self, lane: int) -> None:
         """Abandon every session routed to ``lane`` (no merges).
 
         Called when a lane is reset (its worker died, or was replaced
@@ -146,7 +150,6 @@ class SessionRouter:
             del self._sessions[k]
         self._m_abandoned.inc(len(doomed))
         self._m_live.set(len(self._sessions))
-        return len(doomed)
 
     # -- introspection -----------------------------------------------------
     def open_session_keys(self) -> list[tuple[str, str]]:

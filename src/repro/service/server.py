@@ -69,7 +69,7 @@ from .workers import Job, QueryTimeout, WorkerDied, WorkerPool
 
 __all__ = ["QueryRequest", "QueryResponse", "ProgramEntry", "BLogService"]
 
-ENGINES = ("blog", "machine", "procpool")
+ENGINES = ("blog", "machine")
 #: longest TCP request line accepted (bytes, newline included); a longer
 #: line gets an error reply and is skipped, the connection lives on
 LINE_LIMIT = 1 << 16
@@ -186,8 +186,6 @@ class BLogService:
     degrade_pending:
         Pending-query level above which ``machine`` requests fall back
         to the sequential engine; defaults to ``2 * n_workers``.
-    processes:
-        Process count for the ``procpool`` engine's OR split.
     backend:
         Lane execution backend: ``"thread"`` (shared GIL-bound
         executor, zero serialization) or ``"process"`` (one warm
@@ -227,7 +225,6 @@ class BLogService:
         cache_capacity: int = 1024,
         default_timeout: float = 30.0,
         degrade_pending: Optional[int] = None,
-        processes: int = 2,
         backend: str = "thread",
         mp_context: Optional[str] = None,
         slow_query_ms: Optional[float] = None,
@@ -249,7 +246,6 @@ class BLogService:
         self.degrade_pending = (
             int(degrade_pending) if degrade_pending is not None else 2 * self.n_workers
         )
-        self.processes = int(processes)
         self.backend = backend
         self.telemetry = Telemetry(
             slow_query_s=(slow_query_ms / 1000.0) if slow_query_ms else None,
@@ -260,12 +256,9 @@ class BLogService:
             )
         registry = self.telemetry.registry
         self.router = SessionRouter(self.n_workers, registry=registry)
-        self.pool = WorkerPool(
-            self.n_workers, backend=backend, mp_context=mp_context,
-            processes=self.processes,
-        )
-        self.lane_resets = 0
-        self.sessions_abandoned = 0
+        self.pool = WorkerPool(self.n_workers, backend=backend, mp_context=mp_context)
+        self._m_lane_resets = registry.counter("blog_lane_resets_total")
+        self._m_abandoned = registry.counter("blog_sessions_abandoned_total")
         self.pool.backend.on_lane_reset = self._on_lane_reset
         self.admission = AdmissionController(max_pending, registry=registry)
         self.cache = AnswerCache(cache_capacity, registry=registry)
@@ -292,6 +285,14 @@ class BLogService:
         #: commit raised, held until a retried ``end_session`` commits it
         self._unmerged: dict[tuple[str, str], StoreDelta] = {}
         self._checkpoint_task: Optional[asyncio.Task] = None
+
+    @property
+    def lane_resets(self) -> int:
+        return int(self._m_lane_resets.value)
+
+    @property
+    def sessions_abandoned(self) -> int:
+        return int(self._m_abandoned.value)
 
     # -- registry ----------------------------------------------------------
     def add_program(self, name: str, program: Union[Program, str]) -> ProgramEntry:
@@ -630,14 +631,12 @@ class BLogService:
         abandoned — dropped without merging (their learning died with
         the worker).  So are the closed sessions routed there whose
         commit is waiting for a retry."""
-        self.lane_resets += 1
-        registry = self.telemetry.registry
-        registry.counter("blog_lane_resets_total").inc()
+        self._m_lane_resets.inc()
         held = [k for k in self._unmerged if self.router.lane_for(k[1]) == lane]
         for k in held:
             del self._unmerged[k]
-        registry.counter("blog_sessions_abandoned_total").inc(len(held))
-        self.sessions_abandoned += self.router.drop_lane(lane) + len(held)
+        self._m_abandoned.inc(len(held))
+        self.router.drop_lane(lane)
 
     def _record_respawn(self, trace: Trace, lane: int) -> None:
         """Attach a ``respawn`` span for the lane reset the backend just

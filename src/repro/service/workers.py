@@ -229,9 +229,8 @@ class ThreadLaneBackend(LaneBackend):
 
     kind = "thread"
 
-    def __init__(self, processes: int = 1) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.processes = processes
         self.executor: Optional[ThreadPoolExecutor] = None
         self.workers: list[LaneWorker] = []
 
@@ -239,7 +238,7 @@ class ThreadLaneBackend(LaneBackend):
         self.executor = ThreadPoolExecutor(
             max_workers=n_lanes, thread_name_prefix="blog-worker"
         )
-        self.workers = [LaneWorker(i, self.processes) for i in range(n_lanes)]
+        self.workers = [LaneWorker(i) for i in range(n_lanes)]
         await super().start(n_lanes)
 
     async def stop(self) -> None:
@@ -250,7 +249,7 @@ class ThreadLaneBackend(LaneBackend):
     def _restart(self, lane: int) -> None:
         # a thread cannot be killed: a stuck one keeps the old worker,
         # and nothing reads that worker again
-        self.workers[lane] = LaneWorker(lane, self.processes)
+        self.workers[lane] = LaneWorker(lane)
 
     def _exchange(self, lane: int, msg: Op[Any]) -> Any:
         worker = self.workers[lane]
@@ -399,7 +398,6 @@ class WorkerPool:
         n_lanes: int,
         backend: str = "thread",
         mp_context: Optional[str] = None,
-        processes: int = 1,
     ):
         if n_lanes < 1:
             raise ValueError("need at least one lane")
@@ -409,7 +407,7 @@ class WorkerPool:
         if backend == "process":
             self.backend: LaneBackend = ProcessLaneBackend(mp_context)
         else:
-            self.backend = ThreadLaneBackend(processes)
+            self.backend = ThreadLaneBackend()
         self._queues: list[asyncio.Queue] = []
         self._tasks: list[asyncio.Task] = []
         self.started = False

@@ -88,7 +88,7 @@ def test_scenario_registers_every_catalog_metric(tmp_path, monkeypatch, on_lane_
         machine = QueryRequest("family", "gf(john, G)", engine="machine")
         assert (await svc.submit(machine)).degraded
         assert not (await svc.submit(QueryRequest("nope", "gf(sam, G)"))).ok
-        lr = QueryRequest("lr", "p(X)", session="lr", engine="procpool")
+        lr = QueryRequest("lr", "p(X)", session="lr", engine="blog")
         assert not (await svc.submit(lr)).complete
 
         # an end_session merge, journaled; then the journal as a crash would leave it

@@ -28,6 +28,7 @@ from repro.service import (
     AnswerCache,
     BLogService,
     LifecycleState,
+    MetricsRegistry,
     NotServing,
     Overloaded,
     QueryRequest,
@@ -91,20 +92,20 @@ class TestCanonicalQuery:
 
 class TestAnswerCache:
     def test_put_get_roundtrip(self):
-        c = AnswerCache(capacity=4)
+        c = AnswerCache(capacity=4, registry=MetricsRegistry())
         c.put(("p", "q", None), 0, [{"X": "a"}])
         assert c.get(("p", "q", None), 0) == [{"X": "a"}]
         assert c.hits == 1
 
     def test_generation_mismatch_evicts(self):
-        c = AnswerCache(capacity=4)
+        c = AnswerCache(capacity=4, registry=MetricsRegistry())
         c.put(("p", "q", None), 0, [{"X": "a"}])
         assert c.get(("p", "q", None), 1) is None
         assert c.stale == 1
         assert len(c) == 0
 
     def test_lru_eviction(self):
-        c = AnswerCache(capacity=2)
+        c = AnswerCache(capacity=2, registry=MetricsRegistry())
         c.put(("p", "a", None), 0, [])
         c.put(("p", "b", None), 0, [])
         c.get(("p", "a", None), 0)  # refresh a
@@ -112,17 +113,10 @@ class TestAnswerCache:
         assert c.get(("p", "b", None), 0) is None
         assert c.get(("p", "a", None), 0) is not None
 
-    def test_invalidate_program(self):
-        c = AnswerCache(capacity=8)
-        c.put(("p", "a", None), 0, [])
-        c.put(("r", "a", None), 0, [])
-        assert c.invalidate_program("p") == 1
-        assert len(c) == 1
-
 
 class TestAdmission:
     def test_bound_enforced(self):
-        adm = AdmissionController(max_pending=2)
+        adm = AdmissionController(max_pending=2, registry=MetricsRegistry())
         adm.acquire()
         adm.acquire()
         with pytest.raises(Overloaded):
@@ -133,7 +127,7 @@ class TestAdmission:
 
     def test_release_without_acquire(self):
         with pytest.raises(RuntimeError):
-            AdmissionController(max_pending=1).release()
+            AdmissionController(max_pending=1, registry=MetricsRegistry()).release()
 
 
 class TestPercentile:
@@ -217,15 +211,46 @@ class TestBasicServing:
         assert "unexpected character '²'" in resp.error
         assert errors == 1
 
-    def test_procpool_engine(self):
-        async def body(svc):
-            return await svc.submit(
-                QueryRequest("family", "gf(sam, G)", engine="procpool")
-            )
+    def test_retired_procpool_engine_is_an_error_reply(self):
+        """``procpool`` is no served engine: in process and over TCP, a
+        request naming it gets the unknown-engine error, one error is
+        counted for it, and no lane is called."""
 
-        resp = run(with_service(body))
-        assert resp.ok
-        assert sorted(a["G"] for a in resp.answers) == ["den", "doug"]
+        async def body():
+            svc = make_service()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            lane_calls = []
+            real_lane_call = svc.pool.lane_call
+
+            async def counted_lane_call(lane, msg, timeout):
+                lane_calls.append(msg)
+                return await real_lane_call(lane, msg, timeout)
+
+            svc.pool.lane_call = counted_lane_call
+            try:
+                local = await svc.submit(
+                    QueryRequest("family", "gf(sam, G)", engine="procpool")
+                )
+                local_errors = svc.stats()["errors"]
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(
+                    b'{"program": "family", "query": "gf(sam, G)", "engine": "procpool"}\n'
+                )
+                await writer.drain()
+                remote = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+                return local, local_errors, remote, svc.stats()["errors"], list(lane_calls)
+            finally:
+                await svc.stop()
+
+        local, local_errors, remote, errors, lane_calls = run(body())
+        assert not local.ok and local.error == "unknown engine 'procpool'"
+        assert local_errors == 1
+        assert not remote["ok"] and remote["error"] == "unknown engine 'procpool'"
+        assert errors == 2
+        assert lane_calls == []
 
 
 class TestSessionAffinity:
@@ -339,16 +364,17 @@ class TestCacheLifecycle:
         assert svc.telemetry.registry.counter("blog_incomplete_total").value == 2
         assert len(svc.cache) == 0
 
-    def test_procpool_depth_cutoff_is_not_complete(self):
-        # left recursion: the procpool branch solver stops at max_depth,
-        # so answers may be missing and must not be cached as complete
+    def test_depth_cutoff_is_not_complete(self):
+        # left recursion: the engine cuts the p(X) :- p(X) chain off at
+        # max_depth, so answers may be missing and must not be cached as
+        # complete
         async def body():
             svc = BLogService(
                 {"lr": "p(X) :- p(X).\np(a).\n"}, n_workers=1, backend=BACKEND
             )
             await svc.start()
             try:
-                request = QueryRequest("lr", "p(X)", session="s1", engine="procpool")
+                request = QueryRequest("lr", "p(X)", session="s1", engine="blog")
                 first = await svc.submit(request)
                 again = await svc.submit(request)
                 incomplete = svc.telemetry.registry.counter("blog_incomplete_total")
@@ -510,6 +536,11 @@ class TestTcpEndpoint:
         assert q2["ok"] and q2["cached"]
         assert merged["ok"] and merged["merged"]["adopted"] > 0
         assert stats["ok"] and stats["stats"]["served"] >= 2
+        # counts read back from registry series still cross the wire as ints
+        counts = ("peak_pending", "admitted", "sessions_merged", "sessions_abandoned",
+                  "lane_resets")
+        assert all(type(stats["stats"][k]) is int for k in counts)
+        assert all(type(v) is int for k, v in stats["stats"]["cache"].items() if k != "hit_rate")
         assert not bad["ok"]
         assert not garbage["ok"] and "bad json" in garbage["error"]
 

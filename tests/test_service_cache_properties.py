@@ -22,7 +22,7 @@ import pytest
 
 from repro.logic.parser import parse_query
 from repro.ortree.tree import ArcKey
-from repro.service import AnswerCache, cache_key, canonical_query
+from repro.service import AnswerCache, MetricsRegistry, cache_key, canonical_query
 from repro.weights.store import WeightStore
 
 # -- random query structures -------------------------------------------------
@@ -224,7 +224,7 @@ class TestGenerationGuarding:
         rng = random.Random(405)
         for case in range(200):
             store = WeightStore()
-            cache = AnswerCache(capacity=64)
+            cache = AnswerCache(capacity=64, registry=MetricsRegistry())
             # pre-populate the store a little
             for i in range(rng.randint(0, 5)):
                 store.set_known(arc(i), rng.uniform(0.0, 8.0))
@@ -254,7 +254,7 @@ class TestGenerationGuarding:
             store = WeightStore()
             for i in range(rng.randint(0, 4)):
                 store.set_known(arc(i), float(i))
-            cache = AnswerCache(capacity=8)
+            cache = AnswerCache(capacity=8, registry=MetricsRegistry())
             key = ("p", "q", (), None)
             cache.put(key, store.generation, [{"_C1": "a"}])
 
