@@ -4,32 +4,39 @@
 
 BASE and CHANGE are checkouts of this repository (``.`` for this one).
 Each runs in one long-lived worker pinned to the lowest core this
-process may use.  Every round sends a 5-queens (all solutions) and an
-nrev/30 (first answer) query to both workers in turn, and flips which
-worker goes first from one round to the next.  A worker times each
-query in CPU seconds, with a fresh engine and session as the
-``engine-solve`` benchmark builds them.  Per shape the probe prints each
-side's min and quartiles, and the median of the per-round ratios
-CHANGE/BASE: below 1 means CHANGE spends less CPU.  Pairing the two
-sides query by query cancels the host's slow swings in speed.
+process may use.  Every round sends each shape to both workers in turn,
+and flips which worker goes first from one round to the next.  The
+shapes are a 5-queens (all solutions) and an nrev/30 (first answer)
+query, each with a fresh engine and session as the ``engine-solve``
+benchmark builds them, and ``load``: :meth:`Program.from_source` of the
+perfbench-sized family program (77 KB of source).  A worker times each
+in CPU seconds.  Per shape the probe prints each side's min and
+quartiles, and the median of the per-round ratios CHANGE/BASE: below 1
+means CHANGE spends less CPU.  Pairing the two sides query by query
+cancels the host's slow swings in speed.
 
-Each worker also reports every query's work: expansions, children
-generated and ``words_copied``.  The probe prints them per shape and
-exits with status 1 when the two sides did different work, or one
-shape's work changed from one query to the next: a saving must not
-come from doing less.
+Each worker also reports every run's work: for a query its expansions,
+children generated and ``words_copied``; for ``load`` the clause count
+and the summed size of the clauses.  The probe prints them per shape
+and exits with status 1 when the two sides did different work, or one
+shape's work changed from one run to the next: a saving must not come
+from doing less.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import statistics
 import subprocess
 import sys
 import time
 
-SHAPES = ("queens5", "nrev30")
+SHAPES = ("queens5", "nrev30", "load")
+#: the work counts each shape reports, by column
+_QUERY_WORK = ("expansions", "generated", "words_copied")
+WORK = {"queens5": _QUERY_WORK, "nrev30": _QUERY_WORK, "load": ("clauses", "clause_size")}
 
 
 def worker(core: int) -> None:
@@ -37,7 +44,7 @@ def worker(core: int) -> None:
     import repro.core.engine as engine_mod
     from repro.core import BLogConfig, BLogEngine
     from repro.logic.program import Program
-    from repro.workloads import NREV_SOURCE, nqueens_program, nqueens_query
+    from repro.workloads import NREV_SOURCE, nqueens_program, nqueens_query, scaled_family
 
     trees = []
 
@@ -53,9 +60,24 @@ def worker(core: int) -> None:
     nrev = f"nrev([{', '.join(str(v) for v in range(30))}], R)"
     shapes = {"queens5": (nqueens_program(5), nqueens_query(), None),
               "nrev30": (Program.from_source(NREV_SOURCE), nrev, 1)}
+    family = scaled_family(
+        generations=6, children_per_couple=3, couples_per_generation=48, seed=1
+    ).source
     config = BLogConfig(max_depth=1024)
     for line in sys.stdin:
-        program, query, max_solutions = shapes[line.strip()]
+        shape = line.strip()
+        if shape == "load":
+            t0 = time.process_time()
+            loaded = Program.from_source(family)
+            seconds = time.process_time() - t0
+            size = sum(c.head.size + sum(g.size for g in c.body) for c in loaded)
+            print(seconds, len(loaded), size, flush=True)
+            # the next query starts from the same heap on both sides,
+            # whatever the load left for the collector
+            del loaded
+            gc.collect()
+            continue
+        program, query, max_solutions = shapes[shape]
         t0 = time.process_time()
         engine = BLogEngine(program, config)
         engine.begin_session()
@@ -80,7 +102,7 @@ def main() -> None:
             [sys.executable, os.path.abspath(__file__), "--worker", str(core)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env))
 
-    #: (shape, side) -> every query's (expansions, generated, words_copied)
+    #: (shape, side) -> every run's work counts, as WORK names them
     work: dict[tuple[str, int], set] = {(shape, i): set() for shape in SHAPES for i in (0, 1)}
 
     def ask(i: int, shape: str) -> float:
@@ -112,12 +134,12 @@ def main() -> None:
         won = sum(x < 1.0 for x in ratios)
         print(f"{shape:8} change/base median pair ratio x{statistics.median(ratios):.3f}"
               f" (change cheaper in {won}/{len(ratios)} rounds)")
-    print(f"{'shape':8} {'side':7} {'expansions':>10} {'generated':>10} {'words_copied':>12}")
     same = True
     for shape in SHAPES:
+        print(f"{'shape':8} {'side':7}", *(f"{col:>12}" for col in WORK[shape]))
         for i, name in enumerate(("base", "change")):
             for counts in sorted(work[shape, i]):
-                print(f"{shape:8} {name:7} {counts[0]:10} {counts[1]:10} {counts[2]:12}")
+                print(f"{shape:8} {name:7}", *(f"{n:12}" for n in counts))
         base, change = work[shape, 0], work[shape, 1]
         if len(base) != 1 or base != change:
             same = False

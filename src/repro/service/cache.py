@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from ..logic.terms import Struct, Term, Var
+from ..logic.terms import NIL, Struct, Term, Var
 
 if TYPE_CHECKING:
     from .telemetry import MetricsRegistry
@@ -48,23 +48,43 @@ def canonical_query(goals: Sequence[Term]) -> tuple[str, tuple[str, ...]]:
     canonical slots and re-key them to whatever names the *next* asker
     used.
     """
-    mapping: dict[int, Var] = {}
+    slots: dict[int, str] = {}
     names: list[str] = []
-
-    def go(t: Term) -> Term:
-        if isinstance(t, Var):
-            nv = mapping.get(t.id)
-            if nv is None:
-                nv = Var(f"_C{len(names) + 1}", vid=-(len(names) + 1))
-                mapping[t.id] = nv
+    out: list[str] = []
+    # the text str() gives the renamed conjunction, written from an
+    # explicit stack of terms and text still to write: a long list or
+    # a deep term costs no recursion
+    todo: list[Union[Term, str]] = []
+    for g in reversed(goals):
+        todo += (g, ", ")
+    del todo[-1:]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            slot = slots.get(t.id)
+            if slot is None:
                 names.append(t.name)
-            return nv
-        if isinstance(t, Struct):
-            return Struct(t.functor, tuple(go(a) for a in t.args))
-        return t
-
-    text = ", ".join(str(go(g)) for g in goals)
-    return text, tuple(names)
+                slot = slots[t.id] = f"_C{len(names)}"
+            out.append(slot)
+        elif not isinstance(t, Struct):
+            out.append(str(t))
+        else:
+            parts: list[Union[Term, str]] = []
+            if t.functor == "." and len(t.args) == 2:  # [a, b] or [a, b|T]
+                out.append("[")
+                while isinstance(t, Struct) and t.functor == "." and len(t.args) == 2:
+                    parts += (t.args[0], ", ")
+                    t = t.args[1]
+                parts[-1:] = ["]"] if t == NIL else ["|", t, "]"]
+            else:
+                out.append(f"{t.functor}(")
+                for a in t.args:
+                    parts += (a, ", ")
+                parts[-1] = ")"
+            todo += reversed(parts)
+    return "".join(out), tuple(names)
 
 
 def canonical_query_text(goals: Sequence[Term]) -> str:

@@ -518,8 +518,8 @@ class BLogService:
             )
         try:
             goals = parse_query(request.query)
-        # nesting past the parser's recursion limit is a syntax error too
-        except (ParseError, RecursionError) as exc:
+        # nesting past the parser's MAX_DEPTH is a ParseError too
+        except ParseError as exc:
             return self._finish(
                 request, rid, error=f"syntax error: {exc}", trace=trace
             )

@@ -211,6 +211,30 @@ class TestBasicServing:
         assert "unexpected character '²'" in resp.error
         assert errors == 1
 
+    def test_deep_nesting_is_a_syntax_error(self):
+        async def body(svc):
+            query = "f(" * 3000 + "X" + ")" * 3000
+            resp = await svc.submit(QueryRequest("family", query))
+            return resp, svc.stats()["errors"]
+
+        resp, errors = run(with_service(body))
+        assert not resp.ok and resp.error.startswith("syntax error: term nested too deeply")
+        assert errors == 1
+
+    def test_long_list_gets_a_defined_reply(self):
+        """A query holding a 3,000-item list parses; canonicalizing it for
+        the cache used to raise RecursionError out of submit, uncounted."""
+
+        async def body(svc):
+            query = "len([" + ", ".join(["a"] * 3000) + "], N)"
+            resp = await svc.submit(QueryRequest("family", query))
+            return resp, svc.stats()
+
+        resp, stats = run(with_service(body))
+        # answers or an error, and either way one counted request
+        assert resp.ok or resp.error
+        assert (stats["served"], stats["errors"]) == ((1, 0) if resp.ok else (0, 1))
+
     def test_retired_procpool_engine_is_an_error_reply(self):
         """``procpool`` is no served engine: in process and over TCP, a
         request naming it gets the unknown-engine error, one error is
@@ -645,6 +669,33 @@ class TestTcpEndpoint:
         assert bad and good, "the connection closed without a reply"
         bad, good = json.loads(bad), json.loads(good)
         assert not bad["ok"] and "syntax error" in bad["error"]
+        assert good["ok"] and sorted(a["G"] for a in good["answers"]) == ["den", "doug"]
+
+    def test_long_list_gets_a_reply_and_connection_survives(self):
+        """A 3,000-item list (about 9 KB, under the line limit) used to
+        kill the connection's handler with a RecursionError: the client
+        read ``b''`` and the next query got no reply."""
+
+        async def body():
+            svc = make_service()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            replies = []
+            long_list = "len([" + ", ".join(["a"] * 3000) + "], N)"
+            for query in (long_list, "gf(sam, G)"):
+                writer.write((json.dumps({"program": "family", "query": query}) + "\n").encode())
+                await writer.drain()
+                replies.append(await asyncio.wait_for(reader.readline(), 30))
+            writer.close()
+            await writer.wait_closed()
+            await svc.stop()
+            return replies
+
+        long, good = run(body())
+        assert long and good, "the connection closed without a reply"
+        long, good = json.loads(long), json.loads(good)
+        assert long["ok"] or long["error"]
         assert good["ok"] and sorted(a["G"] for a in good["answers"]) == ["den", "doug"]
 
     @pytest.mark.parametrize("how", ["stop", "drain"])

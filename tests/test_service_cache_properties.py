@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.logic.parser import parse_query
+from repro.logic.terms import NIL, Atom, Int, Struct, Var, make_list
 from repro.ortree.tree import ArcKey
 from repro.service import AnswerCache, MetricsRegistry, cache_key, canonical_query
 from repro.weights.store import WeightStore
@@ -168,6 +169,55 @@ class TestRenamingInvariance:
 
 
 # -- property 2: no collisions -----------------------------------------------
+
+
+def reference_canonical(goals) -> tuple[str, tuple[str, ...]]:
+    """canonical_query by renaming into new terms and str(): the
+    recursive form it replaced, kept as the reference."""
+    mapping: dict[int, Var] = {}
+    names: list[str] = []
+
+    def go(t):
+        if isinstance(t, Var):
+            if t.id not in mapping:
+                names.append(t.name)
+                mapping[t.id] = Var(f"_C{len(names)}", vid=-len(names))
+            return mapping[t.id]
+        if isinstance(t, Struct):
+            return Struct(t.functor, tuple(go(a) for a in t.args))
+        return t
+
+    return ", ".join(str(go(g)) for g in goals), tuple(names)
+
+
+def random_term(rng: random.Random, pool: list, depth: int):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(pool + [Atom("a"), Atom("[]"), Int(-3), NIL])
+    if roll < 0.6:
+        items = [random_term(rng, pool, depth - 1) for _ in range(rng.randint(0, 3))]
+        tail = NIL if rng.random() < 0.6 else random_term(rng, pool, depth - 1)
+        return make_list(items, tail)
+    args = [random_term(rng, pool, depth - 1) for _ in range(rng.randint(1, 3))]
+    return Struct(rng.choice(["f", ".", "-"]), args)
+
+
+class TestCanonicalText:
+    def test_matches_the_renamed_terms_text(self):
+        """Over random conjunctions (lists with and without tails,
+        non-list '.' terms, shared and anonymous variables), the
+        canonical text and names equal the reference's."""
+        rng = random.Random(25)
+        for _ in range(400):
+            pool = [Var("X"), Var("Y"), Var("_"), Var("_"), Var("Who")]
+            goals = tuple(random_term(rng, pool, 4) for _ in range(rng.randint(1, 3)))
+            assert canonical_query(goals) == reference_canonical(goals)
+
+    def test_a_long_list_needs_no_recursion(self):
+        (goal,) = parse_query("len([" + ", ".join(["a"] * 5000) + "|T], N)")
+        text, names = canonical_query((goal,))
+        assert text == "len([" + ", ".join(["a"] * 5000) + "|_C1], _C2)"
+        assert names == ("T", "N")
 
 
 class TestNoCollisions:
