@@ -8,16 +8,19 @@ process may use.  Every round sends each shape to both workers in turn,
 and flips which worker goes first from one round to the next.  The
 shapes are a 5-queens (all solutions) and an nrev/30 (first answer)
 query, each with a fresh engine and session as the ``engine-solve``
-benchmark builds them, and ``load``: :meth:`Program.from_source` of the
-perfbench-sized family program (77 KB of source).  A worker times each
-in CPU seconds.  Per shape the probe prints each side's min and
+benchmark builds them; ``load``: :meth:`Program.from_source` of the
+perfbench-sized family program (77 KB of source); and ``hit``: 2,000
+in-process ``BLogService.submit`` calls that the answer cache serves,
+over 20 query texts, on a started thread-lane service holding that
+program.  A worker times each in CPU seconds.  Per shape the probe prints each side's min and
 quartiles, and the median of the per-round ratios CHANGE/BASE: below 1
 means CHANGE spends less CPU.  Pairing the two sides query by query
 cancels the host's slow swings in speed.
 
 Each worker also reports every run's work: for a query its expansions,
 children generated and ``words_copied``; for ``load`` the clause count
-and the summed size of the clauses.  The probe prints them per shape
+and the summed size of the clauses; for ``hit`` the requests the cache
+served and the answers they returned.  The probe prints them per shape
 and exits with status 1 when the two sides did different work, or one
 shape's work changed from one run to the next: a saving must not come
 from doing less.
@@ -26,6 +29,7 @@ from doing less.
 from __future__ import annotations
 
 import argparse
+import asyncio
 import gc
 import os
 import statistics
@@ -33,10 +37,13 @@ import subprocess
 import sys
 import time
 
-SHAPES = ("queens5", "nrev30", "load")
+SHAPES = ("queens5", "nrev30", "load", "hit")
 #: the work counts each shape reports, by column
 _QUERY_WORK = ("expansions", "generated", "words_copied")
-WORK = {"queens5": _QUERY_WORK, "nrev30": _QUERY_WORK, "load": ("clauses", "clause_size")}
+WORK = {"queens5": _QUERY_WORK, "nrev30": _QUERY_WORK, "load": ("clauses", "clause_size"),
+        "hit": ("hits", "answers")}
+#: cache hits per ``hit`` run
+HITS = 2000
 
 
 def worker(core: int) -> None:
@@ -44,6 +51,7 @@ def worker(core: int) -> None:
     import repro.core.engine as engine_mod
     from repro.core import BLogConfig, BLogEngine
     from repro.logic.program import Program
+    from repro.service import BLogService, QueryRequest
     from repro.workloads import NREV_SOURCE, nqueens_program, nqueens_query, scaled_family
 
     trees = []
@@ -60,12 +68,38 @@ def worker(core: int) -> None:
     nrev = f"nrev([{', '.join(str(v) for v in range(30))}], R)"
     shapes = {"queens5": (nqueens_program(5), nqueens_query(), None),
               "nrev30": (Program.from_source(NREV_SOURCE), nrev, 1)}
-    family = scaled_family(
+    instance = scaled_family(
         generations=6, children_per_couple=3, couples_per_generation=48, seed=1
-    ).source
+    )
+    family = instance.source
     config = BLogConfig(max_depth=1024)
+
+    # ``hit``: a started service whose cache holds every text's answers
+    texts = [f"f({dad}, Who)" for dad in sorted(set(instance.fathers.values()))[:10]]
+    texts += [f"gf({root}, Who)" for root in instance.roots[:10]]
+    loop = asyncio.new_event_loop()
+    service = BLogService({"family": instance.program}, n_workers=2, backend="thread")
+    loop.run_until_complete(service.start())
+    for text in texts:
+        loop.run_until_complete(service.submit(QueryRequest("family", text)))
+    requests = [QueryRequest("family", texts[i % len(texts)]) for i in range(HITS)]
+
+    async def hits() -> tuple[int, int]:
+        served = answers = 0
+        for request in requests:
+            resp = await service.submit(request)
+            served += resp.cached
+            answers += len(resp.answers)
+        return served, answers
+
     for line in sys.stdin:
         shape = line.strip()
+        if shape == "hit":
+            t0 = time.process_time()
+            served, answers = loop.run_until_complete(hits())
+            seconds = time.process_time() - t0
+            print(seconds, served, answers, flush=True)
+            continue
         if shape == "load":
             t0 = time.process_time()
             loaded = Program.from_source(family)
@@ -86,6 +120,8 @@ def worker(core: int) -> None:
         seconds = time.process_time() - t0
         tree = trees.pop()
         print(seconds, result.expansions, result.generated, tree.words_copied, flush=True)
+    loop.run_until_complete(service.stop())
+    loop.close()
 
 
 def main() -> None:

@@ -32,6 +32,7 @@ __all__ = [
     "canonical_query_text",
     "cache_key",
     "slot_names",
+    "CanonicalForm",
     "AnswerCache",
     "CacheEntry",
 ]
@@ -107,16 +108,32 @@ def cache_key(
     the same canonical text but report different bindings, so they must
     not share a line.
     """
-    return canonical_cache_key(program, canonical_query(goals), max_solutions)
+    return CanonicalForm.of(goals).key(program, max_solutions)
 
 
-def canonical_cache_key(
-    program: str, canonical: tuple[str, tuple[str, ...]], max_solutions: Optional[int]
-) -> tuple:
-    """:func:`cache_key` of a query :func:`canonical_query` already ran on."""
-    text, names = canonical
-    mask = tuple(n == "_" for n in names)
-    return (program, text, mask, max_solutions)
+@dataclass(frozen=True, slots=True)
+class CanonicalForm:
+    """What serving a query from the cache needs of its text: the
+    canonical conjunction text and the anonymity mask of its slots (the
+    text's share of the cache key), and ``{slot: the query's own
+    variable name}`` for its named variables (to re-key answers)."""
+
+    text: str
+    mask: tuple[bool, ...]
+    names: dict[str, str]
+
+    @classmethod
+    def of(cls, goals: Sequence[Term]) -> "CanonicalForm":
+        text, names = canonical_query(goals)
+        return cls(
+            text,
+            tuple(n == "_" for n in names),
+            {slot: name for name, slot in slot_names(names).items()},
+        )
+
+    def key(self, program: str, max_solutions: Optional[int]) -> tuple:
+        """The cache line identity (:func:`cache_key`) for ``program``."""
+        return (program, self.text, self.mask, max_solutions)
 
 
 @dataclass

@@ -39,6 +39,7 @@ import asyncio
 import enum
 import signal
 import time
+import weakref
 from typing import TYPE_CHECKING, Iterable, Optional
 
 if TYPE_CHECKING:  # avoid the import cycle; the service owns its lifecycle
@@ -63,7 +64,10 @@ class ServiceLifecycle:
     """The state machine, the signal handlers, and the drain protocol."""
 
     def __init__(self, service: "BLogService", drain_timeout: float = 10.0):
-        self._service = service
+        # weak: the service owns its lifecycle, and a strong reference
+        # back would keep a stopped service's stores and cache alive
+        # until the collector's next full pass
+        self._service = weakref.proxy(service)
         self.drain_timeout = float(drain_timeout)
         self.state = LifecycleState.STARTING
         #: every state this lifecycle has passed through, in order —

@@ -46,6 +46,7 @@ import json
 import math
 import reprlib
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -55,15 +56,16 @@ from ..core.config import BLogConfig
 from ..core.procpool import CloseSession, LoadProgram, OpenSession, Query, SyncStore
 from ..logic.parser import ParseError, parse_query
 from ..logic.program import Program
+from ..logic.terms import Term
 from ..machine.blog_machine import MachineConfig
 from ..weights.session import MergeReport, plan_merge
 from ..weights.store import StoreDelta, WeightStore
 from ..weights.wal import DurableStore
 from .admission import AdmissionController, Overloaded
-from .cache import AnswerCache, canonical_cache_key, canonical_query, slot_names
+from .cache import AnswerCache, CanonicalForm
 from .lifecycle import LifecycleState, NotServing, ServiceLifecycle
 from .router import SessionRouter
-from .stats import ServiceStats
+from .stats import ServiceStats, bound_series
 from .telemetry import Telemetry, Trace
 from .workers import Job, QueryTimeout, WorkerDied, WorkerPool
 
@@ -206,6 +208,10 @@ class BLogService:
         ack) under ``data_dir/<program>/``, boot replays snapshot +
         journal, and ``stop``/drain writes a final checkpoint.  None
         (the default) keeps the historical in-memory behavior.
+    cache_capacity:
+        Answer-cache lines kept (least recently used dropped first).  As
+        many cacheable query texts keep their canonical form, so a
+        repeated text is not parsed again (oldest text dropped first).
     checkpoint_interval:
         Seconds between periodic snapshots compacting the journal
         (only meaningful with ``data_dir``); None disables the periodic
@@ -214,6 +220,10 @@ class BLogService:
         Deadline (seconds) for in-flight work during a graceful drain;
         queued work past it is cancelled, never run late.
     """
+
+    _incomplete = bound_series("counter", "blog_incomplete_total")
+    _wal_appends = bound_series("counter", "blog_wal_appends_total")
+    _wal_fsync_s = bound_series("histogram", "blog_wal_fsync_seconds")
 
     def __init__(
         self,
@@ -254,14 +264,17 @@ class BLogService:
             self.telemetry.attach_trace_log(
                 trace_log, max_bytes=trace_log_max_bytes
             )
-        registry = self.telemetry.registry
+        registry = self._registry = self.telemetry.registry
         self.router = SessionRouter(self.n_workers, registry=registry)
         self.pool = WorkerPool(self.n_workers, backend=backend, mp_context=mp_context)
         self._m_lane_resets = registry.counter("blog_lane_resets_total")
         self._m_abandoned = registry.counter("blog_sessions_abandoned_total")
-        self.pool.backend.on_lane_reset = self._on_lane_reset
         self.admission = AdmissionController(max_pending, registry=registry)
         self.cache = AnswerCache(cache_capacity, registry=registry)
+        #: query text -> its canonical form, for the last ``cache_capacity``
+        #: cacheable texts that parsed: a cache hit on a text seen before
+        #: runs neither the parser nor the canonicalization
+        self._canonical_forms: OrderedDict[str, CanonicalForm] = OrderedDict()
         self.stats_agg = ServiceStats(registry)
         self._req_counter = 0
         self._tcp_server: Optional[asyncio.base_events.Server] = None
@@ -311,6 +324,9 @@ class BLogService:
     # -- lifecycle ---------------------------------------------------------
     async def start(self) -> None:
         already = self.pool.started
+        # set while lanes run, and cleared by stop, so a stopped service
+        # is not kept alive by its own pool
+        self.pool.backend.on_lane_reset = self._on_lane_reset
         await self.pool.start()
         if self.data_dir is not None and not self._durable:
             self.lifecycle.transition(LifecycleState.RECOVERING)
@@ -349,6 +365,7 @@ class BLogService:
             self._checkpoint_task = None
         await self.close_ingress()
         await self.pool.stop()
+        self.pool.backend.on_lane_reset = None
         if close_connections:
             await self._close_connections()
         if self._durable:
@@ -437,28 +454,29 @@ class BLogService:
                         self._wal_io, ds.log_merge, session, delta.generation, delta
                     )
                     span.set("seq", ds.wal.seq)
-                registry = self.telemetry.registry
-                registry.counter("blog_wal_appends_total").inc()
-                registry.histogram("blog_wal_fsync_seconds").observe(ds.wal.last_fsync_s)
+                self._wal_appends.inc()
+                self._wal_fsync_s.observe(ds.wal.last_fsync_s)
             self.router.commit(entry.global_store, delta)
         return report
 
     async def checkpoint(self) -> None:
         """Snapshot every durable store and compact its journal.
 
-        The payload is prepared on the loop thread, between commits
-        (consistent store + seq view); only the atomic file write runs
-        on the WAL executor, serialized behind any in-flight appends.
+        Each store is captured on the loop thread, between commits
+        (consistent store + seq view); the encoding and the atomic file
+        write run on the WAL executor, serialized behind any in-flight
+        appends.  One program's capture is let go before the next is
+        taken.
         """
         if not self._durable:
             return
         loop = asyncio.get_running_loop()
         with self.telemetry.registry.histogram("blog_checkpoint_seconds").time():
             for name, ds in sorted(self._durable.items()):
-                entry = self.programs[name]
                 async with self._commit_lock:
-                    payload = ds.prepare_checkpoint(entry.global_store)
-                await loop.run_in_executor(self._wal_io, ds.write_checkpoint, payload)
+                    snapshot = ds.capture(self.programs[name].global_store)
+                await loop.run_in_executor(self._wal_io, ds.write_checkpoint, snapshot)
+                del snapshot
 
     async def _checkpoint_loop(self) -> None:
         while True:
@@ -516,30 +534,33 @@ class BLogService:
             return self._finish(
                 request, rid, error=f"unknown engine {request.engine!r}", trace=trace
             )
-        try:
-            goals = parse_query(request.query)
-        # nesting past the parser's MAX_DEPTH is a ParseError too
-        except ParseError as exc:
-            return self._finish(
-                request, rid, error=f"syntax error: {exc}", trace=trace
-            )
-
         # Cache lookup under the program's current weight generation: a
         # session merge bumps the generation and silently invalidates
         # every answer computed under the old weights.  Entries hold
         # answers keyed by canonical variable slots, re-keyed here to
         # whatever names this asker used (gf(sam, G) can serve
-        # gf(sam, Who)).
+        # gf(sam, Who)).  A cacheable text seen before skips the parser:
+        # its goals are parsed only if a lane is to run them.
         generation = entry.global_store.generation
-        canonical = canonical_query(goals)
-        key = canonical_cache_key(entry.name, canonical, request.max_solutions)
-        slots = slot_names(canonical[1])
-        if request.cache:
+        form = self._canonical_forms.get(request.query) if request.cache else None
+        goals: Optional[tuple[Term, ...]] = None
+        if form is None:
+            try:
+                goals = parse_query(request.query)
+            # nesting past the parser's MAX_DEPTH is a ParseError too
+            except ParseError as exc:
+                return self._finish(
+                    request, rid, error=f"syntax error: {exc}", trace=trace
+                )
+            if request.cache:
+                form = self._remember(request.query, goals)
+        if form is not None:
+            key = form.key(entry.name, request.max_solutions)
             with trace.span("cache") as cache_span:
                 canon = self.cache.get(key, generation)
                 cache_span.set("hit", canon is not None)
             if canon is not None:
-                by_slot = {slot: name for name, slot in slots.items()}
+                by_slot = form.names
                 answers = [
                     {by_slot[s]: v for s, v in a.items() if s in by_slot}
                     for a in canon
@@ -548,6 +569,8 @@ class BLogService:
                     request, rid, answers=answers, cache_hit=True,
                     engine_used="cache", trace=trace,
                 )
+        if goals is None:  # a memoized text parsed before, so it parses
+            goals = parse_query(request.query)
 
         engine_used = request.engine
         degraded = False
@@ -607,9 +630,10 @@ class BLogService:
                 engine_used=engine_used, degraded=degraded, job=job, trace=trace,
             )
         if not complete:
-            self.telemetry.registry.counter("blog_incomplete_total").inc()
-        elif request.cache:
+            self._incomplete.inc()
+        elif form is not None:
             with trace.span("cache", fill=True):
+                slots = {name: slot for slot, name in form.names.items()}
                 self.cache.put(
                     key,
                     generation,
@@ -623,6 +647,15 @@ class BLogService:
             degraded=degraded, job=job, expansions=expansions, complete=complete,
             trace=trace,
         )
+
+    def _remember(self, text: str, goals: tuple[Term, ...]) -> CanonicalForm:
+        """The canonical form of a query text that parsed into ``goals``,
+        kept for the next request with the same text; past
+        ``cache_capacity`` texts the oldest is forgotten."""
+        form = self._canonical_forms[text] = CanonicalForm.of(goals)
+        if len(self._canonical_forms) > self.cache.capacity:
+            self._canonical_forms.popitem(last=False)
+        return form
 
     # -- lane plumbing (event-loop only) -----------------------------------
     def _on_lane_reset(self, lane: int) -> None:
@@ -827,7 +860,13 @@ class BLogService:
         engine_used = engine_used or request.engine
         retries = job.retries if job is not None else 0
         total_s = max(0.0, time.monotonic() - trace.root.start_s)
-        engine_s = sum(s.duration_s for s in trace.find("engine") if s.end_s is not None)
+        # only lane work (a job) opens engine spans: a hit or an early
+        # error has none to sum
+        engine_s = (
+            sum(s.duration_s for s in trace.find("engine") if s.end_s is not None)
+            if job is not None
+            else 0.0
+        )
         queue_wait = job.queue_wait_s if job is not None else max(0.0, total_s - engine_s)
         trace.end(
             ok=ok,

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 import time
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 if TYPE_CHECKING:  # telemetry imports this module; keep the edge type-only
-    from .telemetry import MetricsRegistry
+    from .telemetry import Counter, MetricsRegistry
 
 __all__ = [
     "ServiceStats",
+    "bound_series",
     "percentile",
     "format_stats",
     "format_lane_stats",
@@ -50,6 +51,31 @@ def percentile(values: list[float], q: float) -> float:
     return xs[lo] * (1.0 - frac) + xs[hi] * frac
 
 
+class bound_series:
+    """A metric series as an attribute of an object holding a
+    ``_registry``: ``hits = bound_series("counter", "blog_request_cache_hits_total")``.
+
+    The first read asks the registry for the series, which registers it
+    then, as a call at the use site would: a series nobody used stays
+    out of the exposition.  The series is then kept on the instance, so
+    every later read is a plain attribute lookup.
+    """
+
+    def __init__(self, kind: str, name: str):
+        self.kind = kind
+        self.name = name
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, obj: Any, owner: Optional[type] = None) -> Any:
+        if obj is None:
+            return self
+        bound = getattr(obj._registry, self.kind)(self.name)
+        obj.__dict__[self.attr] = bound  # shadows this descriptor from now on
+        return bound
+
+
 class ServiceStats:
     """Folds finished requests into the metrics registry and reads the
     operator summary back from it.
@@ -60,8 +86,22 @@ class ServiceStats:
     from their own histograms.
     """
 
+    _requests = bound_series("counter", "blog_requests_total")
+    _errors = bound_series("counter", "blog_errors_total")
+    _cache_hits = bound_series("counter", "blog_request_cache_hits_total")
+    _degraded = bound_series("counter", "blog_degraded_total")
+    _retries = bound_series("counter", "blog_retries_total")
+    _request_s = bound_series("histogram", "blog_request_seconds")
+    _queue_wait_s = bound_series("histogram", "blog_queue_wait_seconds")
+    _engine_s = bound_series("histogram", "blog_engine_seconds")
+    _served_s = bound_series("histogram", "blog_served_seconds")
+    _served_queue_wait_s = bound_series("histogram", "blog_served_queue_wait_seconds")
+    _rejection_s = bound_series("histogram", "blog_rejection_seconds")
+
     def __init__(self, registry: "MetricsRegistry"):
         self._registry = registry
+        #: engine -> its ``blog_requests_engine_total`` series
+        self._by_engine: dict[str, "Counter"] = {}
         self._first_done: Optional[float] = None
         self._last_done: Optional[float] = None
 
@@ -81,27 +121,31 @@ class ServiceStats:
         if self._first_done is None:
             self._first_done = done
         self._last_done = done
-        reg = self._registry
-        reg.counter("blog_requests_total").inc()
-        reg.counter("blog_requests_engine_total", engine=engine_used).inc()
+        self._requests.inc()
+        by_engine = self._by_engine.get(engine_used)
+        if by_engine is None:
+            by_engine = self._by_engine[engine_used] = self._registry.counter(
+                "blog_requests_engine_total", engine=engine_used
+            )
+        by_engine.inc()
         if not ok:
-            reg.counter("blog_errors_total").inc()
+            self._errors.inc()
         if cache_hit:
-            reg.counter("blog_request_cache_hits_total").inc()
+            self._cache_hits.inc()
         if degraded:
-            reg.counter("blog_degraded_total").inc()
+            self._degraded.inc()
         if retries:
-            reg.counter("blog_retries_total").inc(retries)
-        reg.histogram("blog_request_seconds").observe(total_s)
-        reg.histogram("blog_queue_wait_seconds").observe(queue_wait_s)
+            self._retries.inc(retries)
+        self._request_s.observe(total_s)
+        self._queue_wait_s.observe(queue_wait_s)
         if not cache_hit:
-            reg.histogram("blog_engine_seconds").observe(engine_s)
+            self._engine_s.observe(engine_s)
         if ok:
-            reg.histogram("blog_served_seconds").observe(total_s)
-            reg.histogram("blog_served_queue_wait_seconds").observe(queue_wait_s)
+            self._served_s.observe(total_s)
+            self._served_queue_wait_s.observe(queue_wait_s)
 
     def record_rejection(self, total_s: float) -> None:
-        self._registry.histogram("blog_rejection_seconds").observe(total_s)
+        self._rejection_s.observe(total_s)
 
     # -- reading -----------------------------------------------------------
     def summary(self) -> dict:

@@ -32,9 +32,11 @@ __all__ = [
     "store_from_dict",
     "delta_to_dict",
     "delta_from_dict",
+    "entry_to_json",
     "StoreCorruptError",
 ]
 
+STORE_FORMAT = "blog-weights-v1"
 DELTA_FORMAT = "blog-weights-delta-v1"
 
 
@@ -101,19 +103,20 @@ def _key_from_json(data: dict) -> ArcKey:
     raise ValueError(f"unknown arc key kind {kind!r}")
 
 
-def _entry_to_json(key: ArcKey, entry: WeightEntry) -> dict:
+def entry_to_json(key: ArcKey, entry: WeightEntry) -> dict:
+    """One store entry as :func:`store_to_dict` lists it."""
     return {"key": _key_to_json(key), "state": entry.state.value, "value": entry.value}
 
 
 def store_to_dict(store: WeightStore) -> dict:
     """The JSON-ready representation of a store."""
-    entries = [_entry_to_json(k, e) for k, e in store.snapshot().items()]
-    return {"format": "blog-weights-v1", "n": store.n, "a": store.a, "entries": entries}
+    entries = [entry_to_json(k, e) for k, e in store.snapshot().items()]
+    return {"format": STORE_FORMAT, "n": store.n, "a": store.a, "entries": entries}
 
 
 def store_from_dict(data: dict) -> WeightStore:
     """Rebuild a store from :func:`store_to_dict` output."""
-    if data.get("format") != "blog-weights-v1":
+    if data.get("format") != STORE_FORMAT:
         raise ValueError(f"unrecognized weight store format {data.get('format')!r}")
     store = WeightStore(n=data["n"], a=data["a"])
     for item in data["entries"]:
@@ -136,7 +139,7 @@ def delta_to_dict(delta: StoreDelta, n: float, a: int) -> dict:
         "generation": delta.generation,
         "n": n,
         "a": a,
-        "entries": [_entry_to_json(k, e) for k, e in delta.entries.items()],
+        "entries": [entry_to_json(k, e) for k, e in delta.entries.items()],
     }
 
 

@@ -50,21 +50,24 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
+from ..ortree.tree import ArcKey
 from .persist import (
+    STORE_FORMAT,
     StoreCorruptError,
     delta_from_dict,
     delta_to_dict,
+    entry_to_json,
     store_from_dict,
-    store_to_dict,
 )
-from .store import StoreDelta, WeightStore
+from .store import StoreDelta, WeightEntry, WeightStore
 
 __all__ = [
     "WalCorruptError",
     "WeightWal",
     "DurableStore",
+    "Checkpoint",
     "RecoveryInfo",
     "SNAPSHOT_FORMAT",
 ]
@@ -73,6 +76,9 @@ __all__ = [
 _HEADER = struct.Struct(">II")
 
 SNAPSHOT_FORMAT = "blog-wal-snapshot-v1"
+
+#: the snapshot file's layout: one JSON value per line, one space per level
+_INDENTED = json.JSONEncoder(indent=1)
 
 
 class WalCorruptError(ValueError):
@@ -104,6 +110,49 @@ class RecoveryInfo:
             "torn_tail": self.torn_tail,
             "seq": self.seq,
         }
+
+
+@dataclass(frozen=True)
+class Checkpoint:
+    """One store as its snapshot will hold it, captured where the store is
+    coherent.  Capturing copies the entry map and encodes nothing: a
+    later write replaces an entry object but never changes one, so the
+    copy stays this generation's view while :meth:`chunks` encodes it.
+    """
+
+    seq: int
+    generation: int
+    applied: dict[str, int]
+    n: float
+    a: int
+    entries: dict[ArcKey, WeightEntry]
+
+    def _document(self, entries: list[dict]) -> dict:
+        return {
+            "format": SNAPSHOT_FORMAT,
+            "seq": self.seq,
+            "generation": self.generation,
+            "applied": self.applied,
+            "store": {"format": STORE_FORMAT, "n": self.n, "a": self.a, "entries": entries},
+        }
+
+    def document(self) -> dict:
+        """The snapshot as one JSON-ready dict (two dicts per entry)."""
+        return self._document([entry_to_json(k, e) for k, e in self.entries.items()])
+
+    def chunks(self) -> Iterator[str]:
+        """The text ``json.dump(self.document(), fh, indent=1)`` writes,
+        with the entries encoded one at a time: the store's entry list is
+        the document's last value, three levels deep."""
+        head, _, tail = _INDENTED.encode(self._document([])).rpartition("[]")
+        yield head
+        opener = "["
+        for key, entry in self.entries.items():
+            text = _INDENTED.encode(entry_to_json(key, entry))
+            yield opener + "\n   " + text.replace("\n", "\n   ")
+            opener = ","
+        yield "[]" if opener == "[" else "\n  ]"
+        yield tail
 
 
 class WeightWal:
@@ -241,12 +290,11 @@ class DurableStore:
 
     Protocol: :meth:`recover` once at boot (returns the reconstructed
     store), :meth:`log_merge` after every global-store merge (fsynced
-    before the merge is acknowledged), and
-    :meth:`prepare_checkpoint` / :meth:`write_checkpoint` periodically
-    and at drain.  ``prepare_checkpoint`` must run where the store is
-    coherent (the service's event-loop thread); ``write_checkpoint``
-    and ``log_merge`` are safe on an IO executor — an internal lock
-    serializes them.
+    before the merge is acknowledged), and :meth:`capture` /
+    :meth:`write_checkpoint` periodically and at drain.  ``capture``
+    must run where the store is coherent (the service's event-loop
+    thread); ``write_checkpoint`` and ``log_merge`` are safe on an IO
+    executor — an internal lock serializes them.
     """
 
     SNAPSHOT = "snapshot.json"
@@ -347,32 +395,46 @@ class DurableStore:
         return seq
 
     # -- checkpoints ---------------------------------------------------------
-    def prepare_checkpoint(self, store: WeightStore) -> dict:
-        """A consistent snapshot payload (call where the store is
-        coherent; no IO happens here)."""
-        return {
-            "format": SNAPSHOT_FORMAT,
-            "seq": self.wal.seq,
-            "generation": store.generation,
-            "applied": dict(self.applied),
-            "store": store_to_dict(store),
-        }
+    def capture(self, store: WeightStore) -> Checkpoint:
+        """A consistent snapshot of ``store`` at the journal's current seq
+        (call where the store is coherent; no IO or encoding happens
+        here)."""
+        return Checkpoint(
+            seq=self.wal.seq,
+            generation=store.generation,
+            applied=dict(self.applied),
+            n=store.n,
+            a=store.a,
+            entries=store.snapshot(),
+        )
 
-    def write_checkpoint(self, payload: dict) -> None:
-        """Atomically persist a prepared snapshot and compact the journal.
+    def prepare_checkpoint(self, store: WeightStore) -> dict:
+        """:meth:`capture` as the JSON-ready snapshot document."""
+        return self.capture(store).document()
+
+    def write_checkpoint(self, payload: Union[Checkpoint, dict]) -> None:
+        """Atomically persist a captured snapshot (or a snapshot
+        document) and compact the journal.  A :class:`Checkpoint` is
+        encoded entry by entry as it is written, into the same bytes its
+        document would give.
 
         tmp file → flush → fsync → ``os.replace`` → directory fsync, so
         a crash at any point leaves either the old snapshot or the new
         one, never a torn file.  The journal is truncated only when no
-        merge was appended since ``prepare_checkpoint`` (otherwise the
-        tail is kept; recovery's seq guard skips the covered prefix).
+        merge was appended since the capture (otherwise the tail is
+        kept; recovery's seq guard skips the covered prefix).
         """
+        if isinstance(payload, Checkpoint):
+            chunks, seq = payload.chunks(), payload.seq
+        else:
+            chunks, seq = _INDENTED.iterencode(payload), int(payload["seq"])
         snap = self.snapshot_path
         tmp = snap.with_name(snap.name + ".tmp")
         with self._lock:
             fh = open(tmp, "w", encoding="utf-8")
             try:
-                json.dump(payload, fh, indent=1)
+                for chunk in chunks:
+                    fh.write(chunk)
                 fh.flush()
                 os.fsync(fh.fileno())
             finally:
@@ -383,13 +445,13 @@ class DurableStore:
                 os.fsync(dir_fd)
             finally:
                 os.close(dir_fd)
-            if self.wal.seq == int(payload["seq"]):
+            if self.wal.seq == seq:
                 self.wal.reset()
             self.checkpoints += 1
 
     def checkpoint(self, store: WeightStore) -> None:
-        """Prepare + write in one call (offline tools, tests)."""
-        self.write_checkpoint(self.prepare_checkpoint(store))
+        """Capture + write in one call (offline tools, tests)."""
+        self.write_checkpoint(self.capture(store))
 
     # -- introspection -------------------------------------------------------
     def status(self) -> dict:

@@ -1025,6 +1025,27 @@ class TestLifecycle:
         state = run(body())
         assert state is None or state is LifecycleState.STOPPED
 
+    def test_a_stopped_service_is_freed_without_the_collector(self, tmp_path):
+        # no reference cycle runs through a stopped service: its stores,
+        # cache and lanes go as soon as its owner lets go of it
+        import gc
+        import weakref
+
+        async def body():
+            svc = make_service(data_dir=tmp_path / "weights")
+            await svc.start()
+            await svc.submit(QueryRequest("family", "gf(sam, G)", session="s"))
+            assert await svc.end_session("family", "s") is not None
+            await svc.lifecycle.drain(timeout=5.0)
+            return weakref.ref(svc), weakref.ref(svc.programs["family"].global_store)
+
+        gc.disable()
+        try:
+            refs = run(body())
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
 
 class TestLoadAcceptance:
     """The issue's acceptance bar: ≥200 mixed-session queries, zero

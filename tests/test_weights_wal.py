@@ -382,3 +382,72 @@ class TestOnDiskFormat:
         assert info.records_replayed == 2 and recovered.generation == 5
         assert recovered.weight(goal("gf(sam, X)", callee=3)) == 2.0
         assert recovered.weight(ArcKey("pointer", (0, 1, 5))) == 7.25
+
+
+def goal_key(text: str, callee: int) -> ArcKey:
+    return ArcKey("goal", (canonical_goal(parse_term(text)), callee))
+
+
+def mixed_store(n: int) -> WeightStore:
+    """A store holding every key kind and entry state, ``n`` keys each."""
+    store = WeightStore(n=8, a=16)
+    for i in range(n):
+        store.set_known(key(i), 0.5 * i)
+        store.set_infinite(ArcKey("pointer", (-1, i, 2 * i)))
+        store.set_known(goal_key(f"gf(p{i}, f(X, [a, {i}|T]), X)", callee=i), 3.0)
+    store.set_known(ArcKey("builtin", (("is", 2),)), 1.0)
+    return store
+
+
+class TestStreamedCheckpoint:
+    """A captured checkpoint is encoded one entry at a time, into the
+    bytes its whole document gives."""
+
+    @pytest.mark.parametrize("n", [0, 1, 40])
+    def test_chunks_are_the_document_text(self, tmp_path, n):
+        store = mixed_store(n)
+        ds = DurableStore(tmp_path / "p", n=8, a=16)
+        ds.log_merge("alice", store.generation, store.delta_since(None))
+        snapshot = ds.capture(store)
+        assert "".join(snapshot.chunks()) == json.dumps(snapshot.document(), indent=1)
+        ds.write_checkpoint(snapshot)
+        assert ds.snapshot_path.read_text() == json.dumps(
+            ds.prepare_checkpoint(store), indent=1
+        )
+        ds.close()
+        again = DurableStore(tmp_path / "p", n=8, a=16)
+        recovered, info = again.recover()
+        again.close()
+        assert entries(recovered) == entries(store) and info.snapshot_loaded
+
+    def test_capture_is_the_store_at_capture_time(self, tmp_path):
+        store = mixed_store(5)
+        ds = DurableStore(tmp_path / "p", n=8, a=16)
+        before = json.dumps(ds.prepare_checkpoint(store), indent=1)
+        snapshot = ds.capture(store)
+        store.set_known(key(0), 99.0)  # a merge lands between capture and write
+        store.forget(key(1))
+        ds.write_checkpoint(snapshot)
+        ds.close()
+        assert ds.snapshot_path.read_text() == before
+
+    def test_writing_a_capture_builds_no_document(self, tmp_path):
+        # the whole document holds two dicts per entry; the streamed
+        # write holds one entry's at a time
+        import tracemalloc
+
+        store = mixed_store(1500)
+        ds = DurableStore(tmp_path / "p", n=8, a=16)
+
+        def peak(payload_of) -> int:
+            tracemalloc.start()
+            try:
+                ds.write_checkpoint(payload_of(store))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = peak(ds.prepare_checkpoint)
+        streamed = peak(ds.capture)
+        ds.close()
+        assert streamed * 4 < whole, (streamed, whole)
