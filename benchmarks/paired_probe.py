@@ -12,7 +12,10 @@ benchmark builds them; ``load``: :meth:`Program.from_source` of the
 perfbench-sized family program (77 KB of source); and ``hit``: 2,000
 in-process ``BLogService.submit`` calls that the answer cache serves,
 over 20 query texts, on a started thread-lane service holding that
-program.  A worker times each in CPU seconds.  Per shape the probe prints each side's min and
+program; and ``open``: 50 session open→query→close cycles on a started
+one-lane thread service whose mirror holds 26,000 keys, each cycle an
+uncached query in a new session, then its merge.  A worker times each
+in CPU seconds.  Per shape the probe prints each side's min and
 quartiles, and the median of the per-round ratios CHANGE/BASE: below 1
 means CHANGE spends less CPU.  Pairing the two sides query by query
 cancels the host's slow swings in speed.
@@ -20,7 +23,8 @@ cancels the host's slow swings in speed.
 Each worker also reports every run's work: for a query its expansions,
 children generated and ``words_copied``; for ``load`` the clause count
 and the summed size of the clauses; for ``hit`` the requests the cache
-served and the answers they returned.  The probe prints them per shape
+served and the answers they returned; for ``open`` the sessions opened
+and the store entries shipped to the lane.  The probe prints them per shape
 and exits with status 1 when the two sides did different work, or one
 shape's work changed from one run to the next: a saving must not come
 from doing less.
@@ -37,20 +41,25 @@ import subprocess
 import sys
 import time
 
-SHAPES = ("queens5", "nrev30", "load", "hit")
+SHAPES = ("queens5", "nrev30", "load", "hit", "open")
 #: the work counts each shape reports, by column
 _QUERY_WORK = ("expansions", "generated", "words_copied")
 WORK = {"queens5": _QUERY_WORK, "nrev30": _QUERY_WORK, "load": ("clauses", "clause_size"),
-        "hit": ("hits", "answers")}
+        "hit": ("hits", "answers"), "open": ("sessions", "keys_shipped")}
 #: cache hits per ``hit`` run
 HITS = 2000
+#: session cycles per ``open`` run, and the keys its lane's mirror holds
+OPENS = 50
+MIRROR_KEYS = 26_000
 
 
 def worker(core: int) -> None:
     os.sched_setaffinity(0, {core})
     import repro.core.engine as engine_mod
+    import repro.core.procpool as procpool
     from repro.core import BLogConfig, BLogEngine
     from repro.logic.program import Program
+    from repro.ortree.tree import ArcKey
     from repro.service import BLogService, QueryRequest
     from repro.workloads import NREV_SOURCE, nqueens_program, nqueens_query, scaled_family
 
@@ -92,8 +101,48 @@ def worker(core: int) -> None:
             answers += len(resp.answers)
         return served, answers
 
+    # ``open``: count the entries every store sync ships to a lane
+    shipped = [0]
+    sync = procpool.SyncStore.apply
+
+    def counted_sync(self, lane_worker):
+        shipped[0] += len(self.delta.entries)
+        return sync(self, lane_worker)
+
+    procpool.SyncStore.apply = counted_sync
+
+    async def opens() -> tuple[float, int, int]:
+        """A fresh service each run, so every run does the same work; the
+        first cycle ships the whole store and stays out of the timing."""
+        svc = BLogService({"family": instance.program}, n_workers=1, backend="thread")
+        await svc.start()
+        store = svc.programs["family"].global_store
+        for i in range(MIRROR_KEYS):
+            store.set_known(ArcKey("pointer", (-1 - i, 0, i)), 1.0 + i % 7)
+
+        async def cycle(i: int) -> None:
+            session = f"s{i}"
+            request = QueryRequest("family", texts[i % len(texts)], session=session, cache=False)
+            assert (await svc.submit(request)).ok
+            await svc.end_session("family", session)
+
+        await cycle(-1)
+        opened, shipped[0] = svc.router.sessions_opened, 0
+        t0 = time.process_time()
+        for i in range(OPENS):
+            await cycle(i)
+        seconds = time.process_time() - t0
+        opened = svc.router.sessions_opened - opened
+        await svc.stop()
+        return seconds, opened, shipped[0]
+
     for line in sys.stdin:
         shape = line.strip()
+        if shape == "open":
+            seconds, opened, keys = loop.run_until_complete(opens())
+            print(seconds, opened, keys, flush=True)
+            gc.collect()
+            continue
         if shape == "hit":
             t0 = time.process_time()
             served, answers = loop.run_until_complete(hits())

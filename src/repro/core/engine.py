@@ -85,8 +85,7 @@ class BLogEngine:
         # explicit None check: an empty WeightStore is falsy (len 0)
         if global_store is None:
             global_store = WeightStore(n=self.config.n, a=self.config.a)
-        store = global_store
-        self.sessions = SessionManager(store, alpha=self.config.alpha)
+        self.sessions = SessionManager(global_store, alpha=self.config.alpha)
         self.queries_run = 0
 
     # -- session protocol -------------------------------------------------------

@@ -178,16 +178,16 @@ def or_parallel_solve(
 # -- lane workers: one implementation of the lane protocol -----------------
 #
 # The serving layer runs one LaneWorker per lane.  It holds the lane's
-# programs, a mirror of each program's global weight store (caught up by
-# deltas, never reshipped whole), and the session-local engines of every
-# session routed to the lane.  The parent speaks to it in the message
-# types below, one request at a time (lanes are serial queues, so there
-# is never a second in-flight request to interleave with): a thread lane
-# calls ``worker.handle(msg)`` in process (queries on its executor), a
-# process lane pickles the same messages over a duplex pipe to
-# ``lane_worker_main`` in a child.  Every field is plain data — primitives,
-# terms, programs, configs, store deltas — so a message a thread lane
-# accepts also crosses the pipe.
+# programs, a mirror of each program's global weight store (shipped whole
+# once, then caught up with the committed entries it lacks), and the
+# session-local engines of every session routed to the lane.  The parent
+# speaks to it in the message types below, one request at a time (lanes
+# are serial queues, so there is never a second in-flight request to
+# interleave with): a thread lane calls ``worker.handle(msg)`` in process
+# (queries on its executor), a process lane pickles the same messages over
+# a duplex pipe to ``lane_worker_main`` in a child.  Every field is plain
+# data — primitives, terms, programs, configs, store deltas — so a message
+# a thread lane accepts also crosses the pipe.
 
 R = TypeVar("R")
 
@@ -222,7 +222,8 @@ class LoadProgram(Op[None]):
 @dataclass(frozen=True, slots=True)
 class SyncStore(Op[int]):
     """Apply a global-store delta to a program's mirror; replies with
-    the number of entries applied."""
+    the number of entries applied.  Sessions open on the mirror keep
+    the entries it replaces (:class:`~repro.weights.SessionStore`)."""
 
     name: str
     delta: StoreDelta
@@ -233,7 +234,7 @@ class SyncStore(Op[int]):
 
 @dataclass(frozen=True, slots=True)
 class OpenSession(Op[None]):
-    """Begin a session: its local store is a copy of the mirror."""
+    """Begin a session: its local store is an overlay on the mirror."""
 
     name: str
     session: str
@@ -286,7 +287,9 @@ class CloseSession(Op[Optional[StoreDelta]]):
         engine = worker.sessions.pop((self.name, self.session), None)
         if engine is None:
             return None
-        return engine.sessions.session_delta()
+        delta = engine.sessions.session_delta()
+        engine.sessions.abort_session()  # merged by the parent, not here
+        return delta
 
 
 @dataclass(frozen=True, slots=True)

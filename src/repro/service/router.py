@@ -2,12 +2,12 @@
 
 The paper's session protocol (§5) is *strong local learning,
 conservative global merging*: during a session every weight update goes
-to a session-local copy of the store, and only the end-of-session merge
-touches the global database.  Serving many clients concurrently, that
-rule becomes a routing constraint: all queries of one session must be
+to a session-local store, and only the end-of-session merge touches
+the global database.  Serving many clients concurrently, that rule
+becomes a routing constraint: all queries of one session must be
 executed serially against the same local store, while *distinct*
-sessions are free to run in parallel (their local stores share
-nothing until merge time).
+sessions are free to run in parallel (none sees another's writes
+until merge time).
 
 :class:`SessionRouter` implements exactly that: a session id hashes to
 a fixed lane (a serial execution queue owned by the worker pool).  The
@@ -17,10 +17,8 @@ stable across runs and processes.
 The session's engine and local store live in the lane's
 :class:`~repro.core.procpool.LaneWorker` (a thread lane's or a lane
 child's, alike); the router keeps a :class:`SessionState` for
-accounting, ships weight-store **deltas** to the lane's mirror (what
-changed since the mirror last synced, a
-:class:`~repro.weights.store.StoreDelta` — never the whole store), and
-commits a session's planned merge once the server has journaled it.
+accounting and commits a session's planned merge once the server has
+journaled it.
 When a lane is reset (its worker lost), every session routed to it is
 lost with it: :meth:`drop_lane` discards their states without merging,
 so an abandoned session can never leak into the global store.
@@ -86,7 +84,7 @@ class SessionRouter:
     def open(self, program_name: str, session: str) -> SessionState:
         """The session's state, opening it on first touch.  Pure
         parent-side accounting — the caller tells the lane worker to open
-        its engine (after shipping it the store delta)."""
+        its engine (after shipping its mirror the entries it lacks)."""
         key = (program_name, session)
         state = self._sessions.get(key)
         if state is None:
@@ -97,24 +95,6 @@ class SessionRouter:
             self._m_opened.inc()
             self._m_live.set(len(self._sessions))
         return state
-
-    def store_sync(
-        self, global_store: WeightStore, synced_generation: Optional[int]
-    ) -> Optional[StoreDelta]:
-        """The delta a lane mirror needs to catch up to ``global_store``,
-        or None when it is already current.
-
-        ``synced_generation=None`` means the lane has never synced this
-        program: the delta is the full entry set.  This is the "ship
-        deltas, not stores" half of the session-open protocol; after a
-        few sessions the typical open ships only the keys the previous
-        merges actually moved.
-        """
-        if synced_generation is not None and (
-            synced_generation >= global_store.generation
-        ):
-            return None
-        return global_store.delta_since(synced_generation)
 
     def close(self, program_name: str, session: str) -> bool:
         """Drop a session's state; False if it was not live (its lane was

@@ -12,10 +12,10 @@ of named programs, each with its own global weight store, and serves
 Concurrency contract (who touches what, from where):
 
 * The **event loop thread** is the only mutator of global weight
-  stores: it ships store deltas to lanes on session open, and at
-  session close it plans the merge of the touched-keys delta the lane
-  returns, journals it, and only then applies it (one commit at a
-  time).
+  stores: at session close it plans the merge of the touched-keys
+  delta the lane returns, journals it, and only then applies it (one
+  commit at a time); a lane's next session open ships its mirror the
+  committed entries it lacks.
 * Each lane's **worker** (:class:`~repro.core.procpool.LaneWorker`)
   holds the lane's store mirrors and its sessions' engines and local
   stores, and executes their queries — on a worker thread
@@ -437,7 +437,8 @@ class BLogService:
         is WAL-appended (fsync included) on a durable service, and only
         then applied and acknowledged: an append that raises leaves the
         store, its generation and the answer cache as they were.  A
-        merge that writes nothing journals nothing.
+        merge that writes nothing journals nothing.  The applied entries
+        are added to what each lane's mirror of the program lacks.
         """
         async with self._commit_lock:
             delta, report = plan_merge(
@@ -457,6 +458,10 @@ class BLogService:
                 self._wal_appends.inc()
                 self._wal_fsync_s.observe(ds.wal.last_fsync_s)
             self.router.commit(entry.global_store, delta)
+            for lane in range(self.pool.n_lanes):
+                missing = self.pool.lane(lane).missing.get(entry.name)
+                if missing is not None:
+                    missing.update(delta.entries)
         return report
 
     async def checkpoint(self) -> None:
@@ -682,18 +687,18 @@ class BLogService:
         self, lane: int, entry: ProgramEntry, session: str, trace: Trace
     ) -> None:
         """Bring a lane's worker up to date for one session's query:
-        install the program (once per worker epoch), ship the
-        global-store delta its mirror is missing, and open the session
-        there.  All three are idempotent per worker and skipped when
-        already done — the steady-state cost is the delta check, an
-        integer compare.
+        install the program (once per worker epoch), ship its mirror the
+        committed entries it lacks, and open the session there.  All
+        three are skipped when there is nothing to do — the steady-state
+        cost is a dict lookup.
 
         Runs inside the session's lane job, so it cannot interleave with
         other work on the same lane.
         """
         with trace.span("prepare", lane=lane) as span:
             view = self.pool.lane(lane)
-            if entry.name not in view.loaded:
+            missing = view.missing.get(entry.name)
+            if missing is None:
                 await self.pool.lane_call(
                     lane,
                     LoadProgram(
@@ -701,19 +706,21 @@ class BLogService:
                     ),
                     self.default_timeout,
                 )
-                view.loaded.add(entry.name)
-                view.synced_gen.pop(entry.name, None)
                 span.set("loaded_program", True)
-            delta = self.router.store_sync(
-                entry.global_store, view.synced_gen.get(entry.name)
-            )
-            if delta is not None:
-                await self.pool.lane_call(
-                    lane, SyncStore(entry.name, delta), self.default_timeout
-                )
-                # the generation the delta was cut at: a merge on another
-                # lane during the await is still missing from this mirror
-                view.synced_gen[entry.name] = delta.generation
+                missing = entry.global_store.snapshot()  # a new mirror lacks it all
+            # swapped before the await: a merge committed during it stays
+            # missing for the next sync
+            view.missing[entry.name] = {}
+            if missing:
+                delta = StoreDelta(None, entry.global_store.generation, missing)
+                try:
+                    await self.pool.lane_call(
+                        lane, SyncStore(entry.name, delta), self.default_timeout
+                    )
+                except BaseException:
+                    # the mirror is in an unknown state: install it afresh
+                    view.missing.pop(entry.name, None)
+                    raise
                 span.set("synced_store", True)
             self.router.open(entry.name, session).queries += 1
             if (entry.name, session) not in view.open_sessions:
@@ -879,7 +886,9 @@ class BLogService:
         )
         self.stats_agg.record(
             ok=ok,
-            engine_used=engine_used,
+            # an engine the service does not run gets no series: a client
+            # could otherwise mint one per name it sends
+            engine_used=engine_used if cache_hit or engine_used in ENGINES else None,
             cache_hit=cache_hit,
             degraded=degraded,
             retries=retries,
@@ -980,20 +989,9 @@ class BLogService:
                 return {"id": msg.get("id"), "ok": False, "error": str(exc)}
             try:
                 return (await self.submit(request)).to_dict()
-            except Overloaded as exc:
-                return {
-                    "id": msg.get("id"),
-                    "ok": False,
-                    "overloaded": True,
-                    "error": str(exc),
-                }
-            except NotServing as exc:
-                return {
-                    "id": msg.get("id"),
-                    "ok": False,
-                    "draining": True,
-                    "error": str(exc),
-                }
+            except (Overloaded, NotServing) as exc:
+                refusal = "overloaded" if isinstance(exc, Overloaded) else "draining"
+                return {"id": msg.get("id"), "ok": False, refusal: True, "error": str(exc)}
         if op == "end_session":
             try:
                 program = _text(msg, "program", "default")

@@ -109,7 +109,7 @@ class ServiceStats:
     def record(
         self,
         ok: bool,
-        engine_used: str,
+        engine_used: Optional[str],
         cache_hit: bool,
         degraded: bool,
         retries: int,
@@ -122,12 +122,13 @@ class ServiceStats:
             self._first_done = done
         self._last_done = done
         self._requests.inc()
-        by_engine = self._by_engine.get(engine_used)
-        if by_engine is None:
-            by_engine = self._by_engine[engine_used] = self._registry.counter(
-                "blog_requests_engine_total", engine=engine_used
-            )
-        by_engine.inc()
+        if engine_used is not None:
+            by_engine = self._by_engine.get(engine_used)
+            if by_engine is None:
+                by_engine = self._by_engine[engine_used] = self._registry.counter(
+                    "blog_requests_engine_total", engine=engine_used
+                )
+            by_engine.inc()
         if not ok:
             self._errors.inc()
         if cache_hit:

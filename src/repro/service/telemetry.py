@@ -108,7 +108,7 @@ METRIC_CATALOG: dict[str, str] = {
 # -- spans -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Span:
     """One named phase of a request: an interval with attributes."""
 

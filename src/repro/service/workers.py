@@ -58,6 +58,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, TypeVar
 
 from ..core.procpool import LaneError, LaneWorker, Op, Query, Shutdown, lane_worker_main
+from ..ortree.tree import ArcKey
+from ..weights.store import WeightEntry
 
 R = TypeVar("R")
 
@@ -118,14 +120,14 @@ class LaneView:
     #: turns this into a ``respawn`` span on the request whose failure
     #: triggered it
     last_reset: Optional[tuple[float, float]] = None
-    loaded: set[str] = field(default_factory=set)  # program names installed
-    synced_gen: dict[str, int] = field(default_factory=dict)  # program -> mirror gen
+    #: program -> the committed entries its mirror still lacks; a
+    #: program is installed on the worker iff it has an entry here
+    missing: dict[str, dict[ArcKey, WeightEntry]] = field(default_factory=dict)
     open_sessions: set[tuple[str, str]] = field(default_factory=set)
 
     def new_epoch(self) -> None:
         self.epoch += 1
-        self.loaded = set()
-        self.synced_gen = {}
+        self.missing = {}
         self.open_sessions = set()
 
 
@@ -223,7 +225,7 @@ class ThreadLaneBackend(LaneBackend):
     """One in-process :class:`LaneWorker` per lane (GIL-bound).  Messages
     are handed over as they are, never pickled.  Queries run on a shared
     executor (one thread per lane); the session bookkeeping ops are
-    store copies and deltas, cheaper than a thread hop, and run inline
+    deltas and overlay opens, cheaper than a thread hop, and run inline
     on the loop — safe, because the lane is serial: no query of this
     worker is in flight while its lane job runs them."""
 

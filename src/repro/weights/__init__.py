@@ -22,7 +22,7 @@ from .policies import (
     on_success_policy,
 )
 from .session import MergeReport, SessionManager, plan_merge
-from .store import StoreDelta, WeightEntry, WeightState, WeightStore
+from .store import SessionStore, StoreDelta, WeightEntry, WeightState, WeightStore
 from .theory import TheoryResult, solve_weights, store_from_theory, verify_assignment
 from .update import UpdateLog, apply_outcome, on_failure, on_success
 from .wal import DurableStore, RecoveryInfo, WalCorruptError, WeightWal
@@ -32,6 +32,7 @@ __all__ = [
     "WeightState",
     "WeightEntry",
     "StoreDelta",
+    "SessionStore",
     "UpdateLog",
     "on_failure",
     "on_success",

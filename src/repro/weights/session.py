@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..ortree.tree import ArcKey
-from .store import StoreDelta, WeightEntry, WeightState, WeightStore
+from .store import SessionStore, StoreDelta, WeightEntry, WeightState, WeightStore
 
 __all__ = ["MergeReport", "plan_merge", "SessionManager"]
 
@@ -70,7 +70,7 @@ def plan_merge(
     ``entries`` is the session's "separate buffer" of updates
     (:meth:`SessionManager.session_delta`): only the keys the session
     wrote, so a key another session merged mid-way is not dragged back
-    toward the stale copy this session inherited at open.  Pass
+    toward the value this session saw at open.  Pass
     ``local.snapshot()`` to merge a whole store.  ``conservative=False``
     is the E4 ablation: local wins outright, infinities included.
 
@@ -135,8 +135,7 @@ class SessionManager:
         # explicit None check: an empty WeightStore is falsy (len 0)
         self.global_store = WeightStore() if global_store is None else global_store
         self.alpha = alpha
-        self.local: Optional[WeightStore] = None
-        self._base_generation: int = 0  # local generation at begin_session
+        self.local: Optional[SessionStore] = None
         self.sessions_completed = 0
 
     @property
@@ -148,12 +147,11 @@ class SessionManager:
         """The store the engine should read: local if in session."""
         return self.local if self.local is not None else self.global_store
 
-    def begin_session(self) -> WeightStore:
-        """Start a session: local store = copy of global."""
+    def begin_session(self) -> SessionStore:
+        """Start a session: the local store is an overlay on the global one."""
         if self.in_session:
             raise RuntimeError("a session is already active; end it first")
-        self.local = self.global_store.copy()
-        self._base_generation = self.local.generation
+        self.local = SessionStore(self.global_store)
         return self.local
 
     def session_delta(self) -> StoreDelta:
@@ -161,15 +159,15 @@ class SessionManager:
         wrote since ``begin_session``."""
         if self.local is None:
             raise RuntimeError("no active session")
-        return self.local.delta_since(self._base_generation)
+        return self.local.delta()
 
     def end_session(self, conservative: bool = True) -> MergeReport:
         """End the session, merging local results into the global store.
 
         Only the keys the session actually touched are merged (the §5
-        "separate buffer" of updates); untouched copies inherited at
-        ``begin_session`` are not re-asserted, so a concurrent merge of
-        another session is never averaged back toward a stale copy.
+        "separate buffer" of updates); keys it only read are not
+        re-asserted, so a concurrent merge of another session is never
+        averaged back toward what this session saw at open.
         """
         delta, report = plan_merge(
             self.global_store,
@@ -177,11 +175,13 @@ class SessionManager:
             alpha=self.alpha,
             conservative=conservative,
         )
+        self.abort_session()  # first: the merge's own writes need no before-images
         self.global_store.apply_delta(delta)
-        self.local = None
         self.sessions_completed += 1
         return report
 
     def abort_session(self) -> None:
         """Discard the local store without merging."""
-        self.local = None
+        if self.local is not None:
+            self.local.close()
+            self.local = None

@@ -16,21 +16,23 @@ A weight is in one of three states:
 * ``KNOWN``    — set by a successful search; numeric value stored;
 * ``INFINITE`` — set by a failed search; numeric value A·N.
 
-What a store changed after some generation is a :class:`StoreDelta`
-(the §5 "separate buffer" of a session's updates): the serving layer
-ships it to lane mirrors and back, merges it, and journals it.
+A session's store is a :class:`SessionStore`: an overlay that holds
+only the session's writes (§5's "separate buffer"), reads the rest
+through, and gets a before-image of each entry its base changes while
+it is open.  What it wrote is a :class:`StoreDelta`, as are a merge and
+a lane mirror's catch-up.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from ..ortree.tree import ArcKey
 
-__all__ = ["WeightState", "WeightEntry", "StoreDelta", "WeightStore"]
+__all__ = ["WeightState", "WeightEntry", "StoreDelta", "WeightStore", "SessionStore"]
 
 
 class WeightState(enum.Enum):
@@ -47,12 +49,12 @@ class WeightEntry:
 
 @dataclass(frozen=True, slots=True)
 class StoreDelta:
-    """What a store changed after generation ``base``.
+    """Entries one store writes into another, as of ``generation``.
 
-    ``entries`` maps every key written after ``base`` to its entry at
-    ``generation``, in journal order; an UNKNOWN entry is a tombstone
-    (the key was dropped by ``forget`` / ``clear``).  ``base=None`` is
-    the full entry set, for a reader that has no mirror yet.
+    ``entries`` maps each written key to its entry; an UNKNOWN entry is
+    a tombstone (the key was dropped by ``forget`` / ``clear``).  A
+    session's delta and a merge are the writes after generation
+    ``base``; a lane sync has None (its mirror's is not tracked).
     """
 
     base: Optional[int]
@@ -62,10 +64,6 @@ class StoreDelta:
 
 #: the entry every builtin key reads: probability 1, weight 0
 _BUILTIN_ENTRY = WeightEntry(WeightState.KNOWN, 0.0)
-
-#: a journal value's low bits hold the key's rank
-_RANK_BITS = 32
-_RANK_MASK = (1 << _RANK_BITS) - 1
 
 
 class WeightStore:
@@ -96,19 +94,9 @@ class WeightStore:
         #: detect "weights moved" (e.g. after a session merge) with an
         #: integer compare instead of deep-comparing entries.
         self.generation: int = 0
-        #: Per-key journal: the generation at which each key was last
-        #: written (including drops back to UNKNOWN, which stay in the
-        #: journal as tombstones).  This is what lets a reader ask "what
-        #: changed since generation G?" — the basis of the serving
-        #: layer's delta shipping to process lanes and of touched-keys
-        #: session merges.  A write moves its key to the end, so the
-        #: journal is in generation order and a reader scans only the
-        #: writes after its generation, from the newest end.  Each value
-        #: packs that generation with the key's *rank*, the order of its
-        #: first write, in which a delta lists its entries:
-        #: ``generation << _RANK_BITS | rank``.
-        self._modified: dict[ArcKey, int] = {}
-        self._ranks = 0  # keys ever written: the next rank
+        #: the sessions open on this store; each gets the before-image of
+        #: an entry about to change
+        self._sessions: weakref.WeakSet[SessionStore] = weakref.WeakSet()
 
     # -- encodings ---------------------------------------------------------
     @property
@@ -160,99 +148,58 @@ class WeightStore:
         """Record a known (successful-search) weight; clamped at >= 0."""
         if key.kind == "builtin":
             return  # builtins stay at probability 1
-        self._entries[key] = WeightEntry(WeightState.KNOWN, max(0.0, float(value)))
+        self._set(key, WeightEntry(WeightState.KNOWN, max(0.0, float(value))))
         self.generation += 1
-        self._journal(key, self.generation)
 
     def set_infinite(self, key: ArcKey) -> None:
         """Record a failure weight (A·N encoding)."""
         if key.kind == "builtin":
             return
-        self._entries[key] = WeightEntry(WeightState.INFINITE, self.infinity_value)
+        self._set(key, WeightEntry(WeightState.INFINITE, self.infinity_value))
         self.generation += 1
-        self._journal(key, self.generation)
 
     def forget(self, key: ArcKey) -> None:
         """Drop a key back to UNKNOWN."""
-        if self._entries.pop(key, None) is not None:
+        if key in self:
+            self._set(key, self._unknown)
             self.generation += 1
-            self._journal(key, self.generation)
 
     def clear(self) -> None:
-        if self._entries:
+        dropped = list(self.keys())
+        for key in dropped:
+            self._set(key, self._unknown)
+        if dropped:
             self.generation += 1
-            for key in self._entries:
-                self._journal(key, self.generation)
-        self._entries.clear()
-
-    def _journal(self, key: ArcKey, generation: int) -> None:
-        """Record that ``key`` was written at ``generation``."""
-        modified = self._modified
-        packed = modified.pop(key, None)
-        if packed is None:
-            rank = self._ranks
-            self._ranks += 1
-        else:
-            rank = packed & _RANK_MASK
-        newest = next(reversed(modified.values()), 0) >> _RANK_BITS
-        modified[key] = generation << _RANK_BITS | rank
-        if generation < newest:
-            # a write below the newest one, possible only after an older
-            # delta moved the generation back: restore generation order
-            self._modified = dict(sorted(modified.items(), key=itemgetter(1)))
-
-    # -- change tracking ----------------------------------------------------
-    def delta_since(self, generation: Optional[int]) -> StoreDelta:
-        """The :class:`StoreDelta` of writes strictly after ``generation``
-        (the whole store for ``None``).
-
-        Keys dropped back to UNKNOWN (``forget`` / ``clear``) come as
-        tombstones: a reader that mirrors this store needs the drop as
-        much as it needs a new value.  The cost is that of the keys
-        written after ``generation``, whatever the journal's size.
-        """
-        if generation is None:
-            entries = dict(self._entries)
-        else:
-            limit = (generation + 1) << _RANK_BITS
-            changed = []
-            for key, packed in reversed(self._modified.items()):
-                if packed < limit:
-                    break
-                changed.append((packed & _RANK_MASK, key))
-            changed.sort(key=itemgetter(0))
-            entries = {k: self.entry(k) for _, k in changed}
-        return StoreDelta(generation, self.generation, entries)
 
     def apply_delta(self, delta: StoreDelta) -> int:
-        """Catch a mirror up with another store's ``delta`` in place.
+        """Write another store's ``delta`` into this one in place.
 
         Entries are written directly (tombstones delete) and the
-        generation jumps to the delta's, so a later
-        ``source.delta_since(mirror.generation)`` holds exactly what the
-        mirror still misses.  Returns how many entries were applied.
+        generation jumps to the delta's.  Returns how many entries were
+        applied.
         """
         for key, entry in delta.entries.items():
-            if entry.state is WeightState.UNKNOWN:
-                self._entries.pop(key, None)
-            else:
-                self._entries[key] = entry
-            self._journal(key, delta.generation)
+            self._set(key, entry)
         self.generation = delta.generation
         return len(delta.entries)
 
+    def _set(self, key: ArcKey, entry: WeightEntry) -> None:
+        """Write one entry (a tombstone drops the key), after giving its
+        before-image to each session open on this store."""
+        for session in self._sessions:
+            session._hold(key, self._entries.get(key))
+        if entry.state is WeightState.UNKNOWN:
+            self._entries.pop(key, None)
+        else:
+            self._entries[key] = entry
+
     # -- copies / views -----------------------------------------------------------
     def copy(self) -> "WeightStore":
-        """Independent copy (the session-local store of §5).
-
-        The copy starts at the parent's generation and counts its own
-        mutations from there; the two counters evolve independently.
-        """
+        """Independent copy, starting at this store's generation; the two
+        counters then evolve independently."""
         out = WeightStore(self.n, self.a)
-        out._entries = dict(self._entries)
+        out._entries = self.snapshot()
         out.generation = self.generation
-        out._modified = dict(self._modified)
-        out._ranks = self._ranks
         return out
 
     def snapshot(self) -> dict[ArcKey, WeightEntry]:
@@ -263,6 +210,73 @@ class WeightStore:
         return self.weight
 
     def __repr__(self) -> str:
-        known = sum(1 for e in self._entries.values() if e.state is WeightState.KNOWN)
-        inf = sum(1 for e in self._entries.values() if e.state is WeightState.INFINITE)
+        entries = self.snapshot().values()
+        known = sum(1 for e in entries if e.state is WeightState.KNOWN)
+        inf = sum(1 for e in entries if e.state is WeightState.INFINITE)
         return f"WeightStore(N={self.n:g}, A={self.a}, known={known}, infinite={inf})"
+
+
+class SessionStore(WeightStore):
+    """A session's local store (§5): an overlay on the store ``base``.
+
+    Opening one copies nothing: the session's writes land in its own
+    entries (``forget`` / ``clear`` as UNKNOWN tombstones) and any other
+    key reads through, at one dict lookup more than a plain store.
+    Until :meth:`close`, a write to ``base`` first saves here the entry
+    it replaces, unless the session has its own, so the session reads
+    ``base`` as it was at open plus its own writes.
+    """
+
+    def __init__(self, base: WeightStore):
+        if isinstance(base, SessionStore):
+            raise TypeError("a session opens on a plain store, not on another session")
+        super().__init__(base.n, base.a)
+        self.base = base
+        self._base_entries = base._entries
+        self._opened_at = self.generation = base.generation
+        #: what the session wrote, in first-write order
+        self._writes: dict[ArcKey, WeightEntry] = {}
+        base._sessions.add(self)
+
+    def close(self) -> None:
+        """Stop tracking the base: later writes to it show through."""
+        self.base._sessions.discard(self)
+
+    def delta(self) -> StoreDelta:
+        """The session's writes since it opened, in first-write order."""
+        return StoreDelta(self._opened_at, self.generation, dict(self._writes))
+
+    def entry(self, key: ArcKey) -> WeightEntry:
+        e = self._entries.get(key) or self._base_entries.get(key)
+        if e is None:
+            return _BUILTIN_ENTRY if key.kind == "builtin" else self._unknown
+        return e
+
+    def weight(self, key: ArcKey) -> float:
+        e = self._entries.get(key) or self._base_entries.get(key)
+        if e is None:
+            return (_BUILTIN_ENTRY if key.kind == "builtin" else self._unknown).value
+        return e.value
+
+    def keys(self) -> Iterator[ArcKey]:
+        own = self._entries
+        yield from (key for key in self._base_entries if key not in own)
+        yield from (key for key, e in own.items() if e.state is not WeightState.UNKNOWN)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self.keys())
+
+    def __contains__(self, key: ArcKey) -> bool:
+        e = self._entries.get(key)
+        return key in self._base_entries if e is None else e.state is not WeightState.UNKNOWN
+
+    def snapshot(self) -> dict[ArcKey, WeightEntry]:
+        return {key: self.entry(key) for key in self.keys()}
+
+    def _set(self, key: ArcKey, entry: WeightEntry) -> None:
+        self._entries[key] = self._writes[key] = entry
+
+    def _hold(self, key: ArcKey, before: Optional[WeightEntry]) -> None:
+        """Keep the base's entry for ``key`` as it was before a write to
+        the base (None: absent), unless this session has one already."""
+        self._entries.setdefault(key, self._unknown if before is None else before)

@@ -131,10 +131,33 @@ class TestLaneWorker:
         source = WeightStore()
         engine = BLogEngine(figure1, global_store=source)
         engine.query("gf(sam, G)")
-        assert worker.handle(SyncStore("fam", source.delta_since(None))) == len(source)
+        full = StoreDelta(None, source.generation, source.snapshot())
+        assert worker.handle(SyncStore("fam", full)) == len(source)
         mirror = worker.mirrors["fam"]
         assert mirror.generation == source.generation
         assert mirror.snapshot() == source.snapshot()
+
+    def test_a_sync_leaves_open_sessions_as_they_opened(self, worker, figure1):
+        """A session open on the mirror while a sync lands keeps reading
+        the mirror as it was at open, plus its own writes; a session
+        opened after the sync reads the synced entries; and each close
+        ships back only what that session wrote."""
+        source = WeightStore()
+        BLogEngine(figure1, global_store=source).query("gf(sam, G)")
+        worker.handle(OpenSession("fam", "early"))
+        synced = StoreDelta(None, source.generation, source.snapshot())
+        assert worker.handle(SyncStore("fam", synced)) == len(source) > 0
+        worker.handle(OpenSession("fam", "late"))
+        early = worker.sessions["fam", "early"].store
+        late = worker.sessions["fam", "late"].store
+        assert early.snapshot() == {}
+        assert late.snapshot() == source.snapshot()
+        for key, entry in source.snapshot().items():
+            assert early.is_unknown(key) and late.entry(key) == entry
+        assert worker.handle(CloseSession("fam", "early")).entries == {}
+        assert worker.handle(CloseSession("fam", "late")).entries == {}
+        # a closed session no longer holds before-images for later syncs
+        assert not worker.mirrors["fam"]._sessions
 
     def test_open_query_close_roundtrip(self, worker):
         assert worker.handle(OpenSession("fam", "s")) is None
@@ -198,7 +221,7 @@ def _seeded_messages(figure1):
     assert isinstance(reply, QueryReply) and reply.answers
     return [
         LoadProgram("fam", figure1, config, machine_config),
-        SyncStore("fam", source.delta_since(None)),
+        SyncStore("fam", StoreDelta(None, source.generation, source.snapshot())),
         OpenSession("fam", "s"),
         Query("fam", "s", "machine", goals, 2),
         Query("fam", "s", "blog", goals),

@@ -191,6 +191,26 @@ class TestBasicServing:
         assert not bad_prog.ok and "unknown program" in bad_prog.error
         assert not bad_eng.ok and "unknown engine" in bad_eng.error
 
+    def test_unknown_engine_names_add_no_metric_series(self):
+        """A request naming an engine the service does not run counts in
+        the request and error totals only: a thousand made-up names leave
+        the registry's series and the per-engine stats as they were."""
+
+        async def body(svc):
+            assert (await svc.submit(QueryRequest("family", "gf(sam, G)"))).ok
+            await svc.submit(QueryRequest("nope", "gf(sam, G)"))  # a first error
+            registry = svc.telemetry.registry
+            before = (len(registry._series), svc.stats()["by_engine"])
+            for i in range(1000):
+                resp = await svc.submit(QueryRequest("family", "gf(sam, G)", engine=f"e{i}"))
+                assert not resp.ok
+            after = (len(registry._series), svc.stats()["by_engine"])
+            return before, after, svc.stats()
+
+        before, after, stats = run(with_service(body))
+        assert after == before
+        assert (stats["served"], stats["errors"]) == (1, 1001)
+
     def test_syntax_error_is_a_response_not_a_crash(self):
         async def body(svc):
             return await svc.submit(QueryRequest("family", "gf(sam,"))

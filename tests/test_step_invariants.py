@@ -22,7 +22,7 @@ from repro.ortree import OrTree
 from repro.ortree.tree import ArcKey, NodeStatus, canonical_goal
 from repro.weights.conditional import ConditionalWeightStore
 from repro.weights.persist import _key_from_json, _key_to_json
-from repro.weights.store import WeightState, WeightStore
+from repro.weights.store import SessionStore, StoreDelta, WeightState, WeightStore
 from repro.workloads import nqueens_program, nqueens_query, nrev_program, nrev_query
 
 IS = ArcKey("builtin", (("is", 2),))
@@ -60,35 +60,40 @@ def _check_reads(store: WeightStore, keys) -> None:
 
 @pytest.mark.parametrize("seed", range(8))
 def test_weight_agrees_with_entry_in_every_state(seed):
+    """On a store, and on a session overlay open on it whose reads fall
+    through, hold before-images or hold the session's own writes."""
     rng = random.Random(seed)
     keys = [pointer(i) for i in range(6)] + [IS, GT]
     store = WeightStore(n=rng.choice((4.0, 16.0)), a=rng.choice((2, 16)))
+    session = SessionStore(store)
     source = WeightStore(n=store.n, a=store.a)
     _check_reads(store, keys)
+    _check_reads(session, keys)
     for _ in range(60):
         op = rng.randrange(6)
         k = rng.choice(keys)
+        target = rng.choice((store, session))
         if op == 0:
-            store.set_known(k, rng.uniform(-2.0, 20.0))
+            target.set_known(k, rng.uniform(-2.0, 20.0))
         elif op == 1:
-            store.set_infinite(k)
+            target.set_infinite(k)
         elif op == 2:
-            store.forget(k)
+            target.forget(k)
         elif op == 3 and rng.random() < 0.3:
-            store.clear()
+            target.clear()
         elif op == 4:
-            # a mirror catching up: entries written directly, tombstones
-            # deleting them
-            since = source.generation
+            # a mirror catching up with one committed entry, or with a
+            # tombstone deleting it
             if rng.random() < 0.5:
                 source.set_known(k, rng.uniform(0.0, 8.0))
             else:
                 source.forget(k)
-            store.apply_delta(source.delta_since(since))
+            store.apply_delta(StoreDelta(None, source.generation, {k: source.entry(k)}))
         else:
             source.set_infinite(k)
-            store.apply_delta(source.delta_since(None))
+            store.apply_delta(StoreDelta(None, source.generation, source.snapshot()))
         _check_reads(store, keys)
+        _check_reads(session, keys)
 
 
 # -- per-tree key and source caches -------------------------------------------------------

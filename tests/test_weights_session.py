@@ -9,6 +9,7 @@ from repro.ortree import ArcKey
 from repro.weights import (
     MergeReport,
     SessionManager,
+    SessionStore,
     StoreDelta,
     WeightEntry,
     WeightState,
@@ -304,18 +305,22 @@ class TestPlanMatchesInPlaceReference:
         for alpha in (0.1, 0.5, 0.75, 1.0):
             planned = random_store(rng, keys)
             reference = planned.copy()
+            # the same in-place merge on an overlay, which records its writes
+            touched = SessionStore(planned.copy())
             pre = planned.generation
             entries = random_entries(rng, keys)
             if conservative:
                 want = reference_conservative(reference, entries, alpha)
+                reference_conservative(touched, entries, alpha)
             else:
                 want = reference_strong(reference, entries)
+                reference_strong(touched, entries)
             delta, report = plan_merge(
                 planned, entries, alpha=alpha, conservative=conservative
             )
             assert report == want
             assert delta.base == pre and delta.generation == reference.generation
-            assert delta.entries == reference.delta_since(pre).entries
+            assert delta.entries == touched.delta().entries
             planned.apply_delta(delta)
             assert planned.snapshot() == reference.snapshot()
             assert list(planned.keys()) == list(reference.keys())

@@ -21,7 +21,7 @@ from repro.ortree import ArcKey
 from repro.ortree.tree import canonical_goal
 from repro.weights import WeightStore
 from repro.weights.persist import StoreCorruptError, load_store, save_store
-from repro.weights.store import StoreDelta
+from repro.weights.store import SessionStore, StoreDelta
 from repro.weights.wal import DurableStore, WalCorruptError, WeightWal
 
 
@@ -33,12 +33,21 @@ def entries(store: WeightStore) -> dict:
     return {k: store.entry(k) for k in store.keys()}
 
 
+def commit(store: WeightStore, session: SessionStore) -> StoreDelta:
+    """Apply what ``session`` (open on ``store``) wrote to the store, as
+    a merge would, and return that delta."""
+    session.close()
+    delta = session.delta()
+    store.apply_delta(delta)
+    return delta
+
+
 def learned_delta(store: WeightStore, n: int = 3, offset: int = 0) -> StoreDelta:
     """Mutate ``store`` like a merge would and return the acked delta."""
-    since = store.generation
+    session = SessionStore(store)
     for i in range(n):
-        store.set_known(key(offset + i), 1.0 + i)
-    return store.delta_since(since)
+        session.set_known(key(offset + i), 1.0 + i)
+    return commit(store, session)
 
 
 class TestWalFraming:
@@ -316,9 +325,9 @@ class TestGoalKeysOnDisk:
         live = WeightStore(n=8, a=16)
         ds = DurableStore(tmp_path / "p", n=8, a=16)
         for i, k in enumerate(GOAL_KEYS):
-            since = live.generation
-            live.set_known(k, 1.0 + i)
-            ds.log_merge(f"s{i}", live.generation, live.delta_since(since))
+            session = SessionStore(live)
+            session.set_known(k, 1.0 + i)
+            ds.log_merge(f"s{i}", live.generation, commit(live, session))
         ds.close()
         recovered, info = DurableStore(tmp_path / "p", n=8, a=16).recover()
         assert info.records_replayed == len(GOAL_KEYS)
@@ -355,13 +364,14 @@ class TestOnDiskFormat:
     def test_pointer_merge_bytes_are_unchanged(self, tmp_path):
         live = WeightStore(n=8, a=16)
         live.set_known(ArcKey("pointer", (-1, 0, 3)), 2.0)
-        since = live.generation
-        live.set_known(ArcKey("pointer", (0, 1, 5)), 7.25)
-        live.set_known(ArcKey("builtin", (("is", 2),)), 0.0)  # ignored write
-        live.set_infinite(ArcKey("pointer", (2, 0, 4)))
-        live.forget(ArcKey("pointer", (-1, 0, 3)))  # a tombstone
+        session = SessionStore(live)
+        session.forget(ArcKey("pointer", (-1, 0, 3)))  # a tombstone
+        session.set_known(ArcKey("pointer", (0, 1, 5)), 7.25)
+        session.set_known(ArcKey("builtin", (("is", 2),)), 0.0)  # ignored write
+        session.set_infinite(ArcKey("pointer", (2, 0, 4)))
+        delta = commit(live, session)
         ds = DurableStore(tmp_path / "p", n=8, a=16)
-        ds.log_merge("alice", live.generation, live.delta_since(since))
+        ds.log_merge("alice", live.generation, delta)
         assert ds.wal.path.read_bytes() == frame(POINTER_RECORD)
         payload = ds.prepare_checkpoint(live)
         assert json.dumps(payload) == POINTER_SNAPSHOT
@@ -407,7 +417,8 @@ class TestStreamedCheckpoint:
     def test_chunks_are_the_document_text(self, tmp_path, n):
         store = mixed_store(n)
         ds = DurableStore(tmp_path / "p", n=8, a=16)
-        ds.log_merge("alice", store.generation, store.delta_since(None))
+        whole = StoreDelta(None, store.generation, store.snapshot())
+        ds.log_merge("alice", store.generation, whole)
         snapshot = ds.capture(store)
         assert "".join(snapshot.chunks()) == json.dumps(snapshot.document(), indent=1)
         ds.write_checkpoint(snapshot)
