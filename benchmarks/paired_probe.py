@@ -56,11 +56,11 @@ MIRROR_KEYS = 26_000
 def worker(core: int) -> None:
     os.sched_setaffinity(0, {core})
     import repro.core.engine as engine_mod
-    import repro.core.procpool as procpool
     from repro.core import BLogConfig, BLogEngine
     from repro.logic.program import Program
     from repro.ortree.tree import ArcKey
     from repro.service import BLogService, QueryRequest
+    from repro.weights.store import WeightStore
     from repro.workloads import NREV_SOURCE, nqueens_program, nqueens_query, scaled_family
 
     trees = []
@@ -101,15 +101,17 @@ def worker(core: int) -> None:
             answers += len(resp.answers)
         return served, answers
 
-    # ``open``: count the entries every store sync ships to a lane
+    # ``open``: count the entries every store sync ships to a lane (a
+    # delta with no base: merges into a global store carry one)
     shipped = [0]
-    sync = procpool.SyncStore.apply
+    apply_delta = WeightStore.apply_delta
 
-    def counted_sync(self, lane_worker):
-        shipped[0] += len(self.delta.entries)
-        return sync(self, lane_worker)
+    def counted_apply(self, delta):
+        if delta.base is None:
+            shipped[0] += len(delta.entries)
+        return apply_delta(self, delta)
 
-    procpool.SyncStore.apply = counted_sync
+    WeightStore.apply_delta = counted_apply
 
     async def opens() -> tuple[float, int, int]:
         """A fresh service each run, so every run does the same work; the

@@ -1,4 +1,6 @@
-"""Configuration knobs of the B-LOG engine and machine.
+"""Configuration knobs of the B-LOG engine (the simulated machine's,
+§6's migration threshold D among them, are
+:class:`~repro.machine.blog_machine.MachineConfig`).
 
 Collects the constants the paper introduces by name:
 
@@ -6,33 +8,30 @@ Collects the constants the paper introduces by name:
 * ``a`` — the longest chain length A; infinity encodes as A·N (§5);
 * ``alpha`` — session averaging rate for conservative merges (§5
   "averaging of modifications over different sessions");
-* ``d`` — the chain-migration communication threshold D (§6);
 * engine limits and policies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["BLogConfig"]
 
 
 @dataclass
 class BLogConfig:
-    """Engine/machine configuration (defaults follow the paper's spirit:
+    """Engine configuration (defaults follow the paper's spirit:
     N is arbitrary, A bounds the deepest chain we expect)."""
 
     n: float = 16.0
     a: int = 16
     alpha: float = 0.5
-    d: float = 4.0
     arc_key_policy: str = "pointer"  # "pointer" (fig 4) or "goal" (§4 req 1)
     selection_rule: str = "leftmost"  # computation rule: "leftmost"
     # (Prolog/§2), "most-bound", or "fewest-candidates" (§7 ordering)
     max_depth: int = 128
     max_expansions: int = 200_000
     live_updates: bool = True  # apply §5 rules as outcomes appear mid-search
-    occurs_check: bool = False
     failure_blame: str = "leafmost"  # §5 default; or "rootmost" / "all"
     success_distribute: str = "equal"  # §5 default; or "leaf-weighted" /
     # "root-weighted" (E11 ablates these)
@@ -44,8 +43,6 @@ class BLogConfig:
             raise ValueError("A must be >= 2")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.d < 0:
-            raise ValueError("D must be non-negative")
         if self.arc_key_policy not in ("pointer", "goal"):
             raise ValueError("arc_key_policy must be 'pointer' or 'goal'")
         if self.selection_rule not in (

@@ -129,6 +129,19 @@ class BLogEngine:
             pass
         return self.last_result
 
+    def build_tree(self, query: str | Sequence[Term]) -> OrTree:
+        """The OR tree of ``query`` under this engine's config, weighed
+        by the active store (every engine searches one built here)."""
+        cfg = self.config
+        return OrTree(
+            self.program,
+            query,
+            weight_fn=self.store.weight_fn(),
+            arc_key_policy=cfg.arc_key_policy,
+            max_depth=cfg.max_depth,
+            selection_rule=cfg.selection_rule,
+        )
+
     def query_iter(
         self,
         query: str | Sequence[Term],
@@ -146,14 +159,7 @@ class BLogEngine:
         """
         cfg = self.config
         store = self.store
-        tree = OrTree(
-            self.program,
-            query,
-            weight_fn=store.weight_fn(),
-            arc_key_policy=cfg.arc_key_policy,
-            max_depth=cfg.max_depth,
-            selection_rule=cfg.selection_rule,
-        )
+        tree = self.build_tree(query)
         result = QueryResult(query=query)
         self.last_result = result  # available even on early consumer exit
         deferred: list[tuple[OrNode, bool]] = []  # (leaf, solved)

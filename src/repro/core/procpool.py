@@ -40,8 +40,6 @@ __all__ = [
     "run_engine_query",
     "Op",
     "LoadProgram",
-    "SyncStore",
-    "OpenSession",
     "Query",
     "QueryReply",
     "CloseSession",
@@ -181,11 +179,14 @@ def or_parallel_solve(
 # programs, a mirror of each program's global weight store (shipped whole
 # once, then caught up with the committed entries it lacks), and the
 # session-local engines of every session routed to the lane.  The parent
-# speaks to it in the message types below, one request at a time (lanes
-# are serial queues, so there is never a second in-flight request to
-# interleave with): a thread lane calls ``worker.handle(msg)`` in process
-# (queries on its executor), a process lane pickles the same messages over
-# a duplex pipe to ``lane_worker_main`` in a child.  Every field is plain
+# speaks to it in the three message types below, one request at a time
+# (lanes are serial queues, so there is never a second in-flight request
+# to interleave with): a ``Query`` carries whatever its lane lacks to run
+# it (the program, store entries; the session opens on first use),
+# ``CloseSession`` takes a session's delta back, ``Shutdown`` ends a child.
+# A thread lane calls ``worker.handle(msg)`` in process (queries on its
+# executor), a process lane pickles the same messages over a duplex pipe
+# to ``lane_worker_main`` in a child.  Every field is plain
 # data — primitives, terms, programs, configs, store deltas — so a message
 # a thread lane accepts also crosses the pipe.
 
@@ -206,44 +207,14 @@ class Op(Generic[R]):
 
 
 @dataclass(frozen=True, slots=True)
-class LoadProgram(Op[None]):
-    """Install a program and its configs, with an empty global-store mirror."""
+class LoadProgram:
+    """A program and its configs, as a :class:`Query` ships them to a
+    lane; the worker keeps it as its record of the program."""
 
     name: str
     program: Program
     config: BLogConfig
     machine_config: MachineConfig
-
-    def apply(self, worker: LaneWorker) -> None:
-        worker.programs[self.name] = self
-        worker.mirrors[self.name] = WeightStore(n=self.config.n, a=self.config.a)
-
-
-@dataclass(frozen=True, slots=True)
-class SyncStore(Op[int]):
-    """Apply a global-store delta to a program's mirror; replies with
-    the number of entries applied.  Sessions open on the mirror keep
-    the entries it replaces (:class:`~repro.weights.SessionStore`)."""
-
-    name: str
-    delta: StoreDelta
-
-    def apply(self, worker: LaneWorker) -> int:
-        return worker.mirrors[self.name].apply_delta(self.delta)
-
-
-@dataclass(frozen=True, slots=True)
-class OpenSession(Op[None]):
-    """Begin a session: its local store is an overlay on the mirror."""
-
-    name: str
-    session: str
-
-    def apply(self, worker: LaneWorker) -> None:
-        load = worker.programs[self.name]
-        engine = BLogEngine(load.program, load.config, global_store=worker.mirrors[self.name])
-        engine.begin_session()
-        worker.sessions[(self.name, self.session)] = engine
 
 
 @dataclass(frozen=True, slots=True)
@@ -258,21 +229,39 @@ class QueryReply:
 
 @dataclass(frozen=True, slots=True)
 class Query(Op[QueryReply]):
-    """Run already-parsed goals on an open session's engine."""
+    """Run already-parsed goals in a session, bringing the lane up to
+    date first: ``load`` installs the program with an empty mirror of
+    its global store, ``sync`` writes the committed entries the mirror
+    lacks (sessions open on it keep the entries it replaces, see
+    :class:`~repro.weights.SessionStore`), and a session the worker
+    does not hold is opened as an overlay on the mirror."""
 
     name: str
     session: str
     engine: str
     goals: tuple[Term, ...]
     max_solutions: Optional[int] = None
+    load: Optional[LoadProgram] = None
+    sync: Optional[StoreDelta] = None
 
     def apply(self, worker: LaneWorker) -> QueryReply:
+        if self.load is not None:
+            worker.programs[self.name] = self.load
+            worker.mirrors[self.name] = WeightStore(n=self.load.config.n, a=self.load.config.a)
+        mirror = worker.mirrors[self.name]
+        if self.sync is not None:
+            mirror.apply_delta(self.sync)
+        load = worker.programs[self.name]
         engine = worker.sessions.get((self.name, self.session))
+        opened = engine is None
         if engine is None:
-            raise KeyError(
-                f"session {self.session!r} of {self.name!r} is not open on lane {worker.lane}"
-            )
-        return run_engine_query(self, engine, worker.programs[self.name])
+            engine = BLogEngine(load.program, load.config, global_store=mirror)
+            engine.begin_session()
+            worker.sessions[(self.name, self.session)] = engine
+        reply = run_engine_query(self, engine, load.machine_config)
+        if opened:
+            reply.engine_attrs["opened_session"] = True
+        return reply
 
 
 @dataclass(frozen=True, slots=True)
@@ -331,7 +320,9 @@ class LaneWorker:
             return LaneError(f"{type(exc).__name__}: {exc}")
 
 
-def run_engine_query(query: Query, blog_engine: BLogEngine, load: LoadProgram) -> QueryReply:
+def run_engine_query(
+    query: Query, blog_engine: BLogEngine, machine_config: MachineConfig
+) -> QueryReply:
     """Run ``query`` on its chosen engine against a session's engine state.
 
     Called by :class:`Query` on the lane's worker, on both lane
@@ -357,18 +348,11 @@ def run_engine_query(query: Query, blog_engine: BLogEngine, load: LoadProgram) -
         answers = [{k: str(v) for k, v in a.items()} for a in result.answers]
         return QueryReply(answers, result.expansions, result.complete, attrs)
     if query.engine == "machine":
-        store = blog_engine.store
-        tree = OrTree(
-            load.program,
-            goals,
-            weight_fn=store.weight_fn(),
-            arc_key_policy=load.config.arc_key_policy,
-            max_depth=load.config.max_depth,
-        )
-        cfg = load.machine_config
+        tree = blog_engine.build_tree(goals)
+        cfg = machine_config
         if max_solutions is not None:
             cfg = replace(cfg, max_solutions=max_solutions)
-        res = BLogMachine(cfg, store=store).run(tree)
+        res = BLogMachine(cfg, store=blog_engine.store).run(tree)
         return QueryReply(
             [{k: str(v) for k, v in a.items()} for a in res.answers],
             res.expansions,

@@ -19,6 +19,7 @@ session, and the knowledge persists.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -26,7 +27,6 @@ from ..linkdb.build import LinkedDatabase
 from ..logic.program import Program
 from ..logic.terms import Term
 from ..machine.blog_machine import BLogMachine, MachineConfig, MachineResult
-from ..ortree.tree import OrTree
 from ..spd.ops import SemanticPagingDisk
 from ..spd.weights_io import WriteBackReport, write_back_weights
 from ..weights.persist import load_store, save_store
@@ -124,20 +124,11 @@ class BLogSystem:
     ) -> MachineResult:
         """Run on the simulated machine against the same weight store
         (updates apply live, exactly like sequential queries)."""
-        store = self.engine.store
-        tree = OrTree(
-            self.program,
-            query,
-            weight_fn=store.weight_fn(),
-            arc_key_policy=self.config.arc_key_policy,
-            max_depth=self.config.max_depth,
-        )
+        tree = self.engine.build_tree(query)
         cfg = self.machine_config
         if max_solutions is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, max_solutions=max_solutions)
-        machine = BLogMachine(cfg, disk=self.disk, store=store)
+        machine = BLogMachine(cfg, disk=self.disk, store=self.engine.store)
         return machine.run(tree)
 
     # -- persistence -----------------------------------------------------------------

@@ -71,7 +71,6 @@ class MachineConfig:
     model_disk_contention: bool = True  # page-ins queue on the SPD bank
     # (one server per SP: concurrent requests from different processors
     # serialize when they outnumber the search processors)
-    use_scoreboard: bool = False  # legacy alias for cost_model="scoreboard"
     cost_model: str = "simple"  # "simple" (linear formula), "scoreboard"
     # (fixed-shape micro-op program), or "interpreter" (§6 production
     # rules compiled from the node's real goal/candidates/term sizes)
@@ -87,8 +86,6 @@ class MachineConfig:
             raise ValueError("D must be non-negative")
         if self.cost_model not in ("simple", "scoreboard", "interpreter"):
             raise ValueError("cost_model must be simple/scoreboard/interpreter")
-        if self.use_scoreboard and self.cost_model == "simple":
-            self.cost_model = "scoreboard"
 
 
 @dataclass

@@ -26,9 +26,8 @@ so an abandoned session can never leak into the global store.
 
 from __future__ import annotations
 
-import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..weights.store import StoreDelta, WeightStore
@@ -47,7 +46,6 @@ class SessionState:
     program: str
     session: str
     lane: int
-    created_at: float = field(default_factory=time.monotonic)
     queries: int = 0
 
 
@@ -72,6 +70,10 @@ class SessionRouter:
     def sessions_merged(self) -> int:
         return int(self._m_merged.value)
 
+    @property
+    def sessions_abandoned(self) -> int:
+        return int(self._m_abandoned.value)
+
     # -- placement ---------------------------------------------------------
     def lane_for(self, session: str) -> int:
         """The lane a session's queries execute on (stable affinity)."""
@@ -83,8 +85,8 @@ class SessionRouter:
 
     def open(self, program_name: str, session: str) -> SessionState:
         """The session's state, opening it on first touch.  Pure
-        parent-side accounting — the caller tells the lane worker to open
-        its engine (after shipping its mirror the entries it lacks)."""
+        parent-side accounting — the lane worker opens the session's
+        engine at its first query."""
         key = (program_name, session)
         state = self._sessions.get(key)
         if state is None:
@@ -117,8 +119,10 @@ class SessionRouter:
         global_store.apply_delta(delta)
         self._m_merged.inc()
 
-    def drop_lane(self, lane: int) -> None:
-        """Abandon every session routed to ``lane`` (no merges).
+    def drop_lane(self, lane: int, unmerged: int = 0) -> None:
+        """Abandon every session routed to ``lane`` (no merges), and
+        count as abandoned the ``unmerged`` closed sessions of the lane
+        whose commit the caller drops with them.
 
         Called when a lane is reset (its worker died, or was replaced
         after a timeout): the lost worker held these sessions' engines
@@ -128,7 +132,7 @@ class SessionRouter:
         doomed = [k for k, s in self._sessions.items() if s.lane == lane]
         for k in doomed:
             del self._sessions[k]
-        self._m_abandoned.inc(len(doomed))
+        self._m_abandoned.inc(len(doomed) + unmerged)
         self._m_live.set(len(self._sessions))
 
     # -- introspection -----------------------------------------------------

@@ -14,8 +14,8 @@ Concurrency contract (who touches what, from where):
 * The **event loop thread** is the only mutator of global weight
   stores: at session close it plans the merge of the touched-keys
   delta the lane returns, journals it, and only then applies it (one
-  commit at a time); a lane's next session open ships its mirror the
-  committed entries it lacks.
+  commit at a time); a lane's next query carries the committed entries
+  its mirror lacks.
 * Each lane's **worker** (:class:`~repro.core.procpool.LaneWorker`)
   holds the lane's store mirrors and its sessions' engines and local
   stores, and executes their queries — on a worker thread
@@ -23,9 +23,9 @@ Concurrency contract (who touches what, from where):
   (``backend="process"``); the same protocol either way.  The router's
   lane affinity guarantees at most one in-flight request per lane.  A
   lane whose worker dies or misses a deadline is reset (fresh worker),
-  and the in-flight query is replayed exactly once against a freshly
-  opened session after a death; every other session that lived in the
-  lost worker is abandoned, never merged.
+  and the in-flight query is replayed exactly once after a death, its
+  message rebuilt for the fresh worker; every other session that lived
+  in the lost worker is abandoned, never merged.
 * The answer cache and stats are loop-thread-only.
 
 Request lifecycle: admission (bounded pending, explicit
@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..core.config import BLogConfig
-from ..core.procpool import CloseSession, LoadProgram, OpenSession, Query, SyncStore
+from ..core.procpool import CloseSession, LoadProgram, Query
 from ..logic.parser import ParseError, parse_query
 from ..logic.program import Program
 from ..logic.terms import Term
@@ -268,7 +268,6 @@ class BLogService:
         self.router = SessionRouter(self.n_workers, registry=registry)
         self.pool = WorkerPool(self.n_workers, backend=backend, mp_context=mp_context)
         self._m_lane_resets = registry.counter("blog_lane_resets_total")
-        self._m_abandoned = registry.counter("blog_sessions_abandoned_total")
         self.admission = AdmissionController(max_pending, registry=registry)
         self.cache = AnswerCache(cache_capacity, registry=registry)
         #: query text -> its canonical form, for the last ``cache_capacity``
@@ -305,7 +304,7 @@ class BLogService:
 
     @property
     def sessions_abandoned(self) -> int:
-        return int(self._m_abandoned.value)
+        return self.router.sessions_abandoned
 
     # -- registry ----------------------------------------------------------
     def add_program(self, name: str, program: Union[Program, str]) -> ProgramEntry:
@@ -586,10 +585,8 @@ class BLogService:
         timeout = request.timeout if request.timeout is not None else self.default_timeout
         lane = self.router.lane_for(request.session)
 
-        query = Query(entry.name, request.session, engine_used, goals, request.max_solutions)
-
-        # Everything — opening the session included — happens inside the
-        # job, so a replay after a lane reset re-opens against the fresh
+        # The query message is built inside the job, so a replay after a
+        # lane reset carries the program and the whole store to the fresh
         # worker.
         async def run(job: Job):
             trace.span_at(
@@ -601,11 +598,20 @@ class BLogService:
                     replay_cm = trace.span("replay", lane=lane) if replay else None
                     try:
                         with replay_cm or contextlib.nullcontext():
-                            await self._prepare(lane, entry, request.session, trace)
+                            query = self._prepare(
+                                lane, entry, request, engine_used, goals, trace
+                            )
                             with trace.span(
                                 "engine", engine=engine_used, backend=self.backend
                             ) as engine_span:
-                                reply = await self.pool.lane_call(lane, query, timeout)
+                                try:
+                                    reply = await self.pool.lane_call(lane, query, timeout)
+                                except BaseException:
+                                    if query.load is not None or query.sync is not None:
+                                        # the mirror is in an unknown state:
+                                        # the next query installs it afresh
+                                        self.pool.lane(lane).missing.pop(entry.name, None)
+                                    raise
                                 for k, v in reply.engine_attrs.items():
                                     engine_span.set(k, v)
                             return reply.answers, reply.expansions, reply.complete
@@ -673,8 +679,7 @@ class BLogService:
         held = [k for k in self._unmerged if self.router.lane_for(k[1]) == lane]
         for k in held:
             del self._unmerged[k]
-        self._m_abandoned.inc(len(held))
-        self.router.drop_lane(lane)
+        self.router.drop_lane(lane, unmerged=len(held))
 
     def _record_respawn(self, trace: Trace, lane: int) -> None:
         """Attach a ``respawn`` span for the lane reset the backend just
@@ -683,52 +688,44 @@ class BLogService:
         if reset is not None:
             trace.span_at("respawn", *reset, lane=lane)
 
-    async def _prepare(
-        self, lane: int, entry: ProgramEntry, session: str, trace: Trace
-    ) -> None:
-        """Bring a lane's worker up to date for one session's query:
-        install the program (once per worker epoch), ship its mirror the
-        committed entries it lacks, and open the session there.  All
-        three are skipped when there is nothing to do — the steady-state
-        cost is a dict lookup.
+    def _prepare(
+        self,
+        lane: int,
+        entry: ProgramEntry,
+        request: QueryRequest,
+        engine: str,
+        goals: tuple[Term, ...],
+        trace: Trace,
+    ) -> Query:
+        """The lane message for one session's query: it installs the
+        program when the lane's worker lacks it (shipping the whole
+        store) and otherwise ships the committed entries the mirror
+        lacks; the worker opens the session on first use.
 
-        Runs inside the session's lane job, so it cannot interleave with
-        other work on the same lane.
+        The lacking entries are taken here, before the lane call's
+        await: a merge committed during it stays missing for the next
+        query.
         """
         with trace.span("prepare", lane=lane) as span:
             view = self.pool.lane(lane)
             missing = view.missing.get(entry.name)
+            load = None
             if missing is None:
-                await self.pool.lane_call(
-                    lane,
-                    LoadProgram(
-                        entry.name, entry.program, entry.config, entry.machine_config
-                    ),
-                    self.default_timeout,
+                load = LoadProgram(
+                    entry.name, entry.program, entry.config, entry.machine_config
                 )
                 span.set("loaded_program", True)
                 missing = entry.global_store.snapshot()  # a new mirror lacks it all
-            # swapped before the await: a merge committed during it stays
-            # missing for the next sync
             view.missing[entry.name] = {}
+            sync = None
             if missing:
-                delta = StoreDelta(None, entry.global_store.generation, missing)
-                try:
-                    await self.pool.lane_call(
-                        lane, SyncStore(entry.name, delta), self.default_timeout
-                    )
-                except BaseException:
-                    # the mirror is in an unknown state: install it afresh
-                    view.missing.pop(entry.name, None)
-                    raise
+                sync = StoreDelta(None, entry.global_store.generation, missing)
                 span.set("synced_store", True)
-            self.router.open(entry.name, session).queries += 1
-            if (entry.name, session) not in view.open_sessions:
-                await self.pool.lane_call(
-                    lane, OpenSession(entry.name, session), self.default_timeout
-                )
-                view.open_sessions.add((entry.name, session))
-                span.set("opened_session", True)
+            self.router.open(entry.name, request.session).queries += 1
+            return Query(
+                entry.name, request.session, engine, goals, request.max_solutions,
+                load, sync,
+            )
 
     async def end_session(
         self, program: str, session: str, conservative: bool = True
@@ -758,19 +755,17 @@ class BLogService:
             held = self._unmerged.pop(key, None)
             if held is not None:
                 return held
-            view = self.pool.lane(lane)
-            buffer: Optional[StoreDelta] = None
-            # not open in the worker: the lane was reset since — abandoned
-            if (program, session) in view.open_sessions:
-                try:
-                    buffer = await self.pool.lane_call(
-                        lane, CloseSession(program, session), self.default_timeout
-                    )
-                except WorkerDied:
-                    # the worker died holding the local store: the lane
-                    # reset already dropped the router state — abandoned
-                    return None
-                view.open_sessions.discard((program, session))
+            # not routed any more: the lane was reset since — abandoned
+            if self.router.get(program, session) is None:
+                return None
+            try:
+                buffer = await self.pool.lane_call(
+                    lane, CloseSession(program, session), self.default_timeout
+                )
+            except WorkerDied:
+                # the worker died holding the local store: the lane
+                # reset already dropped the router state — abandoned
+                return None
             if not self.router.close(program, session):
                 return None
             return buffer

@@ -12,9 +12,10 @@ Every lane runs the same lane protocol — one
 :class:`~repro.core.procpool.LaneWorker` holding the lane's programs,
 its per-program weight-store mirrors and its sessions' engines — and
 the server speaks to it through one call, ``call(lane, msg, timeout)``,
-whose message is one of that module's frozen dataclasses
-(:class:`~repro.core.procpool.Query`, ``SyncStore``, …) and whose
-reply is typed by it.
+whose message is one of that module's three frozen dataclasses
+(:class:`~repro.core.procpool.Query`, which also carries the program
+load and store sync its lane needs, ``CloseSession`` and ``Shutdown``)
+and whose reply is typed by it.
 A :class:`LaneBackend` only decides how the worker is reached:
 
 * ``thread`` — the worker lives in this process and messages are
@@ -39,8 +40,9 @@ Failure handling is one rule on both backends:
   router drop them so they are never merged).
 * A timeout then fails the request with :class:`QueryTimeout`; a
   :class:`WorkerDied` (a SIGKILLed lane subprocess, an injected fault)
-  is replayed exactly once by the server, against a freshly opened
-  session; a second death fails the request.
+  is replayed exactly once by the server, its message rebuilt for the
+  fresh worker (program load and whole store); a second death fails
+  the request.
 
 Queue-wait per job is measured here (enqueue → start) and surfaced to
 the stats layer, as are per-lane call, respawn and IPC byte counters.
@@ -108,12 +110,11 @@ class Job:
 
 @dataclass
 class LaneView:
-    """The parent's view of one lane: what its current worker holds
-    (maintained by the server) and the lane's counters.  Both backends
-    keep one per lane; a reset starts a new epoch with empty views."""
+    """The parent's view of one lane: what its current worker's mirrors
+    lack (maintained by the server) and the lane's counters.  Both
+    backends keep one per lane; a reset empties ``missing``."""
 
     lane: int
-    epoch: int = 0  # bumped per worker (re)start; resets the views below
     respawns: int = 0
     calls: int = 0
     #: monotonic (start, end) of the most recent reset — the service
@@ -123,12 +124,6 @@ class LaneView:
     #: program -> the committed entries its mirror still lacks; a
     #: program is installed on the worker iff it has an entry here
     missing: dict[str, dict[ArcKey, WeightEntry]] = field(default_factory=dict)
-    open_sessions: set[tuple[str, str]] = field(default_factory=set)
-
-    def new_epoch(self) -> None:
-        self.epoch += 1
-        self.missing = {}
-        self.open_sessions = set()
 
 
 class LaneBackend:
@@ -148,7 +143,7 @@ class LaneBackend:
 
     async def start(self, n_lanes: int) -> None:
         """Bring up one worker per lane (subclasses), with fresh views."""
-        self.lanes = [LaneView(i, epoch=1) for i in range(n_lanes)]
+        self.lanes = [LaneView(i) for i in range(n_lanes)]
 
     async def stop(self) -> None:
         raise NotImplementedError
@@ -168,7 +163,7 @@ class LaneBackend:
         view = self.lanes[lane]
         t0 = time.monotonic()
         self._restart(lane)
-        view.new_epoch()
+        view.missing = {}
         view.respawns += 1
         view.last_reset = (t0, time.monotonic())
         if self.on_lane_reset is not None:
@@ -224,10 +219,10 @@ class LaneBackend:
 class ThreadLaneBackend(LaneBackend):
     """One in-process :class:`LaneWorker` per lane (GIL-bound).  Messages
     are handed over as they are, never pickled.  Queries run on a shared
-    executor (one thread per lane); the session bookkeeping ops are
-    deltas and overlay opens, cheaper than a thread hop, and run inline
-    on the loop — safe, because the lane is serial: no query of this
-    worker is in flight while its lane job runs them."""
+    executor (one thread per lane); a session close only takes an
+    overlay's delta, cheaper than a thread hop, and runs inline on the
+    loop — safe, because the lane is serial: no query of this worker is
+    in flight while its lane job runs it."""
 
     kind = "thread"
 

@@ -228,8 +228,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             BLogConfig(alpha=0)
         with pytest.raises(ValueError):
-            BLogConfig(d=-1)
-        with pytest.raises(ValueError):
             BLogConfig(arc_key_policy="nope")
 
     def test_expansion_budget(self, figure1):

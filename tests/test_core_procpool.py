@@ -14,11 +14,9 @@ from repro.core.procpool import (
     LaneWorker,
     LoadProgram,
     Op,
-    OpenSession,
     Query,
     QueryReply,
     Shutdown,
-    SyncStore,
 )
 from repro.logic import Program, Solver
 from repro.logic.parser import parse_query
@@ -113,54 +111,76 @@ class TestLaneWorker:
     same object a thread lane runs and a process lane's child loop wraps)."""
 
     @pytest.fixture
-    def worker(self, figure1):
+    def load(self, figure1):
+        return LoadProgram("fam", figure1, BLogConfig(), MachineConfig(n_processors=2))
+
+    @pytest.fixture
+    def worker(self, load):
         w = LaneWorker(lane=3)
-        load = LoadProgram("fam", figure1, BLogConfig(), MachineConfig(n_processors=2))
-        assert w.handle(load) is None
+        assert isinstance(self.query(w, "first", "f(sam, Y)", load=load), QueryReply)
         return w
 
     @staticmethod
     def query(worker, session="s", goals="gf(sam, G)", engine="blog", **kw):
         return worker.handle(Query("fam", session, engine, parse_query(goals), **kw))
 
-    def test_load_program_installs_an_empty_mirror(self, worker):
-        assert "fam" in worker.programs
+    @staticmethod
+    def learned(figure1) -> WeightStore:
+        source = WeightStore()
+        BLogEngine(figure1, global_store=source).query("gf(sam, G)")
+        return source
+
+    def test_load_program_installs_an_empty_mirror(self, load):
+        worker = LaneWorker(lane=3)
+        reply = self.query(worker, goals="f(sam, Y)", load=load)
+        assert reply.answers == [{"Y": "larry"}]
+        assert worker.programs["fam"] is load
+        # the query learned into its session, not into the mirror
         assert len(worker.mirrors["fam"]) == 0
+        assert worker.sessions["fam", "s"].store.delta().entries
+
+    def test_a_query_without_its_program_is_an_error_reply(self):
+        reply = LaneWorker(lane=3).handle(Query("fam", "s", "blog", parse_query("f(sam, Y)")))
+        assert reply == LaneError("KeyError: 'fam'")
 
     def test_sync_store_applies_a_delta_to_the_mirror(self, worker, figure1):
-        source = WeightStore()
-        engine = BLogEngine(figure1, global_store=source)
-        engine.query("gf(sam, G)")
+        source = self.learned(figure1)
         full = StoreDelta(None, source.generation, source.snapshot())
-        assert worker.handle(SyncStore("fam", full)) == len(source)
+        assert isinstance(self.query(worker, sync=full), QueryReply)
         mirror = worker.mirrors["fam"]
         assert mirror.generation == source.generation
         assert mirror.snapshot() == source.snapshot()
 
+    def test_a_load_replaces_the_mirror_then_syncs_it(self, worker, load, figure1):
+        source = self.learned(figure1)
+        old = worker.mirrors["fam"]
+        synced = StoreDelta(None, source.generation, source.snapshot())
+        assert isinstance(self.query(worker, load=load, sync=synced), QueryReply)
+        assert worker.mirrors["fam"] is not old and len(old) == 0
+        assert worker.mirrors["fam"].snapshot() == source.snapshot()
+
     def test_a_sync_leaves_open_sessions_as_they_opened(self, worker, figure1):
         """A session open on the mirror while a sync lands keeps reading
         the mirror as it was at open, plus its own writes; a session
-        opened after the sync reads the synced entries; and each close
-        ships back only what that session wrote."""
-        source = WeightStore()
-        BLogEngine(figure1, global_store=source).query("gf(sam, G)")
-        worker.handle(OpenSession("fam", "early"))
+        opened by the syncing query reads the synced entries; and each
+        close ships back only what that session wrote."""
+        source = self.learned(figure1)
+        self.query(worker, "early", "true")  # opens a session, learns nothing
         synced = StoreDelta(None, source.generation, source.snapshot())
-        assert worker.handle(SyncStore("fam", synced)) == len(source) > 0
-        worker.handle(OpenSession("fam", "late"))
+        self.query(worker, "late", "true", sync=synced)
         early = worker.sessions["fam", "early"].store
         late = worker.sessions["fam", "late"].store
         assert early.snapshot() == {}
-        assert late.snapshot() == source.snapshot()
+        assert late.snapshot() == source.snapshot() != {}
         for key, entry in source.snapshot().items():
             assert early.is_unknown(key) and late.entry(key) == entry
         assert worker.handle(CloseSession("fam", "early")).entries == {}
         assert worker.handle(CloseSession("fam", "late")).entries == {}
+        worker.handle(CloseSession("fam", "first"))
         # a closed session no longer holds before-images for later syncs
         assert not worker.mirrors["fam"]._sessions
 
     def test_open_query_close_roundtrip(self, worker):
-        assert worker.handle(OpenSession("fam", "s")) is None
         reply = self.query(worker)
         assert isinstance(reply, QueryReply)
         assert sorted(a["G"] for a in reply.answers) == ["den", "doug"]
@@ -172,23 +192,50 @@ class TestLaneWorker:
         assert len(worker.mirrors["fam"]) == 0
         assert ("fam", "s") not in worker.sessions
 
+    def test_a_query_opens_its_session_on_first_use(self, worker):
+        """The first query of a session opens it on the mirror (and says
+        so in its engine attributes); the next reuses it; and the
+        session's ``CloseSession`` returns what both queries learned."""
+        first = self.query(worker, "new")
+        engine = worker.sessions["fam", "new"]
+        assert first.engine_attrs["opened_session"] is True
+        assert engine.store.base is worker.mirrors["fam"]
+        again = self.query(worker, "new", "f(sam, Y)")
+        assert "opened_session" not in again.engine_attrs
+        assert worker.sessions["fam", "new"] is engine
+        learned = engine.store.delta().entries
+        delta = worker.handle(CloseSession("fam", "new"))
+        assert delta.entries == learned and learned
+        assert self.query(worker, "new").engine_attrs["opened_session"] is True
+
     def test_max_solutions_and_machine_engine(self, worker):
-        worker.handle(OpenSession("fam", "s"))
         one = self.query(worker, max_solutions=1)
         assert len(one.answers) == 1
         machine = self.query(worker, engine="machine")
         assert "makespan" in machine.engine_attrs
 
+    def test_machine_engine_honours_the_selection_rule(self, figure1):
+        """Both engines search the tree the session's engine builds, so
+        the machine expands what the sequential engine does under the
+        same computation rule."""
+        expanded = {}
+        for rule in ("leftmost", "fewest-candidates"):
+            config = BLogConfig(selection_rule=rule)
+            load = LoadProgram("fam", figure1, config, MachineConfig(n_processors=1))
+            worker = LaneWorker(lane=0)
+            for engine in ("blog", "machine"):
+                reply = worker.handle(
+                    Query("fam", engine, engine, parse_query("gf(X, Y)"), load=load)
+                )
+                expanded[rule, engine] = reply.expansions
+        assert expanded["fewest-candidates", "blog"] != expanded["leftmost", "blog"]
+        assert expanded["fewest-candidates", "machine"] == expanded["fewest-candidates", "blog"]
+        assert expanded["leftmost", "machine"] == expanded["leftmost", "blog"]
+
     def test_close_of_an_unopened_session_has_no_delta(self, worker):
         assert worker.handle(CloseSession("fam", "x")) is None
 
-    def test_query_on_an_unopened_session_is_an_error_reply(self, worker):
-        reply = self.query(worker, session="never-opened")
-        assert isinstance(reply, LaneError)
-        assert "not open on lane 3" in reply.error
-
     def test_engine_failure_is_an_error_reply(self, worker):
-        worker.handle(OpenSession("fam", "s"))
         reply = self.query(worker, engine="nope")
         assert reply == LaneError("ValueError: unknown engine 'nope'")
 
@@ -208,22 +255,21 @@ class TestLaneWorker:
 
 def _seeded_messages(figure1):
     """One seeded value of every request and reply type, the reply taken
-    from a real query on a real worker."""
+    from a real query on a real worker; the queries carry a program
+    load and a store sync."""
     config = BLogConfig(n=8.0, a=12, max_depth=64)
     machine_config = MachineConfig(n_processors=3)
+    load = LoadProgram("fam", figure1, config, machine_config)
     goals = parse_query("gf(sam, G), f(X, Y)")
     source = WeightStore()
     BLogEngine(figure1, global_store=source).query("gf(sam, G)")
+    sync = StoreDelta(None, source.generation, source.snapshot())
     worker = LaneWorker(lane=0)
-    worker.handle(LoadProgram("fam", figure1, config, machine_config))
-    worker.handle(OpenSession("fam", "s"))
-    reply = worker.handle(Query("fam", "s", "blog", parse_query("gf(sam, G)")))
+    reply = worker.handle(Query("fam", "s", "blog", parse_query("gf(sam, G)"), load=load))
     assert isinstance(reply, QueryReply) and reply.answers
     return [
-        LoadProgram("fam", figure1, config, machine_config),
-        SyncStore("fam", StoreDelta(None, source.generation, source.snapshot())),
-        OpenSession("fam", "s"),
-        Query("fam", "s", "machine", goals, 2),
+        Query("fam", "s", "machine", goals, 2, load, sync),
+        Query("fam", "s", "blog", goals, sync=sync),
         Query("fam", "s", "blog", goals),
         CloseSession("fam", "s"),
         Shutdown(),
@@ -246,10 +292,10 @@ LEAF_TYPES = (
 
 def _plain_data(hint) -> bool:
     """A primitive, a term, a program, a config, an arc key, a weight
-    entry, a store delta of those, or an Optional/Union, tuple, list or
-    dict of those."""
-    if hint is StoreDelta:
-        return all(map(_plain_data, typing.get_type_hints(StoreDelta).values()))
+    entry, a program load or store delta of those, or an Optional/Union,
+    tuple, list or dict of those."""
+    if hint in (LoadProgram, StoreDelta):
+        return all(map(_plain_data, typing.get_type_hints(hint).values()))
     args = typing.get_args(hint)
     if typing.get_origin(hint) in (typing.Union, types.UnionType, tuple, list, dict):
         return all(a is Ellipsis or _plain_data(a) for a in args)
@@ -258,20 +304,28 @@ def _plain_data(hint) -> bool:
 
 class TestProtocolContract:
     def test_seeds_cover_every_message_type(self, figure1):
-        assert {type(m) for m in _seeded_messages(figure1)} == MESSAGE_TYPES
+        seeds = _seeded_messages(figure1)
+        assert {type(m) for m in seeds} == MESSAGE_TYPES
+        queries = [m for m in seeds if isinstance(m, Query)]
+        assert any(q.load is not None for q in queries)
+        assert any(q.sync is not None and q.sync.entries for q in queries)
 
     def test_every_message_pickles_to_an_equal_value(self, figure1):
         for msg in _seeded_messages(figure1):
             back = pickle.loads(pickle.dumps(msg))
             assert type(back) is type(msg)
-            if isinstance(msg, LoadProgram):
+            if isinstance(msg, Query) and msg.load is not None:
                 # a Program compares by identity: compare its clauses
-                assert list(back.program) == list(msg.program)
-                back = dataclasses.replace(back, program=msg.program)
+                assert list(back.load.program) == list(msg.load.program)
+                back = dataclasses.replace(
+                    back, load=dataclasses.replace(back.load, program=msg.load.program)
+                )
             assert back == msg, msg
 
     def test_messages_are_frozen_and_slotted(self, figure1):
-        for msg in _seeded_messages(figure1):
+        seeds = _seeded_messages(figure1)
+        loads = [m.load for m in seeds if isinstance(m, Query) and m.load is not None]
+        for msg in seeds + loads:
             assert not hasattr(msg, "__dict__"), type(msg).__name__
             if dataclasses.fields(msg):
                 with pytest.raises(dataclasses.FrozenInstanceError):

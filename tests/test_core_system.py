@@ -41,6 +41,16 @@ class TestQuerying:
         res = system.query_parallel("gf(sam, G)", max_solutions=1)
         assert len(res.answers) >= 1
 
+    def test_parallel_query_honours_the_selection_rule(self):
+        """The machine searches the tree the sequential engine builds, so
+        one processor expands what the engine does under either rule."""
+        for rule in ("leftmost", "fewest-candidates"):
+            config = BLogConfig(n=8, a=16, selection_rule=rule)
+            machine = MachineConfig(n_processors=1)
+            par = BLogSystem(FIGURE1_SOURCE, config, machine=machine).query_parallel("gf(X, Y)")
+            seq = BLogSystem(FIGURE1_SOURCE, config, machine=machine).query("gf(X, Y)")
+            assert par.expansions == seq.expansions, rule
+
     def test_both_executors_share_learning(self, system):
         system.begin_session()
         system.query("gf(sam, G)")  # sequential learns

@@ -135,7 +135,7 @@ class TestWeightIntegration:
 
 class TestScoreboardCosting:
     def test_scoreboard_mode_runs(self, figure1):
-        res = machine_run(figure1, "gf(sam, G)", n=2, use_scoreboard=True)
+        res = machine_run(figure1, "gf(sam, G)", n=2, cost_model="scoreboard")
         assert sorted(str(a["G"]) for a in res.answers) == ["den", "doug"]
         assert res.makespan > 0
 
@@ -236,10 +236,6 @@ class TestCostModels:
         res = machine_run(figure1, "gf(sam, G)", n=2, cost_model=model)
         assert sorted(str(a["G"]) for a in res.answers) == ["den", "doug"]
         assert res.makespan > 0
-
-    def test_legacy_use_scoreboard_alias(self):
-        cfg = MachineConfig(use_scoreboard=True)
-        assert cfg.cost_model == "scoreboard"
 
     def test_invalid_cost_model(self):
         with pytest.raises(ValueError):

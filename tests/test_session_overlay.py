@@ -1,7 +1,8 @@
 """Session stores are overlays on the lane's mirror, not copies of it.
 
 * A seeded differential drives one lane worker through interleaved
-  session opens, queries, direct writes, store syncs and closes, and
+  queries (the first of a session opens it, some carry a store sync),
+  direct writes and closes, and
   runs the same steps against the copy-based session store this
   overlay replaced (kept below as a reference): every weight read,
   every closed session's delta and the merged global store must agree.
@@ -21,14 +22,7 @@ import tracemalloc
 import pytest
 
 from repro.core import BLogConfig, BLogEngine
-from repro.core.procpool import (
-    CloseSession,
-    LaneWorker,
-    LoadProgram,
-    OpenSession,
-    Query,
-    SyncStore,
-)
+from repro.core.procpool import CloseSession, LaneWorker, LoadProgram, Query
 from repro.logic.parser import parse_query
 from repro.machine.blog_machine import MachineConfig
 from repro.ortree.tree import ArcKey
@@ -87,7 +81,8 @@ def assert_same_reads(store, reference, keys) -> None:
 def test_overlay_sessions_match_copied_sessions(seed):
     rng = random.Random(seed)
     worker = LaneWorker(lane=0)
-    worker.handle(LoadProgram("fam", FAMILY.program, CONFIG, MachineConfig()))
+    load = LoadProgram("fam", FAMILY.program, CONFIG, MachineConfig())
+    worker.handle(Query("fam", "loader", "blog", parse_query("true"), load=load))
     mirror = WeightStore(n=CONFIG.n, a=CONFIG.a)  # the reference lane's mirror
     glob = WeightStore(n=CONFIG.n, a=CONFIG.a)
     ref_glob = WeightStore(n=CONFIG.n, a=CONFIG.a)
@@ -95,23 +90,31 @@ def test_overlay_sessions_match_copied_sessions(seed):
     reference: dict[str, BLogEngine] = {}  # session -> engine on a CopySession
     seen: set[ArcKey] = set()
     befores = 0
-    for step in range(120):
-        op = rng.random()
-        name = f"s{rng.randrange(4)}"
+
+    def ask(name: str, text: str, sync: StoreDelta | None = None) -> None:
+        """One query on both sides; like the lane's, the reference
+        applies the sync first and opens the session after it."""
+        if sync is not None:
+            mirror.apply_delta(sync)
         if name not in reference:
-            assert worker.handle(OpenSession("fam", name)) is None
             reference[name] = BLogEngine(
                 FAMILY.program, CONFIG, global_store=CopySession(mirror)
             )
-        store = worker.sessions["fam", name].store
-        ref_store = reference[name].store
-        if op < 0.45:
-            text = rng.choice(TEXTS)
-            reply = worker.handle(Query("fam", name, "blog", parse_query(text)))
-            ref = reference[name].query(text)
-            assert reply.answers == [{k: str(v) for k, v in a.items()} for a in ref.answers]
-            assert reply.expansions == ref.expansions
-        elif op < 0.6 and seen:
+        reply = worker.handle(Query("fam", name, "blog", parse_query(text), sync=sync))
+        ref = reference[name].query(text)
+        assert reply.answers == [{k: str(v) for k, v in a.items()} for a in ref.answers]
+        assert reply.expansions == ref.expansions
+
+    for step in range(120):
+        op = rng.random()
+        name = f"s{rng.randrange(4)}"
+        if op < 0.45 or (op < 0.6 and name not in reference):
+            ask(name, rng.choice(TEXTS))
+        elif op < 0.6:
+            store = worker.sessions["fam", name].store
+            ref_store = reference[name].store
+            if not seen:
+                continue
             key = rng.choice(sorted(seen, key=repr))
             write = rng.choice(("forget", "set_infinite", "set_known", "clear"))
             if write == "set_known":
@@ -126,14 +129,17 @@ def test_overlay_sessions_match_copied_sessions(seed):
                 getattr(store, write)(key)
                 getattr(ref_store, write)(key)
         elif op < 0.8:
+            sync = None
             if missing:
                 befores += len(worker.mirrors["fam"]._sessions)
-                delta = StoreDelta(None, glob.generation, dict(missing))
-                worker.handle(SyncStore("fam", delta))
-                mirror.apply_delta(delta)
+                sync = StoreDelta(None, glob.generation, dict(missing))
                 missing.clear()
+            ask(name, rng.choice(TEXTS), sync)
         else:
             delta = worker.handle(CloseSession("fam", name))
+            if name not in reference:
+                assert delta is None
+                continue
             ref_entries = reference.pop(name).store.delta_entries()
             assert delta.entries == ref_entries
             plan, _ = plan_merge(glob, delta.entries, alpha=CONFIG.alpha)
@@ -144,6 +150,8 @@ def test_overlay_sessions_match_copied_sessions(seed):
             assert glob.snapshot() == ref_glob.snapshot()
             assert glob.generation == ref_glob.generation
             continue
+        store = worker.sessions["fam", name].store
+        ref_store = reference[name].store
         seen.update(store.keys(), ref_store.keys(), mirror.keys())
         assert_same_reads(store, ref_store, seen)
         assert set(store.keys()) == set(ref_store.keys())
@@ -153,18 +161,21 @@ def test_overlay_sessions_match_copied_sessions(seed):
 
 
 def bytes_per_open(mirror_keys: int, opens: int = 8) -> float:
+    """Traced bytes each first query of a new session keeps, on a
+    mirror of ``mirror_keys`` keys; the query (``true``) learns nothing."""
     worker = LaneWorker(lane=0)
-    worker.handle(LoadProgram("fam", FAMILY.program, CONFIG, MachineConfig()))
     entries = WeightStore(n=CONFIG.n, a=CONFIG.a)
     for i in range(mirror_keys):
         entries.set_known(ArcKey("pointer", (-1 - i, 0, i)), 1.0 + i % 7)
-    worker.handle(SyncStore("fam", StoreDelta(None, entries.generation, entries.snapshot())))
-    worker.handle(OpenSession("fam", "warm-up"))
+    load = LoadProgram("fam", FAMILY.program, CONFIG, MachineConfig())
+    sync = StoreDelta(None, entries.generation, entries.snapshot())
+    true = parse_query("true")
+    worker.handle(Query("fam", "warm-up", "blog", true, load=load, sync=sync))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for i in range(opens):
-            worker.handle(OpenSession("fam", f"s{i}"))
+            worker.handle(Query("fam", f"s{i}", "blog", true))
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -188,9 +199,9 @@ def lane_sessions(svc, count: int) -> list[str]:
     return [by_lane[lane] for lane in range(count)]
 
 
-def run_service(body, **kw):
+def run_service(body, backend: str = "thread", **kw):
     async def main():
-        svc = BLogService({"family": FAMILY.program}, backend="thread", **kw)
+        svc = BLogService({"family": FAMILY.program}, backend=backend, **kw)
         await svc.start()
         try:
             return await body(svc)
@@ -237,7 +248,7 @@ def test_a_merge_during_a_sync_stays_missing():
         merged = []
 
         async def merging_lane_call(lane, msg, timeout):
-            if isinstance(msg, SyncStore) and lane == 1 and not merged:
+            if isinstance(msg, Query) and msg.sync is not None and lane == 1 and not merged:
                 merged.append(await svc.end_session("family", a))
             return await real_lane_call(lane, msg, timeout)
 
@@ -262,26 +273,51 @@ def test_a_sync_that_raises_reinstalls_the_whole_store():
         failed = []
 
         async def failing_lane_call(lane, msg, timeout):
-            if isinstance(msg, SyncStore) and not failed:
+            if isinstance(msg, Query) and msg.sync is not None and not failed:
                 failed.append(msg)
                 raise RuntimeError("sync lost")
             return await real_lane_call(lane, msg, timeout)
 
         svc.pool.lane_call = failing_lane_call
         first = await svc.submit(ask(b))
-        loads = []
+        sent = []
         real_handle = svc.pool.backend.workers[1].handle
 
-        def counted_handle(msg):
-            loads.append(type(msg).__name__)
+        def recorded_handle(msg):
+            sent.append(msg)
             return real_handle(msg)
 
-        svc.pool.backend.workers[1].handle = counted_handle
+        svc.pool.backend.workers[1].handle = recorded_handle
         again = await svc.submit(ask(b))
         glob = svc.programs["family"].global_store.snapshot()
-        return first, again, loads, glob, mirror_of(svc, 1).snapshot()
+        return first, again, sent, glob, mirror_of(svc, 1).snapshot()
 
-    first, again, loads, glob, mirror = run_service(body, n_workers=2)
+    first, again, sent, glob, mirror = run_service(body, n_workers=2)
     assert not first.ok and "sync lost" in first.error
-    assert again.ok and loads[:2] == ["LoadProgram", "SyncStore"]
+    assert again.ok and len(sent) == 1
+    assert sent[0].load is not None and sent[0].sync.entries == glob
     assert mirror == glob
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_a_request_costs_one_lane_call(backend):
+    """Everything a request needs rides on its one ``Query``: a new
+    session's first uncached query after a merge (store sync, session
+    open) and a first request on a fresh lane (program load, the whole
+    store, session open) each cost one lane call."""
+
+    async def body(svc):
+        a, b = lane_sessions(svc, 2)
+        again = next(f"v{i}" for i in range(100) if svc.router.lane_for(f"v{i}") == 0)
+
+        async def calls(session: str, lane: int) -> int:
+            before = svc.pool.lane_stats()[lane]["calls"]
+            assert (await svc.submit(ask(session))).ok
+            return svc.pool.lane_stats()[lane]["calls"] - before
+
+        await calls(a, 0)
+        await svc.end_session("family", a)
+        assert len(svc.programs["family"].global_store) > 0
+        return await calls(again, 0), await calls(b, 1)
+
+    assert run_service(body, backend, n_workers=2) == (1, 1)
