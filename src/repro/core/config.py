@@ -31,7 +31,6 @@ class BLogConfig:
     # (Prolog/§2), "most-bound", or "fewest-candidates" (§7 ordering)
     max_depth: int = 128
     max_expansions: int = 200_000
-    live_updates: bool = True  # apply §5 rules as outcomes appear mid-search
     failure_blame: str = "leafmost"  # §5 default; or "rootmost" / "all"
     success_distribute: str = "equal"  # §5 default; or "leaf-weighted" /
     # "root-weighted" (E11 ablates these)

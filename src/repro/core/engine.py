@@ -13,7 +13,9 @@ global knowledge.
 
 The search itself is the shared frontier loop
 (:func:`~repro.ortree.frontier.search`) with the best-first discipline;
-the engine adds answer extraction and the §5 learning hooks.
+the engine adds answer extraction and the §5 learning hook,
+:meth:`BLogEngine.learner`, through which the simulated §6 machine
+(:meth:`BLogEngine.run_machine`) learns too.
 
 Completeness: the engine never *discards* chains — weights only order
 them, and it never applies the §3 incumbent cutoff — so "B-LOG offers
@@ -24,17 +26,19 @@ equality against the Prolog baseline on a corpus of programs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from ..logic.program import Program
 from ..logic.terms import Term
+from ..machine.blog_machine import BLogMachine, MachineConfig, MachineResult
 from ..ortree.frontier import BestFirst, SearchCounters, is_solution, search, tree_expander
-from ..ortree.tree import OrNode, OrTree
+from ..ortree.tree import OrArc, OrNode, OrTree
+from ..spd.ops import SemanticPagingDisk
 from ..weights.policies import on_failure_policy, on_success_policy
 from ..weights.session import MergeReport, SessionManager
 from ..weights.store import WeightStore
-from ..weights.update import UpdateLog
+from ..weights.update import Learner, UpdateLog
 from .config import BLogConfig
 
 __all__ = ["BLogEngine", "QueryResult"]
@@ -113,11 +117,9 @@ class BLogEngine:
         """Run ``query`` best-first under the current weights.
 
         The frontier is ordered by chain bound (ties: generation
-        order).  Each solution/failure leaf triggers the §5 update rules
-        on the *active* store immediately when ``live_updates`` is on,
-        so later expansions of the same query already see the new
-        weights; with it off, updates are applied after the search in
-        discovery order (the "update at end of search" variant).
+        order).  Each solution/failure leaf applies the §5 update rules
+        to the *active* store at once, so later expansions of the same
+        query already see the new weights.
         """
         it = self.query_iter(
             query,
@@ -142,6 +144,21 @@ class BLogEngine:
             selection_rule=cfg.selection_rule,
         )
 
+    def learner(self) -> Learner:
+        """The §5 hook: ``learn(arcs, solved)`` applies the configured
+        ``failure_blame`` / ``success_distribute`` rule to the chain
+        ``arcs`` in the active store and returns the update's log.  The
+        engine's search and the §6 machine both learn through it."""
+        store = self.store
+        blame, distribute = self.config.failure_blame, self.config.success_distribute
+
+        def learn(arcs: Sequence[OrArc], solved: bool) -> UpdateLog:
+            if solved:
+                return on_success_policy(store, arcs, distribute)
+            return on_failure_policy(store, arcs, blame)
+
+        return learn
+
     def query_iter(
         self,
         query: str | Sequence[Term],
@@ -154,46 +171,49 @@ class BLogEngine:
         Learning happens incrementally: by the time an answer is
         yielded, its chain's §5 update has already been applied, so a
         consumer can stop at any point and keep the partial knowledge.
-        The full :class:`QueryResult` is available afterwards as
+        A leaf cut off at ``max_depth`` is not learned from.  The full
+        :class:`QueryResult` is available afterwards as
         :attr:`last_result`.
         """
-        cfg = self.config
-        store = self.store
         tree = self.build_tree(query)
         result = QueryResult(query=query)
         self.last_result = result  # available even on early consumer exit
-        deferred: list[tuple[OrNode, bool]] = []  # (leaf, solved)
+        learn, logs, chain_arcs = self.learner(), result.update_logs, tree.chain_arcs
 
-        def apply_update(leaf: OrNode, solved: bool) -> UpdateLog:
-            arcs = tree.chain_arcs(leaf.nid)
-            if solved:
-                return on_success_policy(store, arcs, cfg.success_distribute)
-            return on_failure_policy(store, arcs, cfg.failure_blame)
-
-        def outcome(leaf: OrNode, solved: bool = False) -> None:
-            if not update_weights:
-                return
-            if cfg.live_updates:
-                result.update_logs.append(apply_update(leaf, solved))
-            else:
-                deferred.append((leaf, solved))
+        def failed(leaf: OrNode) -> None:
+            logs.append(learn(chain_arcs(leaf.nid), False))
 
         try:
             for node in search(
                 BestFirst(), tree.root, is_solution, tree_expander(tree), result,
-                max_solutions, cfg.max_expansions, on_failure=outcome,
+                max_solutions, self.config.max_expansions,
+                on_failure=failed if update_weights else None,
             ):
                 answer = tree.solution_answer(node)
                 result.answers.append(answer)
                 result.solution_bounds.append(node.bound)
-                outcome(node, True)
+                if update_weights:
+                    logs.append(learn(chain_arcs(node.nid), True))
                 yield answer
         finally:
-            for node, solved in deferred:
-                result.update_logs.append(apply_update(node, solved))
             if keep_tree:
                 result.tree = tree
             self.queries_run += 1
+
+    def run_machine(
+        self,
+        query: str | Sequence[Term],
+        machine_config: MachineConfig,
+        disk: Optional[SemanticPagingDisk] = None,
+        max_solutions: Optional[int] = None,
+    ) -> MachineResult:
+        """Run ``query`` on the simulated §6 machine over the active
+        store: the tree is :meth:`build_tree`'s and the machine learns
+        through :meth:`learner`, exactly as a sequential query does."""
+        tree = self.build_tree(query)
+        if max_solutions is not None:
+            machine_config = replace(machine_config, max_solutions=max_solutions)
+        return BLogMachine(machine_config, disk=disk, learn=self.learner()).run(tree)
 
     def solve_values(
         self,

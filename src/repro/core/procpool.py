@@ -20,14 +20,14 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Generic, Optional, Sequence, TypeVar, Union
 
 from ..logic.program import Program
 from ..logic.solver import Solver
 from ..logic.terms import Term, reset_var_counter
 from ..logic.unify import Bindings, unify
-from ..machine.blog_machine import BLogMachine, MachineConfig
+from ..machine.blog_machine import MachineConfig
 from ..ortree.tree import NodeStatus, OrTree
 from ..weights.store import StoreDelta, WeightStore
 from .config import BLogConfig
@@ -348,15 +348,11 @@ def run_engine_query(
         answers = [{k: str(v) for k, v in a.items()} for a in result.answers]
         return QueryReply(answers, result.expansions, result.complete, attrs)
     if query.engine == "machine":
-        tree = blog_engine.build_tree(goals)
-        cfg = machine_config
-        if max_solutions is not None:
-            cfg = replace(cfg, max_solutions=max_solutions)
-        res = BLogMachine(cfg, store=blog_engine.store).run(tree)
+        res = blog_engine.run_machine(goals, machine_config, max_solutions=max_solutions)
         return QueryReply(
             [{k: str(v) for k, v in a.items()} for a in res.answers],
             res.expansions,
-            tree.depth_cutoffs == 0 and res.expansions < cfg.max_expansions,
+            res.complete,
             {
                 "expansions": res.expansions,
                 "makespan": res.makespan,

@@ -19,14 +19,13 @@ session, and the knowledge persists.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ..linkdb.build import LinkedDatabase
 from ..logic.program import Program
 from ..logic.terms import Term
-from ..machine.blog_machine import BLogMachine, MachineConfig, MachineResult
+from ..machine.blog_machine import MachineConfig, MachineResult
 from ..spd.ops import SemanticPagingDisk
 from ..spd.weights_io import WriteBackReport, write_back_weights
 from ..weights.persist import load_store, save_store
@@ -122,14 +121,12 @@ class BLogSystem:
         query: str | Sequence[Term],
         max_solutions: Optional[int] = None,
     ) -> MachineResult:
-        """Run on the simulated machine against the same weight store
-        (updates apply live, exactly like sequential queries)."""
-        tree = self.engine.build_tree(query)
-        cfg = self.machine_config
-        if max_solutions is not None:
-            cfg = replace(cfg, max_solutions=max_solutions)
-        machine = BLogMachine(cfg, disk=self.disk, store=self.engine.store)
-        return machine.run(tree)
+        """Run on the simulated machine against the same weight store,
+        learning through the engine's hook exactly like sequential
+        queries (:meth:`BLogEngine.run_machine`)."""
+        return self.engine.run_machine(
+            query, self.machine_config, disk=self.disk, max_solutions=max_solutions
+        )
 
     # -- persistence -----------------------------------------------------------------
     def save(self, path: Optional[Union[str, Path]] = None) -> Path:

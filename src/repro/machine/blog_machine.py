@@ -24,8 +24,11 @@ access *costs* are modeled, the search itself is exact):
 * optional SPD bank: expanding a node first pages in the candidate
   clause blocks (semantic page of radius 1) unless they are already in
   local memory;
-* optional weight store with live §5 updates, so the machine *learns*
-  exactly like the sequential engine.
+* an optional §5 learning hook, called with each solution or failure
+  leaf's chain, so the machine *learns* exactly like the sequential
+  engine: :meth:`~repro.core.engine.BLogEngine.run_machine` passes the
+  engine's own hook.  A leaf cut off at the tree's ``max_depth`` is
+  neither a failure nor learned from, as in the engine's search.
 
 The result reports makespan (cycles), per-processor utilization,
 network traffic, and solution answers — everything E5/E6 sweeps.
@@ -34,14 +37,12 @@ network traffic, and solution answers — everything E5/E6 sweeps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
-from ..linkdb.build import LinkedDatabase
 from ..logic.terms import Term
 from ..ortree.tree import NodeStatus, OrTree
 from ..spd.ops import SemanticPagingDisk
-from ..weights.store import WeightStore
-from ..weights.update import on_failure, on_success
+from ..weights.update import Learner, UpdateLog
 from .network import Interconnect, MinSeekingNetwork
 from .processor import INF, ProcessorState
 from .scoreboard import Scoreboard, expansion_program
@@ -97,6 +98,11 @@ class MachineResult:
     solution_bounds: list[float] = field(default_factory=list)
     expansions: int = 0
     failures: int = 0
+    depth_cutoffs: int = 0  # leaves cut off at max_depth: not failures
+    #: False after a depth cutoff, or when ``max_expansions`` stopped the
+    #: run with chains still open; reaching ``max_solutions`` leaves it True
+    complete: bool = True
+    update_logs: list[UpdateLog] = field(default_factory=list)
     migrations: int = 0
     idle_pulls: int = 0  # migrations into an empty pool (D-independent)
     rebalances: int = 0  # steady-state steals gated by D
@@ -127,21 +133,24 @@ class BLogMachine:
     disk:
         Optional SPD bank holding the linked database; without it,
         expansions pay compute cost only.
-    store:
-        Optional weight store updated live with the §5 rules (the tree
-        passed to :meth:`run` should use this store's ``weight_fn`` for
-        bounds to be meaningful).
+    learn:
+        Optional §5 hook ``learn(arcs, solved)``, called at once with
+        each solution or failure leaf's chain; its logs land in
+        :attr:`MachineResult.update_logs`.  A library caller holding only
+        a store passes ``functools.partial(apply_outcome, store)`` (the
+        paper's rules); the tree passed to :meth:`run` should then use
+        that store's ``weight_fn`` for bounds to be meaningful.
     """
 
     def __init__(
         self,
         config: Optional[MachineConfig] = None,
         disk: Optional[SemanticPagingDisk] = None,
-        store: Optional[WeightStore] = None,
+        learn: Optional[Learner] = None,
     ):
         self.config = config if config is not None else MachineConfig()
         self.disk = disk
-        self.store = store
+        self.learn = learn
         self._scoreboard = (
             Scoreboard() if self.config.cost_model != "simple" else None
         )
@@ -193,6 +202,7 @@ class BLogMachine:
             "open": 0,  # chains in pools
             "busy": 0,  # tasks mid-expansion
             "done": False,
+            "limited": False,  # max_expansions ended the run
             "solutions": 0,
             "d": cfg.d,  # live migration threshold (adaptive_d mutates it)
         }
@@ -247,17 +257,12 @@ class BLogMachine:
                 result.answers.append(tree.solution_answer(node))
                 result.solution_bounds.append(node.bound)
                 state["solutions"] += 1
-                if self.store is not None:
-                    on_success(self.store, tree.chain_arcs(nid))
-                if (
-                    cfg.max_solutions is not None
-                    and state["solutions"] >= cfg.max_solutions
-                ):
-                    finish()
             else:
                 result.failures += 1
-                if self.store is not None:
-                    on_failure(self.store, tree.chain_arcs(nid))
+            if self.learn is not None:
+                result.update_logs.append(self.learn(tree.chain_arcs(nid), solved))
+            if solved and cfg.max_solutions is not None and state["solutions"] >= cfg.max_solutions:
+                finish()
 
         def page_cost_for(node) -> float:
             """Disk cycles to bring the candidate blocks into local memory."""
@@ -378,6 +383,7 @@ class BLogMachine:
                         yield Timeout(disk_cycles)
                 if state["done"]:
                     state["busy"] -= 1
+                    state["open"] += 1  # the chain stays unexplored
                     return
                 # compute: hold the processor pipeline
                 yield Acquire(proc.pipeline)
@@ -390,7 +396,9 @@ class BLogMachine:
                         except TypeError:
                             n_cand = 1
                     interp_cycles = self._interpreter_cycles(tree, nid)
+                    cutoffs = tree.depth_cutoffs
                     children = tree.expand(nid)
+                    cut_off = tree.depth_cutoffs != cutoffs
                     proc.stats.expansions += 1
                     result.expansions += 1
                     cycles = (
@@ -405,7 +413,11 @@ class BLogMachine:
                     yield Timeout(cycles)
                 finally:
                     proc.pipeline.release()
-                if not children:
+                if cut_off:
+                    result.depth_cutoffs += 1
+                    result.complete = False
+                    trace(proc.proc_id, task_ix, "cutoff", nid)
+                elif not children:
                     handle_outcome(nid, False)
                     trace(proc.proc_id, task_ix, "failure", nid)
                 else:
@@ -420,6 +432,8 @@ class BLogMachine:
                         work_signal.fire()
                 state["busy"] -= 1
                 if result.expansions >= cfg.max_expansions:
+                    # the limit ended the run unless max_solutions already had
+                    state["limited"] = state["limited"] or not state["done"]
                     finish()
                     return
                 check_quiescent()
@@ -433,6 +447,8 @@ class BLogMachine:
                 sim.spawn(task(proc, t), name=f"p{proc.proc_id}t{t}")
         sim.run()
         result.makespan = sim.now
+        if state["limited"] and (state["open"] or state["busy"]):
+            result.complete = False
         result.final_d = state["d"]
         result.per_processor_expansions = [p.stats.expansions for p in procs]
         result.per_processor_utilization = [

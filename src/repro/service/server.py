@@ -499,7 +499,8 @@ class BLogService:
         root span; the phases (admission, cache, queue, lane-dispatch,
         engine, and after a lane reset respawn/replay) hang off it.
         """
-        rid = request.request_id or self._next_id()
+        # a client's id is echoed exactly, falsy ones (0, "") included
+        rid = self._next_id() if request.request_id is None else request.request_id
         with self.telemetry.tracer.trace(
             rid,
             name="request",

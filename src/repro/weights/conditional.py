@@ -8,7 +8,8 @@ database in this model is clearly more difficult than our approach."
 :class:`ConditionalWeightStore` keys weights by the **pair**
 ``(parent arc key, arc key)`` — the decision conditioned on the one
 before it — with the marginal :class:`WeightStore` as the backoff for
-unseen pairs.  The update rules mirror §5's, applied to the pair chain.
+unseen pairs.  The §5 update rules of :mod:`repro.weights.update` run
+unchanged over the pair chain, through a pair-keyed view of the store.
 
 This resolves the conflation the marginal model suffers when the *same*
 database pointer succeeds under one calling context and fails under
@@ -21,11 +22,11 @@ quantified by :attr:`table_entries`.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, cast
 
 from ..ortree.tree import ArcKey, OrArc
 from .store import WeightEntry, WeightState, WeightStore
-from .update import UpdateLog
+from .update import UpdateLog, on_failure, on_success
 
 __all__ = ["ConditionalWeightStore", "conditional_on_success", "conditional_on_failure"]
 
@@ -115,44 +116,45 @@ def _pair_chain(arcs: Sequence[OrArc]) -> list[PairKey]:
     return out
 
 
+class _PairView:
+    """A :class:`ConditionalWeightStore` keyed by whole pairs, the shape
+    :mod:`repro.weights.update`'s rules read and write."""
+
+    chain_keys = staticmethod(_pair_chain)
+
+    def __init__(self, store: ConditionalWeightStore):
+        self.store = store
+        self.n = store.n
+
+    def entry(self, pair: PairKey) -> WeightEntry:
+        return self.store.entry(*pair)
+
+    def set_known(self, pair: PairKey, value: float) -> None:
+        self.store.set_known(*pair, value)
+
+    def set_infinite(self, pair: PairKey) -> None:
+        self.store.set_infinite(*pair)
+
+
+def _arc_keyed(log: UpdateLog) -> UpdateLog:
+    """``log``, which lists the pairs a rule wrote, listing their arc
+    keys instead, as a marginal update's does."""
+    pairs = cast(list[PairKey], log.set_infinite)
+    log.set_infinite = [key for _, key in pairs]
+    known = cast(list[tuple[PairKey, float]], log.set_known)
+    log.set_known = [(key, value) for (_, key), value in known]
+    return log
+
+
 def conditional_on_failure(
     store: ConditionalWeightStore, arcs: Sequence[OrArc]
 ) -> UpdateLog:
     """The §5 failure rule over conditioned pairs."""
-    pairs = _pair_chain(arcs)
-    log = UpdateLog(kind="failure")
-    if any(store.is_infinite(p, k) for p, k in pairs):
-        log.kind = "noop"
-        return log
-    for prev, key in reversed(pairs):
-        if store.is_unknown(prev, key):
-            store.set_infinite(prev, key)
-            log.set_infinite.append(key)
-            return log
-    log.kind = "noop"
-    log.anomaly = True
-    return log
+    return _arc_keyed(on_failure(_PairView(store), arcs))
 
 
 def conditional_on_success(
     store: ConditionalWeightStore, arcs: Sequence[OrArc]
 ) -> UpdateLog:
     """The §5 success rule over conditioned pairs."""
-    pairs = _pair_chain(arcs)
-    log = UpdateLog(kind="success")
-    known_sum = sum(
-        store.weight(p, k) for p, k in pairs if store.is_known(p, k)
-    )
-    resettable = [(p, k) for p, k in pairs if not store.is_known(p, k)]
-    if not resettable:
-        log.kind = "noop"
-        return log
-    if known_sum > store.n:
-        log.anomaly = True
-        value = 0.0
-    else:
-        value = (store.n - known_sum) / len(resettable)
-    for prev, key in resettable:
-        store.set_known(prev, key, value)
-        log.set_known.append((key, value))
-    return log
+    return _arc_keyed(on_success(_PairView(store), arcs))

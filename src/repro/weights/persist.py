@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 from ..logic.parser import parse_term
 from ..logic.terms import Atom, Int, Struct, Term, Var
@@ -33,11 +33,15 @@ __all__ = [
     "delta_to_dict",
     "delta_from_dict",
     "entry_to_json",
+    "atomic_write",
     "StoreCorruptError",
 ]
 
 STORE_FORMAT = "blog-weights-v1"
 DELTA_FORMAT = "blog-weights-delta-v1"
+
+#: the stores' file layout: one JSON value per line, one space per level
+INDENTED = json.JSONEncoder(indent=1)
 
 
 class StoreCorruptError(ValueError):
@@ -156,12 +160,13 @@ def delta_from_dict(data: dict) -> StoreDelta:
     return StoreDelta(data["base"], int(data["generation"]), entries)
 
 
-def save_store(store: WeightStore, path: Union[str, Path]) -> None:
-    """Write the store to ``path`` as JSON, atomically.
+def atomic_write(path: Union[str, Path], chunks: Iterable[str]) -> None:
+    """Write the text ``chunks`` to ``path``, atomically and durably.
 
-    tmp file → flush → fsync → ``os.replace``: a crash at any point
-    leaves either the previous store or the new one on disk, never a
-    truncated file.  (§5 keeps the global database in secondary
+    tmp file → flush → fsync → ``os.replace`` → directory fsync: a crash
+    at any point leaves either the previous file or the new one on disk,
+    never a truncated file, and once this returns the rename itself
+    survives a power cut.  (§5 keeps the global database in secondary
     storage precisely so learning survives the process — a torn write
     would defeat that.)
     """
@@ -169,12 +174,23 @@ def save_store(store: WeightStore, path: Union[str, Path]) -> None:
     tmp = path.with_name(path.name + ".tmp")
     fh = open(tmp, "w", encoding="utf-8")
     try:
-        json.dump(store_to_dict(store), fh, indent=1)
+        for chunk in chunks:
+            fh.write(chunk)
         fh.flush()
         os.fsync(fh.fileno())
     finally:
         fh.close()
     os.replace(tmp, path)
+    dir_fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
+
+
+def save_store(store: WeightStore, path: Union[str, Path]) -> None:
+    """Write the store to ``path`` as JSON, with :func:`atomic_write`."""
+    atomic_write(path, INDENTED.iterencode(store_to_dict(store)))
 
 
 def load_store(path: Union[str, Path]) -> WeightStore:

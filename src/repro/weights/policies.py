@@ -15,18 +15,17 @@ The paper commits to two specific choices and flags both as open:
   intuition that early decisions are reused by many chains) and
   *root-weighted* (the mirror image).
 
-E11 measures all combinations; these functions generalize
-:mod:`repro.weights.update` and reduce to it at the defaults.
+E11 measures all combinations.  The rules themselves are
+:mod:`repro.weights.update`'s, which take the policy as a parameter:
+:func:`on_failure_policy` and :func:`on_success_policy` are the same
+functions under the names the engine and E11 use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Literal
 
-from ..ortree.tree import ArcKey, OrArc
-from .store import WeightStore
-from .update import UpdateLog, _updatable
+from .update import on_failure, on_success
 
 __all__ = [
     "BlamePolicy",
@@ -45,80 +44,7 @@ POLICY_COMBINATIONS: list[tuple[BlamePolicy, DistributePolicy]] = [
     for dist in ("equal", "leaf-weighted", "root-weighted")
 ]
 
-
-def on_failure_policy(
-    store: WeightStore,
-    arcs: Sequence[OrArc],
-    blame: BlamePolicy = "leafmost",
-) -> UpdateLog:
-    """Failure rule with a configurable blame target.
-
-    ``leafmost`` is the paper's rule; ``rootmost`` blames the earliest
-    unknown; ``all`` marks every unknown on the chain infinite.
-    """
-    keys = _updatable(arcs)
-    log = UpdateLog(kind="failure")
-    if any(store.is_infinite(k) for k in keys):
-        log.kind = "noop"
-        return log
-    unknowns = [k for k in keys if store.is_unknown(k)]
-    if not unknowns:
-        log.kind = "noop"
-        log.anomaly = True
-        return log
-    if blame == "leafmost":
-        targets = [unknowns[-1]]
-    elif blame == "rootmost":
-        targets = [unknowns[0]]
-    elif blame == "all":
-        targets = unknowns
-    else:
-        raise ValueError(f"unknown blame policy {blame!r}")
-    for key in targets:
-        store.set_infinite(key)
-        log.set_infinite.append(key)
-    return log
-
-
-def on_success_policy(
-    store: WeightStore,
-    arcs: Sequence[OrArc],
-    distribute: DistributePolicy = "equal",
-) -> UpdateLog:
-    """Success rule with a configurable distribution of (N−M).
-
-    Weights over the k resettable arcs (in chain order, root→leaf):
-
-    * ``equal``          — (N−M)/k each (the paper);
-    * ``leaf-weighted``  — proportional to 1..k (deeper gets more);
-    * ``root-weighted``  — proportional to k..1.
-    """
-    keys = _updatable(arcs)
-    log = UpdateLog(kind="success")
-    known_sum = sum(store.weight(k) for k in keys if store.is_known(k))
-    resettable = [k for k in keys if not store.is_known(k)]
-    if not resettable:
-        log.kind = "noop"
-        return log
-    budget = store.n - known_sum
-    if budget < 0:
-        log.anomaly = True
-        for key in resettable:
-            store.set_known(key, 0.0)
-            log.set_known.append((key, 0.0))
-        return log
-    k = len(resettable)
-    if distribute == "equal":
-        shares = [1.0] * k
-    elif distribute == "leaf-weighted":
-        shares = [float(i + 1) for i in range(k)]
-    elif distribute == "root-weighted":
-        shares = [float(k - i) for i in range(k)]
-    else:
-        raise ValueError(f"unknown distribute policy {distribute!r}")
-    total = sum(shares)
-    for key, share in zip(resettable, shares):
-        value = budget * share / total
-        store.set_known(key, value)
-        log.set_known.append((key, value))
-    return log
+#: the failure rule, ``(store, arcs, blame="leafmost")``
+on_failure_policy = on_failure
+#: the success rule, ``(store, arcs, distribute="equal")``
+on_success_policy = on_success

@@ -28,9 +28,9 @@ from __future__ import annotations
 import enum
 import weakref
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from ..ortree.tree import ArcKey
+from ..ortree.tree import ArcKey, OrArc
 
 __all__ = ["WeightState", "WeightEntry", "StoreDelta", "WeightStore", "SessionStore"]
 
@@ -133,6 +133,20 @@ class WeightStore:
 
     def is_unknown(self, key: ArcKey) -> bool:
         return self.state(key) is WeightState.UNKNOWN
+
+    @staticmethod
+    def chain_keys(arcs: Sequence[OrArc]) -> list[ArcKey]:
+        """The keys the §5 rules update on a chain: its distinct
+        non-builtin arc keys in chain order (root→leaf)."""
+        out: list[ArcKey] = []
+        seen: set[ArcKey] = set()
+        for arc in arcs:
+            if arc.key.kind == "builtin":
+                continue
+            if arc.key not in seen:
+                seen.add(arc.key)
+                out.append(arc.key)
+        return out
 
     def keys(self) -> Iterator[ArcKey]:
         return iter(self._entries)

@@ -30,7 +30,7 @@ and solves it by non-negative least squares, reporting:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -74,15 +74,7 @@ class TheoryResult:
 
 def _chain_keys(tree: OrTree, leaf_id: int) -> list[ArcKey]:
     """Distinct non-builtin arc keys on the root→leaf chain."""
-    out: list[ArcKey] = []
-    seen: set[ArcKey] = set()
-    for arc in tree.chain_arcs(leaf_id):
-        if arc.key.kind == "builtin":
-            continue
-        if arc.key not in seen:
-            seen.add(arc.key)
-            out.append(arc.key)
-    return out
+    return WeightStore.chain_keys(tree.chain_arcs(leaf_id))
 
 
 def solve_weights(tree: OrTree, target: Optional[float] = None) -> TheoryResult:

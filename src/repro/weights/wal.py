@@ -48,14 +48,16 @@ import struct
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
 from ..ortree.tree import ArcKey
 from .persist import (
+    INDENTED,
     STORE_FORMAT,
     StoreCorruptError,
+    atomic_write,
     delta_from_dict,
     delta_to_dict,
     entry_to_json,
@@ -76,9 +78,6 @@ __all__ = [
 _HEADER = struct.Struct(">II")
 
 SNAPSHOT_FORMAT = "blog-wal-snapshot-v1"
-
-#: the snapshot file's layout: one JSON value per line, one space per level
-_INDENTED = json.JSONEncoder(indent=1)
 
 
 class WalCorruptError(ValueError):
@@ -144,11 +143,11 @@ class Checkpoint:
         """The text ``json.dump(self.document(), fh, indent=1)`` writes,
         with the entries encoded one at a time: the store's entry list is
         the document's last value, three levels deep."""
-        head, _, tail = _INDENTED.encode(self._document([])).rpartition("[]")
+        head, _, tail = INDENTED.encode(self._document([])).rpartition("[]")
         yield head
         opener = "["
         for key, entry in self.entries.items():
-            text = _INDENTED.encode(entry_to_json(key, entry))
+            text = INDENTED.encode(entry_to_json(key, entry))
             yield opener + "\n   " + text.replace("\n", "\n   ")
             opener = ","
         yield "[]" if opener == "[" else "\n  ]"
@@ -408,44 +407,17 @@ class DurableStore:
             entries=store.snapshot(),
         )
 
-    def prepare_checkpoint(self, store: WeightStore) -> dict:
-        """:meth:`capture` as the JSON-ready snapshot document."""
-        return self.capture(store).document()
-
-    def write_checkpoint(self, payload: Union[Checkpoint, dict]) -> None:
-        """Atomically persist a captured snapshot (or a snapshot
-        document) and compact the journal.  A :class:`Checkpoint` is
-        encoded entry by entry as it is written, into the same bytes its
-        document would give.
-
-        tmp file → flush → fsync → ``os.replace`` → directory fsync, so
-        a crash at any point leaves either the old snapshot or the new
-        one, never a torn file.  The journal is truncated only when no
-        merge was appended since the capture (otherwise the tail is
-        kept; recovery's seq guard skips the covered prefix).
+    def write_checkpoint(self, checkpoint: Checkpoint) -> None:
+        """Persist a captured snapshot with
+        :func:`~repro.weights.persist.atomic_write`, encoding it entry by
+        entry into the bytes its document would give, and compact the
+        journal.  The journal is truncated only when no merge was
+        appended since the capture (otherwise the tail is kept;
+        recovery's seq guard skips the covered prefix).
         """
-        if isinstance(payload, Checkpoint):
-            chunks, seq = payload.chunks(), payload.seq
-        else:
-            chunks, seq = _INDENTED.iterencode(payload), int(payload["seq"])
-        snap = self.snapshot_path
-        tmp = snap.with_name(snap.name + ".tmp")
         with self._lock:
-            fh = open(tmp, "w", encoding="utf-8")
-            try:
-                for chunk in chunks:
-                    fh.write(chunk)
-                fh.flush()
-                os.fsync(fh.fileno())
-            finally:
-                fh.close()
-            os.replace(tmp, snap)
-            dir_fd = os.open(self.directory, os.O_RDONLY)
-            try:
-                os.fsync(dir_fd)
-            finally:
-                os.close(dir_fd)
-            if self.wal.seq == seq:
+            atomic_write(self.snapshot_path, checkpoint.chunks())
+            if self.wal.seq == checkpoint.seq:
                 self.wal.reset()
             self.checkpoints += 1
 

@@ -136,13 +136,6 @@ class TestAdaptiveLearning:
         assert res.update_logs == []
         assert len(eng.store) == 0
 
-    def test_deferred_updates_mode(self, figure1):
-        cfg = BLogConfig(live_updates=False)
-        eng = BLogEngine(figure1, cfg)
-        res = eng.query("gf(sam, G)")
-        assert res.update_logs  # applied after the search
-        assert len(eng.store) > 0
-
     def test_comb_workload_learning(self):
         """On the comb, a warm second query avoids the dead teeth."""
         wl = comb_tree(teeth=6, tooth_depth=5)

@@ -82,7 +82,6 @@ class ReferenceEngine(BLogEngine):
         )
         result = QueryResult(query=query)
         self.last_result = result  # available even on early consumer exit
-        deferred: list[tuple[bool, int]] = []  # (solved, leaf id)
 
         def apply_update(solved: bool, nid: int):
             arcs = tree.chain_arcs(nid)
@@ -91,12 +90,8 @@ class ReferenceEngine(BLogEngine):
             return on_failure_policy(store, arcs, cfg.failure_blame)
 
         def outcome(solved: bool, nid: int) -> None:
-            if not update_weights:
-                return
-            if cfg.live_updates:
+            if update_weights:
                 result.update_logs.append(apply_update(solved, nid))
-            else:
-                deferred.append((solved, nid))
 
         heap: list[tuple[float, int, int]] = []
         counter = 0
@@ -108,8 +103,6 @@ class ReferenceEngine(BLogEngine):
                 max_solutions, outcome,
             )
         finally:
-            for solved, nid in deferred:
-                result.update_logs.append(apply_update(solved, nid))
             if keep_tree:
                 result.tree = tree
             self.queries_run += 1
@@ -465,11 +458,11 @@ def grid(*axes):
 # -- the engine ---------------------------------------------------------------
 
 
-def engine_record(engine_cls, name, policy, depth, max_solutions, max_expansions, live):
+def engine_record(engine_cls, name, policy, depth, max_solutions, max_expansions):
     reset_var_counter()
     config = BLogConfig(
         arc_key_policy=policy, max_depth=depth,
-        max_expansions=max_expansions, live_updates=live,
+        max_expansions=max_expansions,
     )
     engine = engine_cls(program(name), config)
     runs = []
@@ -495,9 +488,8 @@ def engine_record(engine_cls, name, policy, depth, max_solutions, max_expansions
     grid(PROGRAMS, POLICIES, DEPTHS, MAX_SOLUTIONS, MAX_EXPANSIONS),
 )
 def test_engine_matches_reference(name, policy, depth, max_solutions, max_expansions):
-    for live in (True, False):
-        args = (name, policy, depth, max_solutions, max_expansions, live)
-        assert engine_record(BLogEngine, *args) == engine_record(ReferenceEngine, *args)
+    args = (name, policy, depth, max_solutions, max_expansions)
+    assert engine_record(BLogEngine, *args) == engine_record(ReferenceEngine, *args)
 
 
 def test_engine_lazy_iteration_matches_reference():

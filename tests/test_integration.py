@@ -2,6 +2,8 @@
 with the Prolog baseline on a corpus of programs, and the learned
 weights converge toward the §4 theory."""
 
+from functools import partial
+
 import pytest
 
 from repro.core import BLogConfig, BLogEngine, or_parallel_solve
@@ -10,7 +12,7 @@ from repro.logic import Program, Solver
 from repro.machine import BLogMachine, MachineConfig
 from repro.ortree import OrTree, run_strategy
 from repro.spd import SemanticPagingDisk
-from repro.weights import WeightStore, solve_weights, store_from_theory
+from repro.weights import WeightStore, apply_outcome, solve_weights, store_from_theory
 from repro.workloads import (
     family_program,
     grid_program,
@@ -97,7 +99,7 @@ class TestFullStack:
         disk = SemanticPagingDisk(db, n_sps=2, track_words=256)
         cfg = MachineConfig(n_processors=4, tasks_per_processor=2)
         tree = OrTree(fam.program, query, weight_fn=store.weight_fn(), max_depth=64)
-        res = BLogMachine(cfg, disk=disk, store=store).run(tree)
+        res = BLogMachine(cfg, disk=disk, learn=partial(apply_outcome, store)).run(tree)
         assert sorted(str(a["D"]) for a in res.answers) == expected
         assert res.disk_cycles > 0
         assert len(store) > 0
@@ -111,7 +113,7 @@ class TestFullStack:
             tree = OrTree(
                 wl.program, wl.query, weight_fn=store.weight_fn(), max_depth=32
             )
-            return BLogMachine(cfg, store=store).run(tree)
+            return BLogMachine(cfg, learn=partial(apply_outcome, store)).run(tree)
 
         cold = run()
         # learn the full tree once
@@ -119,7 +121,7 @@ class TestFullStack:
         tree = OrTree(
             wl.program, wl.query, weight_fn=store.weight_fn(), max_depth=32
         )
-        BLogMachine(full_cfg, store=store).run(tree)
+        BLogMachine(full_cfg, learn=partial(apply_outcome, store)).run(tree)
         warm = run()
         assert warm.expansions <= cold.expansions
 

@@ -1,20 +1,23 @@
 """Integration tests for the assembled B-LOG machine simulation."""
 
+from functools import partial
+
 import pytest
 
 from repro.linkdb import LinkedDatabase
 from repro.machine import BLogMachine, MachineConfig
 from repro.ortree import OrTree
 from repro.spd import SemanticPagingDisk
-from repro.weights import WeightStore
+from repro.weights import WeightStore, apply_outcome
 from repro.workloads import synthetic_tree
 
 
 def machine_run(program, query, n=2, m=2, disk=None, store=None, **cfg):
     config = MachineConfig(n_processors=n, tasks_per_processor=m, **cfg)
     weight_fn = store.weight_fn() if store is not None else None
+    learn = partial(apply_outcome, store) if store is not None else None
     tree = OrTree(program, query, weight_fn=weight_fn, max_depth=64)
-    return BLogMachine(config, disk=disk, store=store).run(tree)
+    return BLogMachine(config, disk=disk, learn=learn).run(tree)
 
 
 class TestCorrectness:

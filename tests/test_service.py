@@ -588,6 +588,40 @@ class TestTcpEndpoint:
         assert not bad["ok"]
         assert not garbage["ok"] and "bad json" in garbage["error"]
 
+    def test_client_request_ids_are_echoed_exactly(self):
+        """A client's id comes back as sent, a falsy one (0, "")
+        included, in process and over TCP; only a missing id is
+        assigned by the server."""
+        ids = [0, "", 7, [1], {"a": 1}, "r1"]
+
+        async def body():
+            svc = make_service()
+            server = await svc.serve_tcp("127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            in_process = [
+                (await svc.submit(QueryRequest("family", "gf(sam, G)", request_id=rid))).request_id
+                for rid in ids
+            ]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            over_tcp = []
+            for rid in [*ids, None]:
+                msg = {"program": "family", "query": "gf(sam, G)"}
+                if rid is not None:
+                    msg["id"] = rid
+                writer.write((json.dumps(msg) + "\n").encode())
+                await writer.drain()
+                over_tcp.append(json.loads(await reader.readline()))
+            writer.close()
+            await writer.wait_closed()
+            await svc.stop()
+            return in_process, over_tcp
+
+        in_process, over_tcp = run(body())
+        assert in_process == ids
+        assert all(reply["ok"] for reply in over_tcp)
+        assert [reply["id"] for reply in over_tcp[:-1]] == ids
+        assert isinstance(over_tcp[-1]["id"], str) and over_tcp[-1]["id"]
+
     def test_failed_end_session_gets_error_reply_and_connection_survives(
         self, monkeypatch
     ):

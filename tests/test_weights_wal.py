@@ -10,6 +10,8 @@ and under a crash between snapshot-replace and journal-truncate.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import struct
 import zlib
 
@@ -184,7 +186,7 @@ class TestDurableStoreRecovery:
         live = WeightStore(n=8, a=16)
         ds = DurableStore(tmp_path / "p", n=8, a=16)
         ds.log_merge("s1", live.generation + 3, learned_delta(live))
-        snap = ds.prepare_checkpoint(live)
+        snap = ds.capture(live).document()
         # simulate the crash: write the snapshot file but skip the truncate
         ds.snapshot_path.write_text(json.dumps(snap))
         ds.close()
@@ -239,7 +241,7 @@ class TestDurableStoreRecovery:
         live = WeightStore(n=8, a=16)
         ds = DurableStore(tmp_path / "p", n=8, a=16)
         ds.log_merge("s1", live.generation + 3, learned_delta(live))
-        payload = ds.prepare_checkpoint(live)
+        payload = ds.capture(live)
         ds.log_merge("s2", live.generation + 3, learned_delta(live, offset=10))
         ds.write_checkpoint(payload)
         assert ds.wal.size_bytes() > 0  # s2's record survived the checkpoint
@@ -250,6 +252,20 @@ class TestDurableStoreRecovery:
 
 
 class TestAtomicSaveStore:
+    def test_save_syncs_the_directory_after_the_rename(self, tmp_path, monkeypatch):
+        synced = []  # per fsync: was the descriptor a directory?
+        fsync = os.fsync
+
+        def recording(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        store = WeightStore(n=8, a=16)
+        store.set_known(key(1), 2.0)
+        save_store(store, tmp_path / "w.json")
+        assert synced == [False, True]  # the file's data, then its rename
+
     def test_save_leaves_no_tmp_file(self, tmp_path):
         store = WeightStore(n=8, a=16)
         store.set_known(key(1), 2.0)
@@ -373,10 +389,10 @@ class TestOnDiskFormat:
         ds = DurableStore(tmp_path / "p", n=8, a=16)
         ds.log_merge("alice", live.generation, delta)
         assert ds.wal.path.read_bytes() == frame(POINTER_RECORD)
-        payload = ds.prepare_checkpoint(live)
-        assert json.dumps(payload) == POINTER_SNAPSHOT
+        payload = ds.capture(live)
+        assert json.dumps(payload.document()) == POINTER_SNAPSHOT
         ds.write_checkpoint(payload)
-        assert ds.snapshot_path.read_text() == json.dumps(payload, indent=1)
+        assert ds.snapshot_path.read_text() == json.dumps(payload.document(), indent=1)
 
     def test_records_with_goal_text_still_recover(self, tmp_path):
         # earlier versions wrote a goal key's term as its text
@@ -423,7 +439,7 @@ class TestStreamedCheckpoint:
         assert "".join(snapshot.chunks()) == json.dumps(snapshot.document(), indent=1)
         ds.write_checkpoint(snapshot)
         assert ds.snapshot_path.read_text() == json.dumps(
-            ds.prepare_checkpoint(store), indent=1
+            ds.capture(store).document(), indent=1
         )
         ds.close()
         again = DurableStore(tmp_path / "p", n=8, a=16)
@@ -434,7 +450,7 @@ class TestStreamedCheckpoint:
     def test_capture_is_the_store_at_capture_time(self, tmp_path):
         store = mixed_store(5)
         ds = DurableStore(tmp_path / "p", n=8, a=16)
-        before = json.dumps(ds.prepare_checkpoint(store), indent=1)
+        before = json.dumps(ds.capture(store).document(), indent=1)
         snapshot = ds.capture(store)
         store.set_known(key(0), 99.0)  # a merge lands between capture and write
         store.forget(key(1))
@@ -450,15 +466,19 @@ class TestStreamedCheckpoint:
         store = mixed_store(1500)
         ds = DurableStore(tmp_path / "p", n=8, a=16)
 
-        def peak(payload_of) -> int:
+        def peak(write) -> int:
             tracemalloc.start()
             try:
-                ds.write_checkpoint(payload_of(store))
+                write()
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        whole = peak(ds.prepare_checkpoint)
-        streamed = peak(ds.capture)
+        def write_document() -> None:
+            with open(tmp_path / "whole.json", "w", encoding="utf-8") as fh:
+                json.dump(ds.capture(store).document(), fh, indent=1)
+
+        whole = peak(write_document)
+        streamed = peak(lambda: ds.write_checkpoint(ds.capture(store)))
         ds.close()
         assert streamed * 4 < whole, (streamed, whole)
