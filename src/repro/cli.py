@@ -44,8 +44,7 @@ from typing import Optional, Sequence
 
 from .core import BLogConfig, BLogEngine
 from .logic import ParseError, Program, Solver
-from .machine import BLogMachine, MachineConfig
-from .ortree import OrTree
+from .machine import MachineConfig
 
 __all__ = ["main", "build_parser"]
 
@@ -274,12 +273,17 @@ def _run_query(args, program: Program, query: str, out) -> int:
             file=out,
         )
         return 0 if count else 1
+    engine = BLogEngine(
+        program,
+        BLogConfig(n=args.n, a=args.a, max_depth=args.max_depth),
+        global_store=_load_store_arg(args),
+    )
     if args.engine == "machine":
-        tree = OrTree(program, query, max_depth=args.max_depth)
-        cfg = MachineConfig(
-            n_processors=args.processors, max_solutions=args.max_solutions
+        res = engine.run_machine(
+            query,
+            MachineConfig(n_processors=args.processors),
+            max_solutions=args.max_solutions,
         )
-        res = BLogMachine(cfg).run(tree)
         for answer in res.answers:
             line = ", ".join(f"{k} = {v}" for k, v in sorted(answer.items()))
             print(line or "true", file=out)
@@ -292,13 +296,8 @@ def _run_query(args, program: Program, query: str, out) -> int:
             f"{res.migrations} migrations",
             file=out,
         )
+        _save_store_arg(args, engine)
         return 0 if res.answers else 1
-    # blog
-    engine = BLogEngine(
-        program,
-        BLogConfig(n=args.n, a=args.a, max_depth=args.max_depth),
-        global_store=_load_store_arg(args),
-    )
     result = engine.query(query, max_solutions=args.max_solutions, keep_tree=args.tree)
     for answer in result.answers:
         line = ", ".join(f"{k} = {v}" for k, v in sorted(answer.items()))

@@ -54,7 +54,6 @@ def omega_route(n: int, src: int, dst: int) -> list[tuple[int, int]]:
 class BanyanStats:
     packets: int = 0
     conflicts: int = 0
-    passes: int = 0
 
     @property
     def conflict_rate(self) -> float:
@@ -105,7 +104,6 @@ class BanyanNetwork:
                     taken.update(path)
                     self.stats.packets += 1
             pending = deferred
-        self.stats.passes += passes
         return passes
 
     def blocking_monte_carlo(self, trials: int = 100, seed: int = 0) -> dict:

@@ -40,9 +40,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..logic.terms import Term
-from ..ortree.tree import NodeStatus, OrTree
+from ..ortree.tree import NodeStatus, OrNode, OrTree
 from ..spd.ops import SemanticPagingDisk
 from ..weights.update import Learner, UpdateLog
+from .interpreter import compile_expansion
 from .network import Interconnect, MinSeekingNetwork
 from .processor import INF, ProcessorState
 from .scoreboard import Scoreboard, expansion_program
@@ -51,9 +52,22 @@ from .sim import Acquire, Simulator, Timeout, WaitSignal
 __all__ = ["MachineConfig", "MachineResult", "BLogMachine"]
 
 
+#: Cycle costs of the ``simple`` model: a base, one per candidate
+#: clause and one per child chain copied.
+BASE_EXPAND_CYCLES = 10.0
+PER_CANDIDATE_CYCLES = 4.0
+PER_CHILD_COPY_CYCLES = 6.0
+#: Hamming distance of the semantic page an SPD page-in brings.
+PAGE_RADIUS = 1
+
+
 @dataclass
 class MachineConfig:
-    """Cost and topology knobs of the simulated machine."""
+    """Topology and cost knobs of the simulated machine (12 fields).
+
+    The ``simple`` cost model's cycle counts and the page radius are
+    the module constants above.
+    """
 
     n_processors: int = 4
     tasks_per_processor: int = 2
@@ -64,11 +78,7 @@ class MachineConfig:
     # last window and lowers it when processors idle with cheap comms
     adapt_window: int = 16  # expansions between controller updates
     memory_blocks: int = 64  # local memory capacity per processor
-    base_expand_cycles: float = 10.0
-    per_candidate_cycles: float = 4.0
-    per_child_copy_cycles: float = 6.0
     chain_words_per_depth: int = 8  # chain size grows with depth
-    page_radius: int = 1  # semantic page Hamming distance
     model_disk_contention: bool = True  # page-ins queue on the SPD bank
     # (one server per SP: concurrent requests from different processors
     # serialize when they outnumber the search processors)
@@ -126,6 +136,12 @@ class MachineResult:
 class BLogMachine:
     """Simulated N×M B-LOG machine executing one query's OR-tree.
 
+    Each §6 step is written once: :meth:`run`'s ``steal`` is the one
+    migration (an idle task's pull and a busy task's D-gated rebalance
+    both go through :meth:`MinSeekingNetwork.should_migrate`), its
+    ``page_in`` the one SPD page-in (queued on the bank or not), and
+    :meth:`_expand` the one expansion cost for every ``cost_model``.
+
     Parameters
     ----------
     config:
@@ -156,35 +172,42 @@ class BLogMachine:
         )
 
     # -- cost helpers -------------------------------------------------------------
-    def _expansion_cycles(self, n_candidates: int, n_children: int, depth: int) -> float:
-        cfg = self.config
-        chain_words = max(8, cfg.chain_words_per_depth * (depth + 1))
-        if cfg.cost_model == "scoreboard":
-            program = expansion_program(
-                max(1, n_candidates), n_children, chain_words=chain_words
-            )
-            return float(self._scoreboard.run(program).cycles)
-        return (
-            cfg.base_expand_cycles
-            + cfg.per_candidate_cycles * max(1, n_candidates)
-            + cfg.per_child_copy_cycles * n_children
-        )
-
-    def _interpreter_cycles(self, tree: OrTree, nid: int) -> Optional[float]:
-        """Interpreter cost model: compile the node's real expansion to
-        micro-ops and run it on the scoreboard.  Must be called BEFORE
-        ``tree.expand`` (it performs its own trial unifications)."""
-        if self.config.cost_model != "interpreter":
-            return None
-        from .interpreter import compile_expansion
-
-        program = compile_expansion(tree, nid)
-        if not program:
-            return self.config.base_expand_cycles
-        return float(self._scoreboard.run(program).cycles)
-
     def _chain_words(self, depth: int) -> int:
+        """Words of a chain at ``depth``: what a migration moves and what
+        the scoreboard copies per child."""
         return max(8, self.config.chain_words_per_depth * (depth + 1))
+
+    def _candidates(self, tree: OrTree, goal: Optional[Term]) -> list[int]:
+        """The expansion's candidate list, looked up once: the linked
+        database's block ids with a disk, else the program's clause ids
+        (empty for no goal or an uncallable one)."""
+        if goal is None:
+            return []
+        try:
+            if self.disk is not None:
+                return self.disk.db.blocks_for(goal.indicator)
+            return tree.program.candidates(goal)
+        except TypeError:
+            return []
+
+    def _expand(self, tree: OrTree, node: OrNode, n_candidates: int) -> tuple[list[int], float]:
+        """Expand ``node``; returns its children and the compute cycles
+        the cost model charges for the expansion."""
+        model = self.config.cost_model
+        # the interpreter compiles the node's real expansion, with trial
+        # unifications of its own, before the tree expands it
+        program = compile_expansion(tree, node.nid) if model == "interpreter" else None
+        children = tree.expand(node.nid)
+        n = max(1, n_candidates)
+        if model == "simple":
+            cycles = BASE_EXPAND_CYCLES + PER_CANDIDATE_CYCLES * n
+            return children, cycles + PER_CHILD_COPY_CYCLES * len(children)
+        if model == "scoreboard":
+            program = expansion_program(
+                n, len(children), chain_words=self._chain_words(node.depth)
+            )
+        cycles = float(self._scoreboard.run(program).cycles) if program else BASE_EXPAND_CYCLES
+        return children, cycles
 
     # -- the run --------------------------------------------------------------------
     def run(self, tree: OrTree) -> MachineResult:
@@ -193,17 +216,13 @@ class BLogMachine:
         sim = Simulator()
         network = MinSeekingNetwork(cfg.n_processors)
         interconnect = Interconnect()
-        procs = [
-            ProcessorState(i, sim, cfg.memory_blocks, cfg.tasks_per_processor)
-            for i in range(cfg.n_processors)
-        ]
+        procs = [ProcessorState(i, sim, cfg.memory_blocks) for i in range(cfg.n_processors)]
         result = MachineResult()
         state = {
             "open": 0,  # chains in pools
             "busy": 0,  # tasks mid-expansion
             "done": False,
             "limited": False,  # max_expansions ended the run
-            "solutions": 0,
             "d": cfg.d,  # live migration threshold (adaptive_d mutates it)
         }
         window = {"transfer": 0.0, "compute": 0.0, "idle": 0, "migr": 0, "exp": 0}
@@ -231,7 +250,6 @@ class BLogMachine:
             result.d_trajectory.append(state["d"])
             window.update(transfer=0.0, compute=0.0, idle=0, migr=0, exp=0)
         work_signal = sim.signal("work")
-        done_signal = sim.signal("done")
         disk_bank = (
             sim.resource(max(1, self.disk.n_sps), "spd-bank")
             if self.disk is not None and cfg.model_disk_contention
@@ -244,118 +262,105 @@ class BLogMachine:
         def finish() -> None:
             if not state["done"]:
                 state["done"] = True
-                done_signal.fire()
                 work_signal.fire()
 
-        def check_quiescent() -> None:
-            if state["open"] == 0 and state["busy"] == 0:
+        def check_quiescent() -> bool:
+            """Finish once no chain is open or mid-expansion; True if so."""
+            quiet = state["open"] == 0 and state["busy"] == 0
+            if quiet:
                 finish()
+            return quiet
 
         def handle_outcome(nid: int, solved: bool) -> None:
             node = tree.node(nid)
             if solved:
                 result.answers.append(tree.solution_answer(node))
                 result.solution_bounds.append(node.bound)
-                state["solutions"] += 1
             else:
                 result.failures += 1
             if self.learn is not None:
                 result.update_logs.append(self.learn(tree.chain_arcs(nid), solved))
-            if solved and cfg.max_solutions is not None and state["solutions"] >= cfg.max_solutions:
+            limit = cfg.max_solutions
+            if solved and limit is not None and len(result.answers) >= limit:
                 finish()
 
-        def page_cost_for(node) -> float:
-            """Disk cycles to bring the candidate blocks into local memory."""
-            if self.disk is None:
-                return 0.0
-            goal = node.selected_goal
-            if goal is None:
-                return 0.0
-            try:
-                ind = goal.indicator
-            except TypeError:
-                return 0.0
-            block_ids = self.disk.db.blocks_for(ind)
-            proc = procs[node_owner[node.nid]]
-            missing = [b for b in block_ids if not proc.memory.touch(b)]
-            if not missing:
-                return 0.0
-            page = self.disk.page_in(missing, radius=cfg.page_radius)
-            proc.memory.insert_many(page.blocks)
-            result.disk_cycles += page.cycles
-            return page.cycles
+        def steal(local_min: float) -> Optional[tuple[float, int, float]]:
+            """§6's migration: when the network's minimum is D lower than
+            ``local_min``, take that chain from its owner.  Returns its
+            (bound, node id, transfer cycles), or None to stay local.  A
+            published finite minimum always has a chain behind it: every
+            pop republishes at once."""
+            migrate, owner = network.should_migrate(local_min, state["d"])
+            if not migrate:
+                return None
+            victim = procs[owner]
+            bound, nid = victim.pop_min()
+            publish(victim)
+            result.migrations += 1
+            return bound, nid, interconnect.transfer(self._chain_words(tree.node(nid).depth))
 
-        node_owner: dict[int, int] = {}
+        def page_in(proc: ProcessorState, blocks: list[int]):
+            """Disk wait to bring the candidate blocks into ``proc``'s
+            local memory (the pipeline is free meanwhile: other tasks on
+            the processor compute).  With contention modeled, the request
+            first queues for a free search processor in the SPD bank."""
+            if self.disk is None:
+                return
+            if disk_bank is not None:
+                yield Acquire(disk_bank)
+            try:
+                missing = [b for b in blocks if not proc.memory.touch(b)]
+                if missing:
+                    page = self.disk.page_in(missing, radius=PAGE_RADIUS)
+                    proc.memory.insert_many(page.blocks)
+                    result.disk_cycles += page.cycles
+                    if page.cycles > 0:
+                        yield Timeout(page.cycles)
+            finally:
+                if disk_bank is not None:
+                    disk_bank.release()
 
         def task(proc: ProcessorState, task_ix: int):
-            while True:
-                if state["done"]:
-                    return
+            while not state["done"]:
                 popped = proc.pop_min()
                 if popped is None:
-                    # try to acquire remote work through the network
+                    # an empty pool pulls the network's minimum at any D
                     yield Timeout(network.query_latency)
-                    migrate, owner = network.should_migrate(INF, state["d"])
-                    if migrate and owner is not None and procs[owner].pool:
-                        victim = procs[owner]
-                        got = victim.pop_min()
-                        publish(victim)
-                        if got is not None:
-                            bound, nid = got
-                            words = self._chain_words(tree.node(nid).depth)
-                            cost = interconnect.transfer(words)
-                            victim.stats.migrations_out += 1
-                            proc.stats.migrations_in += 1
-                            result.migrations += 1
-                            result.idle_pulls += 1
-                            # idle pulls are D-independent: they don't
-                            # inform the adaptive-D controller
-                            yield Timeout(cost)
-                            proc.push(bound, nid)
-                            publish(proc)
-                            trace(proc.proc_id, task_ix, "idle-pull", nid)
-                            continue
-                    if state["open"] == 0 and state["busy"] == 0:
-                        finish()
+                    got = steal(INF)
+                    if got is not None:
+                        bound, nid, cost = got
+                        result.idle_pulls += 1
+                        # idle pulls are D-independent: they don't
+                        # inform the adaptive-D controller
+                        yield Timeout(cost)
+                        proc.push(bound, nid)
+                        publish(proc)
+                        trace(proc.proc_id, task_ix, "idle-pull", nid)
+                        continue
+                    if check_quiescent():
                         return
-                    proc.stats.network_waits += 1
                     window["idle"] += 1
                     yield WaitSignal(work_signal)
                     continue
                 bound, nid = popped
                 publish(proc)
                 trace(proc.proc_id, task_ix, "pop", nid)
-                # §6 rule for a *non-empty* pool: if the global min is D
-                # lower than our local min, fetch it instead.
-                gmin, owner = network.global_min()
-                if (
-                    owner is not None
-                    and owner != proc.proc_id
-                    and gmin < bound - state["d"]
-                    and procs[owner].pool
-                ):
-                    victim = procs[owner]
-                    got = victim.pop_min()
-                    publish(victim)
-                    if got is not None:
-                        rbound, rnid = got
-                        words = self._chain_words(tree.node(rnid).depth)
-                        cost = interconnect.transfer(words)
-                        victim.stats.migrations_out += 1
-                        proc.stats.migrations_in += 1
-                        result.migrations += 1
-                        result.rebalances += 1
-                        window["migr"] += 1
-                        window["transfer"] += cost
-                        # keep our original chain in the pool
-                        proc.push(bound, nid)
-                        yield Timeout(cost)
-                        bound, nid = rbound, rnid
-                        publish(proc)
-                        trace(proc.proc_id, task_ix, "rebalance", nid)
+                # a non-empty pool fetches the network's minimum instead
+                # only when it is D lower than the chain just popped
+                got = steal(bound)
+                if got is not None:
+                    rbound, rnid, cost = got
+                    result.rebalances += 1
+                    window["migr"] += 1
+                    window["transfer"] += cost
+                    # keep our original chain in the pool
+                    proc.push(bound, nid)
+                    yield Timeout(cost)
+                    bound, nid = rbound, rnid
+                    publish(proc)
+                    trace(proc.proc_id, task_ix, "rebalance", nid)
                 state["open"] -= 1
                 state["busy"] += 1
-                node_owner[nid] = proc.proc_id
                 node = tree.node(nid)
                 if node.status is NodeStatus.SOLUTION:
                     handle_outcome(nid, True)
@@ -363,24 +368,8 @@ class BLogMachine:
                     state["busy"] -= 1
                     check_quiescent()
                     continue
-                # page in candidate blocks (disk wait; pipeline released —
-                # other tasks on this processor compute meanwhile).  With
-                # contention modeled, the request first queues for a free
-                # search processor in the SPD bank.
-                if disk_bank is not None:
-                    yield Acquire(disk_bank)
-                    try:
-                        disk_cycles = page_cost_for(node)
-                        if disk_cycles > 0:
-                            proc.stats.disk_wait_cycles += disk_cycles
-                            yield Timeout(disk_cycles)
-                    finally:
-                        disk_bank.release()
-                else:
-                    disk_cycles = page_cost_for(node)
-                    if disk_cycles > 0:
-                        proc.stats.disk_wait_cycles += disk_cycles
-                        yield Timeout(disk_cycles)
+                candidates = self._candidates(tree, node.selected_goal)
+                yield from page_in(proc, candidates)
                 if state["done"]:
                     state["busy"] -= 1
                     state["open"] += 1  # the chain stays unexplored
@@ -388,24 +377,11 @@ class BLogMachine:
                 # compute: hold the processor pipeline
                 yield Acquire(proc.pipeline)
                 try:
-                    goal = node.selected_goal
-                    n_cand = 0
-                    if goal is not None:
-                        try:
-                            n_cand = len(self.disk.db.blocks_for(goal.indicator)) if self.disk else len(tree.program.candidates(goal))
-                        except TypeError:
-                            n_cand = 1
-                    interp_cycles = self._interpreter_cycles(tree, nid)
                     cutoffs = tree.depth_cutoffs
-                    children = tree.expand(nid)
+                    children, cycles = self._expand(tree, node, len(candidates))
                     cut_off = tree.depth_cutoffs != cutoffs
                     proc.stats.expansions += 1
                     result.expansions += 1
-                    cycles = (
-                        interp_cycles
-                        if interp_cycles is not None
-                        else self._expansion_cycles(n_cand, len(children), node.depth)
-                    )
                     proc.stats.compute_cycles += cycles
                     window["compute"] += cycles
                     adapt_d()
@@ -421,15 +397,11 @@ class BLogMachine:
                     handle_outcome(nid, False)
                     trace(proc.proc_id, task_ix, "failure", nid)
                 else:
-                    pushed = 0
                     for cid in children:
-                        child = tree.node(cid)
-                        proc.push(child.bound, cid)
-                        pushed += 1
-                    state["open"] += pushed
+                        proc.push(tree.node(cid).bound, cid)
+                    state["open"] += len(children)
                     publish(proc)
-                    if pushed:
-                        work_signal.fire()
+                    work_signal.fire()
                 state["busy"] -= 1
                 if result.expansions >= cfg.max_expansions:
                     # the limit ended the run unless max_solutions already had

@@ -51,18 +51,14 @@ class ConventionalRAM:
         if size <= 0:
             raise ValueError("memory size must be positive")
         self.words = [0] * size
-        self.read_ops = 0
-        self.write_ops = 0
 
     def __len__(self) -> int:
         return len(self.words)
 
     def read(self, addr: int) -> int:
-        self.read_ops += 1
         return self.words[addr]
 
     def write(self, addr: int, value: int) -> None:
-        self.write_ops += 1
         self.words[addr] = value
 
     def load_block(self, addr: int, data: Sequence[int]) -> None:

@@ -29,7 +29,6 @@ INF = float("inf")
 
 @dataclass
 class NetworkStats:
-    min_queries: int = 0
     grants: int = 0
     arbitrations: int = 0
     transfers: int = 0
@@ -68,7 +67,6 @@ class MinSeekingNetwork:
 
     def global_min(self) -> tuple[float, Optional[int]]:
         """The minimum published bound and its owner (None if all idle)."""
-        self.stats.min_queries += 1
         best = INF
         owner: Optional[int] = None
         for i, b in enumerate(self.published):

@@ -17,15 +17,15 @@ A :class:`ProcessorState` owns:
   disk latency: while one task waits on a page-in, another task holds
   the pipeline.
 
-Work accounting distinguishes compute-busy, disk-wait and idle cycles
-so E5 can report utilization.
+Each processor counts its expansions and compute-busy cycles, from
+which E5 reports utilization.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .sim import Resource, Simulator
@@ -81,28 +81,15 @@ class LocalMemory:
 @dataclass
 class ProcessorStats:
     expansions: int = 0
-    solutions_found: int = 0
-    failures_found: int = 0
     compute_cycles: float = 0.0
-    disk_wait_cycles: float = 0.0
-    migrations_in: int = 0
-    migrations_out: int = 0
-    network_waits: int = 0
 
 
 class ProcessorState:
     """One processor of the B-LOG machine: chain pool + local memory +
     a single compute pipeline shared by its M tasks."""
 
-    def __init__(
-        self,
-        proc_id: int,
-        sim: Simulator,
-        memory_blocks: int = 64,
-        tasks: int = 2,
-    ):
+    def __init__(self, proc_id: int, sim: Simulator, memory_blocks: int = 64):
         self.proc_id = proc_id
-        self.tasks = tasks
         self.pool: list[tuple[float, int, int]] = []  # (bound, seq, node id)
         self._seq = 0
         self.memory = LocalMemory(memory_blocks)

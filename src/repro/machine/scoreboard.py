@@ -78,7 +78,6 @@ class FunctionalUnit:
     index: int
     busy_until: int = -1
     current: Optional[MicroOp] = None
-    busy_cycles: int = 0
 
     @property
     def name(self) -> str:
@@ -90,7 +89,6 @@ class ScoreboardStats:
     cycles: int = 0
     issued: int = 0
     raw_stalls: int = 0
-    waw_stalls: int = 0
     structural_stalls: int = 0
     unit_busy: dict[str, int] = field(default_factory=dict)
 
@@ -157,7 +155,6 @@ class Scoreboard:
                     continue
                 # WAW: dest already being produced in flight
                 if any(f[2].dest == op.dest for f in in_flight):
-                    stats.waw_stalls += 1
                     continue
                 unit = self._free_unit(op.kind)
                 if unit is None:
@@ -165,7 +162,6 @@ class Scoreboard:
                     continue
                 lat = op.latency if op.latency is not None else self.latencies[op.kind]
                 unit.current = op
-                unit.busy_cycles += lat
                 stats.unit_busy[op.kind] = stats.unit_busy.get(op.kind, 0) + lat
                 in_flight.append((cycle + lat, unit, op))
                 issued_now.append(op)

@@ -126,11 +126,9 @@ class Signal:
         self.sim = sim
         self.name = name
         self.waiting: list["Process"] = []
-        self.fires = 0
 
     def fire(self, payload: Any = None) -> int:
         """Wake all waiters with ``payload``; returns how many woke."""
-        self.fires += 1
         woken = self.waiting
         self.waiting = []
         for proc in woken:

@@ -21,7 +21,7 @@ from .cache import (
     slot_names,
 )
 from .lifecycle import LifecycleState, NotServing, ServiceLifecycle
-from .router import SessionRouter, SessionState
+from .router import SessionRouter
 from .server import BLogService, ProgramEntry, QueryRequest, QueryResponse
 from .stats import format_lane_stats, format_stats, percentile
 from .telemetry import (
@@ -55,7 +55,6 @@ __all__ = [
     "canonical_query_text",
     "slot_names",
     "SessionRouter",
-    "SessionState",
     "LifecycleState",
     "NotServing",
     "ServiceLifecycle",

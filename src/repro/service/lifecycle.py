@@ -107,6 +107,7 @@ class ServiceLifecycle:
             "history": list(self.history),
             "draining": self.state is LifecycleState.DRAINING,
             "drain": self.drain_report,
+            "signal_errors": self.signal_errors,  # failed signal wiring
         }
 
     # -- signals -----------------------------------------------------------

@@ -16,37 +16,25 @@ stable across runs and processes.
 
 The session's engine and local store live in the lane's
 :class:`~repro.core.procpool.LaneWorker` (a thread lane's or a lane
-child's, alike); the router keeps a :class:`SessionState` for
-accounting and commits a session's planned merge once the server has
-journaled it.
+child's, alike); the router keeps the set of open ``(program,
+session)`` keys for accounting and commits a session's planned merge
+once the server has journaled it.
 When a lane is reset (its worker lost), every session routed to it is
-lost with it: :meth:`drop_lane` discards their states without merging,
+lost with it: :meth:`drop_lane` forgets them without merging,
 so an abandoned session can never leak into the global store.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
 from ..weights.store import StoreDelta, WeightStore
 
 if TYPE_CHECKING:  # telemetry imports stats; keep this edge type-only
     from .telemetry import MetricsRegistry
 
-__all__ = ["SessionState", "SessionRouter"]
-
-
-@dataclass
-class SessionState:
-    """One live session's parent-side accounting (its engine and local
-    store live in the lane worker)."""
-
-    program: str
-    session: str
-    lane: int
-    queries: int = 0
+__all__ = ["SessionRouter"]
 
 
 class SessionRouter:
@@ -56,7 +44,7 @@ class SessionRouter:
         if n_lanes < 1:
             raise ValueError("need at least one lane")
         self.n_lanes = int(n_lanes)
-        self._sessions: dict[tuple[str, str], SessionState] = {}
+        self._sessions: set[tuple[str, str]] = set()
         self._m_opened = registry.counter("blog_sessions_opened_total")
         self._m_merged = registry.counter("blog_sessions_merged_total")
         self._m_abandoned = registry.counter("blog_sessions_abandoned_total")
@@ -79,32 +67,29 @@ class SessionRouter:
         """The lane a session's queries execute on (stable affinity)."""
         return zlib.crc32(session.encode("utf-8")) % self.n_lanes
 
-    # -- session state -----------------------------------------------------
-    def get(self, program: str, session: str) -> Optional[SessionState]:
-        return self._sessions.get((program, session))
+    # -- sessions ----------------------------------------------------------
+    def __contains__(self, key: tuple[str, str]) -> bool:
+        """Whether the ``(program, session)`` session is open."""
+        return key in self._sessions
 
-    def open(self, program_name: str, session: str) -> SessionState:
-        """The session's state, opening it on first touch.  Pure
-        parent-side accounting — the lane worker opens the session's
-        engine at its first query."""
+    def open(self, program_name: str, session: str) -> None:
+        """Open the session on first touch.  Pure parent-side accounting —
+        the lane worker opens the session's engine at its first query."""
         key = (program_name, session)
-        state = self._sessions.get(key)
-        if state is None:
-            state = SessionState(
-                program=program_name, session=session, lane=self.lane_for(session)
-            )
-            self._sessions[key] = state
+        if key not in self._sessions:
+            self._sessions.add(key)
             self._m_opened.inc()
             self._m_live.set(len(self._sessions))
-        return state
 
     def close(self, program_name: str, session: str) -> bool:
-        """Drop a session's state; False if it was not live (its lane was
+        """Forget an open session; False if it was not (its lane was
         reset, so it is abandoned, never merged).  Pure accounting: the
         caller plans and journals the merge, and :meth:`commit` applies
         it."""
-        if self._sessions.pop((program_name, session), None) is None:
+        key = (program_name, session)
+        if key not in self._sessions:
             return False
+        self._sessions.remove(key)
         self._m_live.set(len(self._sessions))
         return True
 
@@ -127,11 +112,10 @@ class SessionRouter:
         Called when a lane is reset (its worker died, or was replaced
         after a timeout): the lost worker held these sessions' engines
         and local stores, so there is nothing trustworthy left to merge.
-        The next query of each session opens a fresh state.
+        The next query of each session opens it afresh.
         """
-        doomed = [k for k, s in self._sessions.items() if s.lane == lane]
-        for k in doomed:
-            del self._sessions[k]
+        doomed = {k for k in self._sessions if self.lane_for(k[1]) == lane}
+        self._sessions -= doomed
         self._m_abandoned.inc(len(doomed) + unmerged)
         self._m_live.set(len(self._sessions))
 
@@ -139,8 +123,8 @@ class SessionRouter:
     def open_session_keys(self) -> list[tuple[str, str]]:
         """``(program, session)`` for every live session — what a graceful
         drain walks to merge surviving sessions before the final
-        checkpoint (snapshot of the dict: end_session mutates it)."""
-        return sorted(self._sessions.keys())
+        checkpoint (a sorted copy: end_session mutates the set)."""
+        return sorted(self._sessions)
 
     def __len__(self) -> int:
         return len(self._sessions)

@@ -722,7 +722,7 @@ class BLogService:
             if missing:
                 sync = StoreDelta(None, entry.global_store.generation, missing)
                 span.set("synced_store", True)
-            self.router.open(entry.name, request.session).queries += 1
+            self.router.open(entry.name, request.session)
             return Query(
                 entry.name, request.session, engine, goals, request.max_solutions,
                 load, sync,
@@ -744,7 +744,7 @@ class BLogService:
         (and only it: a session the same name opened since stays open).
         """
         key = (program, session)
-        if key not in self._unmerged and self.router.get(program, session) is None:
+        if key not in self._unmerged and key not in self.router:
             return None
         entry = self.programs.get(program)
         if entry is None:
@@ -757,7 +757,7 @@ class BLogService:
             if held is not None:
                 return held
             # not routed any more: the lane was reset since — abandoned
-            if self.router.get(program, session) is None:
+            if key not in self.router:
                 return None
             try:
                 buffer = await self.pool.lane_call(
@@ -820,6 +820,8 @@ class BLogService:
             "traces": {
                 "started": self.telemetry.tracer.started,
                 "finished": self.telemetry.tracer.completed,
+                # trace-log and slow-query hooks that raised
+                "export_errors": self.telemetry.tracer.export_errors,
             },
             "lifecycle": self.lifecycle.state.value,
             "durability": {

@@ -5,6 +5,10 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.core import BLogEngine
+from repro.machine import MachineConfig
+from repro.weights.persist import load_store
+from repro.workloads import family_program
 
 
 def run_cli(*argv):
@@ -124,6 +128,25 @@ class TestStorePersistence:
         cold = int(out3.split("(")[1].split()[0])
         assert warm <= cold
 
+
+    def test_machine_query_learns_into_the_saved_store(self, tmp_path):
+        """--engine machine learns through the engine's hook and honours
+        --save-store, with the same answers as before."""
+        store = tmp_path / "m.json"
+        code, out = run_cli(
+            "--demo", "--engine", "machine", "--query", "gf(sam, G)",
+            "--save-store", str(store),
+        )
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("G =")] == [
+            "G = den",
+            "G = doug",
+        ]
+        assert store.exists()
+        engine = BLogEngine(family_program())
+        engine.run_machine("gf(sam, G)", MachineConfig())
+        learned = load_store(store).snapshot()
+        assert learned and learned.keys() == engine.store.snapshot().keys()
 
 class TestServeSubcommand:
     def test_selfcheck_roundtrip(self):

@@ -15,6 +15,7 @@ import math
 import os
 import random
 import signal
+import threading
 import time
 
 import pytest
@@ -304,13 +305,11 @@ class TestSessionAffinity:
             await svc.submit(
                 QueryRequest("family", "gf(curt, G)", session="alice")
             )
-            state = svc.router.get("family", "alice")
-            return state, svc.router.lane_for("alice")
+            return ("family", "alice") in svc.router, svc.router.sessions_opened
 
-        state, lane = run(with_service(body))
-        assert state is not None
-        assert state.queries == 2
-        assert state.lane == lane  # placement never moved
+        is_open, opened = run(with_service(body))
+        assert is_open
+        assert opened == 1  # the second query reused the session
 
     def test_learning_is_visible_within_a_session(self):
         """The second query of a session runs under weights the first
@@ -459,13 +458,14 @@ class TestFailureHandling:
             follow_up = await svc.submit(
                 QueryRequest("family", "gf(curt, G)", session="slowpoke")
             )
-            return resp, follow_up, svc.router.get("family", "slowpoke"), svc.stats()
+            is_open = ("family", "slowpoke") in svc.router
+            return resp, follow_up, (is_open, svc.router.sessions_opened), svc.stats()
 
-        resp, follow_up, state, stats = run(with_service(body, backend="thread"))
+        resp, follow_up, (is_open, opened), stats = run(with_service(body, backend="thread"))
         assert not resp.ok and "deadline" in resp.error
         assert stats["lane_resets"] == 1  # a timeout resets the lane
-        assert follow_up.ok  # a fresh session state served the next query
-        assert state is not None and state.queries == 1  # reopened, not reused
+        assert follow_up.ok  # a freshly opened session served the next query
+        assert is_open and opened == 2  # reopened, not reused
 
     def test_worker_death_is_retried_once(self, on_lane_query):
         async def body(svc):
@@ -1015,6 +1015,75 @@ class TestLifecycle:
 
         first, second = run(body())
         assert first == second
+
+    def test_drain_past_its_deadline_cancels_queued_work(self, on_lane_query):
+        """Thread-pinned (patches the in-process LaneWorker): with one
+        query stuck on the only lane and a second queued behind it, a
+        drain whose deadline passes refuses the queued one and lets the
+        in-flight one finish."""
+        entered, release = threading.Event(), threading.Event()
+
+        def blocking(real, worker, msg):
+            entered.set()
+            release.wait(10.0)
+            return real(worker, msg)
+
+        async def body():
+            svc = make_service(n_workers=1, backend="thread")
+            await svc.start()
+            on_lane_query(blocking)
+            real_cancel = svc.pool.cancel_queued
+
+            def cancel_then_release() -> int:
+                cancelled = real_cancel()
+                release.set()  # the in-flight query may finish now
+                return cancelled
+
+            svc.pool.cancel_queued = cancel_then_release
+            inflight = asyncio.ensure_future(
+                svc.submit(QueryRequest("family", "gf(sam, G)", session="s"))
+            )
+            await asyncio.to_thread(entered.wait, 10.0)
+            queued = asyncio.ensure_future(
+                svc.submit(QueryRequest("family", "gf(curt, G)", session="s"))
+            )
+            while svc.pool.pending_jobs() == 0:
+                await asyncio.sleep(0.01)
+            report = await svc.lifecycle.drain(timeout=0.2)
+            return report, await inflight, await queued
+
+        report, inflight, queued = run(body())
+        assert report["cancelled"] == 1
+        assert not queued.ok
+        assert "service draining: queued work cancelled" in queued.error
+        assert inflight.ok
+        assert sorted(a["G"] for a in inflight.answers) == ["den", "doug"]
+
+    def test_a_raising_trace_hook_is_counted(self):
+        def broken(trace):
+            raise RuntimeError("exporter down")
+
+        async def body(svc):
+            svc.telemetry.tracer.on_finish.append(broken)
+            resp = await svc.submit(QueryRequest("family", "gf(sam, G)"))
+            return resp, svc.stats()["traces"]
+
+        resp, traces = run(with_service(body))
+        assert resp.ok  # telemetry never fails a request
+        assert traces["export_errors"] == 1
+
+    def test_failed_signal_wiring_is_reported(self):
+        class NoSignalLoop:
+            def add_signal_handler(self, *args):
+                raise NotImplementedError
+
+        async def body(svc):
+            installed = svc.lifecycle.install_signal_handlers(NoSignalLoop())
+            return installed, svc.lifecycle.describe()
+
+        installed, health = run(with_service(body))
+        assert not installed
+        assert health["signal_errors"] == 2  # SIGTERM and SIGINT
 
     def test_end_session_reply_carries_generation(self):
         async def body(svc):

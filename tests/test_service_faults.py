@@ -285,16 +285,16 @@ class TestAbandonedSessions:
                     store.generation,
                     len(store),
                     svc.sessions_abandoned,
-                    svc.router.get("family", "victim"),
+                    ("family", "victim") in svc.router,
                 )
             finally:
                 await svc.stop()
 
-        report, generation, entries, abandoned, state = run(body())
+        report, generation, entries, abandoned, is_open = run(body())
         assert report is None  # nothing merged
         assert generation == 0 and entries == 0  # global store untouched
         assert abandoned >= 1
-        assert state is None  # session state dropped, not lingering
+        assert not is_open  # session dropped, not lingering
 
     def test_next_query_after_abandonment_reopens_fresh(self):
         async def body():
@@ -313,14 +313,15 @@ class TestAbandonedSessions:
                         "family", "gf(sam, G)", session="phoenix", cache=False
                     )
                 )
-                return resp, svc.router.get("family", "phoenix")
+                is_open = ("family", "phoenix") in svc.router
+                return resp, (is_open, svc.router.sessions_opened)
             finally:
                 await svc.stop()
 
-        resp, state = run(body())
+        resp, (is_open, opened) = run(body())
         assert resp.ok
         assert sorted(a["G"] for a in resp.answers) == ["den", "doug"]
-        assert state is not None and state.queries == 1  # reopened, not reused
+        assert is_open and opened == 2  # reopened, not reused
 
 
 class TestHungChild:
