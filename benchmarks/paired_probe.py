@@ -60,7 +60,7 @@ def worker(core: int) -> None:
     from repro.logic.program import Program
     from repro.ortree.tree import ArcKey
     from repro.service import BLogService, QueryRequest
-    from repro.weights.store import WeightStore
+    from repro.weights.store import StoreDelta, WeightEntry, WeightState, WeightStore
     from repro.workloads import NREV_SOURCE, nqueens_program, nqueens_query, scaled_family
 
     trees = []
@@ -102,7 +102,8 @@ def worker(core: int) -> None:
         return served, answers
 
     # ``open``: count the entries every store sync ships to a lane (a
-    # delta with no base: merges into a global store carry one)
+    # delta with no base: merges into a global store, and the seeding
+    # below, carry one)
     shipped = [0]
     apply_delta = WeightStore.apply_delta
 
@@ -111,16 +112,27 @@ def worker(core: int) -> None:
             shipped[0] += len(delta.entries)
         return apply_delta(self, delta)
 
-    WeightStore.apply_delta = counted_apply
-
     async def opens() -> tuple[float, int, int]:
         """A fresh service each run, so every run does the same work; the
-        first cycle ships the whole store and stays out of the timing."""
+        first cycle ships the whole store and stays out of the timing.
+        Only here does ``apply_delta`` count, so the rules' commits in
+        the other shapes run unwrapped."""
+        WeightStore.apply_delta = counted_apply
+        try:
+            return await counted_opens()
+        finally:
+            WeightStore.apply_delta = apply_delta
+
+    async def counted_opens() -> tuple[float, int, int]:
         svc = BLogService({"family": instance.program}, n_workers=1, backend="thread")
         await svc.start()
         store = svc.programs["family"].global_store
-        for i in range(MIRROR_KEYS):
-            store.set_known(ArcKey("pointer", (-1 - i, 0, i)), 1.0 + i % 7)
+        entries = {
+            ArcKey("pointer", (-1 - i, 0, i)): WeightEntry(WeightState.KNOWN, 1.0 + i % 7)
+            for i in range(MIRROR_KEYS)
+        }
+        g = store.generation
+        store.apply_delta(StoreDelta(g, g + MIRROR_KEYS, entries))
 
         async def cycle(i: int) -> None:
             session = f"s{i}"

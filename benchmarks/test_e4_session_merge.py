@@ -33,7 +33,7 @@ from conftest import emit
 
 from repro.core import BLogConfig, BLogEngine
 from repro.ortree import ArcKey
-from repro.weights import WeightStore, plan_merge
+from repro.weights import StoreDelta, WeightEntry, WeightState, WeightStore, plan_merge
 from repro.workloads import comb_tree, scaled_family
 
 
@@ -100,8 +100,9 @@ def test_e4_corrupted_session_safety(benchmark):
 
     def corrupt(store: WeightStore) -> WeightStore:
         rogue = store.copy()
-        for key in list(rogue.keys()):
-            rogue.set_infinite(key)
+        infinite = WeightEntry(WeightState.INFINITE, rogue.infinity_value)
+        g = rogue.generation
+        rogue.apply_delta(StoreDelta(g, g + len(rogue), dict.fromkeys(rogue.keys(), infinite)))
         return rogue
 
     def to_first_with(store: WeightStore) -> int:

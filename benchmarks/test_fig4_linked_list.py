@@ -17,7 +17,7 @@ from repro.core import BLogConfig, BLogEngine
 from repro.linkdb import LinkedDatabase
 from repro.logic import Program
 from repro.ortree import ArcKey, OrTree, best_first
-from repro.weights import WeightStore
+from repro.weights import StoreDelta, WeightEntry, WeightState, WeightStore
 
 SECTION5_SOURCE = """\
 a :- b, c, d.
@@ -71,17 +71,28 @@ def expansion_order(store):
     return order, res
 
 
+def known_store(*pointers) -> WeightStore:
+    """A store (N 16, A 16) holding each ``(pointer, weight)`` as KNOWN."""
+    store = WeightStore(n=16, a=16)
+    entries = {
+        ArcKey("pointer", p): WeightEntry(WeightState.KNOWN, w) for p, w in pointers
+    }
+    store.apply_delta(StoreDelta(0, len(entries), entries))
+    return store
+
+
 def test_fig4_search_order_weight3(benchmark):
     """§5 walkthrough 1: B2 (weight 3) expanded, then B1 — breadth-like."""
     program = Program.from_source(SECTION5_SOURCE)
-    store = WeightStore(n=16, a=16)
     # pointer ids: block 0 is a:-b,c,d; its pointers: b1->1, b2->2, c->3, d->4
-    store.set_known(ArcKey("pointer", (0, 0, 1)), 4.0)  # first b
-    store.set_known(ArcKey("pointer", (0, 0, 2)), 3.0)  # second b (lowest)
-    store.set_known(ArcKey("pointer", (0, 1, 3)), 5.0)
-    store.set_known(ArcKey("pointer", (0, 2, 4)), 5.0)
-    store.set_known(ArcKey("pointer", (2, 0, 6)), 2.0)  # b:-f body pointer f
-    store.set_known(ArcKey("pointer", (1, 0, 5)), 2.0)  # b:-e body pointer e
+    store = known_store(
+        ((0, 0, 1), 4.0),  # first b
+        ((0, 0, 2), 3.0),  # second b (lowest)
+        ((0, 1, 3), 5.0),
+        ((0, 2, 4), 5.0),
+        ((2, 0, 6), 2.0),  # b:-f body pointer f
+        ((1, 0, 5), 2.0),  # b:-e body pointer e
+    )
 
     def run():
         tree = OrTree(program, "a", weight_fn=store.weight_fn(), max_depth=16)
@@ -104,13 +115,14 @@ def test_fig4_search_order_weight1(benchmark):
     """§5 walkthrough 2: first B at weight 1 -> chain through B:-E grows
     first (depth-first-like order)."""
     program = Program.from_source(SECTION5_SOURCE)
-    store = WeightStore(n=16, a=16)
-    store.set_known(ArcKey("pointer", (0, 0, 1)), 1.0)  # first b now cheapest
-    store.set_known(ArcKey("pointer", (0, 0, 2)), 3.0)
-    store.set_known(ArcKey("pointer", (0, 1, 3)), 5.0)
-    store.set_known(ArcKey("pointer", (0, 2, 4)), 5.0)
-    store.set_known(ArcKey("pointer", (1, 0, 5)), 1.0)  # e under b:-e
-    store.set_known(ArcKey("pointer", (2, 0, 6)), 2.0)
+    store = known_store(
+        ((0, 0, 1), 1.0),  # first b now cheapest
+        ((0, 0, 2), 3.0),
+        ((0, 1, 3), 5.0),
+        ((0, 2, 4), 5.0),
+        ((1, 0, 5), 1.0),  # e under b:-e
+        ((2, 0, 6), 2.0),
+    )
 
     def run():
         tree = OrTree(program, "a", weight_fn=store.weight_fn(), max_depth=16)

@@ -12,7 +12,7 @@ A rule is a class with a ``code`` (``BLG001``…), registered with the
 
 Suppressions are per-line comments::
 
-    store.set_known(key, w)  # blogcheck: ignore[BLG001] — loop-thread helper
+    store.apply_delta(delta)  # blogcheck: ignore[BLG001] — loop-thread helper
 
 ``ignore[BLG001,BLG005]`` silences several rules, bare ``ignore``
 silences all of them; a suppression on its own comment line applies to

@@ -34,7 +34,7 @@ def dotted_name(node: ast.AST) -> Optional[str]:
 
 
 def call_attr(call: ast.Call) -> Optional[str]:
-    """The method name of an attribute call (``x.set_known`` → ``set_known``)."""
+    """The method name of an attribute call (``x.apply_delta`` → ``apply_delta``)."""
     if isinstance(call.func, ast.Attribute):
         return call.func.attr
     return None
@@ -46,13 +46,15 @@ class StoreMutationRule(Rule):
 
     The service's concurrency contract (see ``repro/service/server.py``)
     makes the event-loop thread the only mutator of global weight
-    stores.  Statically we cannot see threads, but we *can* see modules:
-    every legitimate mutation site lives in the weights package, the
-    router's commit of a journaled session merge (loop-thread by
-    contract), or the lane worker (which owns its mirror outright).  A
-    session merge is only planned (``plan_merge`` writes nothing), so
-    the mutators are the whole surface.  A mutator call anywhere else is
-    a new mutation site that the contract never audited — flag it.
+    stores.  A store has one mutator, ``apply_delta``: the §5 rules,
+    the loaders, WAL replay, merges and lane syncs all commit through
+    it.  Types cannot keep a public method off other threads, and
+    statically we cannot see threads, but we *can* see modules: every
+    legitimate mutation site lives in the weights package, the router's
+    commit of a journaled session merge (loop-thread by contract), or
+    the lane worker (which owns its mirror outright).  An
+    ``apply_delta`` call anywhere else is a new mutation site that the
+    contract never audited — flag it.
     """
 
     code = "BLG001"
@@ -62,10 +64,8 @@ class StoreMutationRule(Rule):
         "loop-thread modules"
     )
 
-    #: unambiguous mutator method/function names
-    MUTATORS = frozenset({"set_known", "set_infinite", "apply_delta"})
-    #: generic names only flagged when the receiver looks like a store
-    STORE_GUARDED = frozenset({"forget", "clear"})
+    #: the weight store's mutator
+    MUTATORS = frozenset({"apply_delta"})
     #: module prefixes (or exact files) allowed to mutate
     ALLOWED_MODULES = (
         "repro/weights/",
@@ -84,33 +84,16 @@ class StoreMutationRule(Rule):
         if not ctx.module.startswith("repro/") or self._allowed(ctx.module):
             return
         for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            attr = call_attr(node)
-            bare = node.func.id if isinstance(node.func, ast.Name) else None
-            name = attr or bare
-            if name in self.MUTATORS:
+            if isinstance(node, ast.Call) and call_attr(node) in self.MUTATORS:
                 yield self.finding(
                     ctx,
                     node,
-                    f"call to {name}() mutates a weight store outside the "
+                    f"call to {call_attr(node)}() mutates a weight store outside the "
                     "whitelisted modules "
                     f"({', '.join(self.ALLOWED_MODULES)}); global stores are "
                     "loop-thread-only — route the write through the router's "
                     "commit or a weights API",
                 )
-            elif attr in self.STORE_GUARDED and isinstance(
-                node.func, ast.Attribute
-            ):
-                receiver = dotted_name(node.func.value) or ""
-                if "store" in receiver.lower():
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{receiver}.{attr}() mutates a weight store outside "
-                        "the whitelisted modules; global stores are "
-                        "loop-thread-only",
-                    )
 
 
 @rule

@@ -242,13 +242,22 @@ def _load_program(args) -> Optional[Program]:
     return None
 
 
-def _load_store_arg(args):
-    """The --load-store weight store, or None for a fresh one."""
+def _make_engine(args, program: Program, out) -> Optional[BLogEngine]:
+    """The engine a query or the shell runs on, over the ``--load-store``
+    weights if given; None after printing the error when that file
+    cannot be read."""
+    store = None
     if getattr(args, "load_store", None):
-        from .weights.persist import load_store
+        from .weights.persist import StoreCorruptError, load_store
 
-        return load_store(args.load_store)
-    return None
+        try:
+            store = load_store(args.load_store)
+        except (StoreCorruptError, OSError) as exc:
+            print(f"error: {exc}", file=out)
+            return None
+    return BLogEngine(
+        program, BLogConfig(n=args.n, a=args.a, max_depth=args.max_depth), global_store=store
+    )
 
 
 def _save_store_arg(args, engine) -> None:
@@ -273,11 +282,9 @@ def _run_query(args, program: Program, query: str, out) -> int:
             file=out,
         )
         return 0 if count else 1
-    engine = BLogEngine(
-        program,
-        BLogConfig(n=args.n, a=args.a, max_depth=args.max_depth),
-        global_store=_load_store_arg(args),
-    )
+    engine = _make_engine(args, program, out)
+    if engine is None:
+        return 2
     if args.engine == "machine":
         res = engine.run_machine(
             query,
@@ -317,14 +324,12 @@ def _run_query(args, program: Program, query: str, out) -> int:
 
 
 def _repl(args, program: Program, out) -> int:
+    engine = _make_engine(args, program, out)
+    if engine is None:
+        return 2
     print(
         "B-LOG interactive shell — enter goals, ':listing', or ':quit'.",
         file=out,
-    )
-    engine = BLogEngine(
-        program,
-        BLogConfig(n=args.n, a=args.a, max_depth=args.max_depth),
-        global_store=_load_store_arg(args),
     )
     engine.begin_session()
     while True:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Optional, Sequence, cast
 
 from ..ortree.tree import ArcKey, OrArc
-from .store import WeightEntry, WeightState, WeightStore
+from .store import StoreDelta, WeightEntry, WeightState, WeightStore
 from .update import UpdateLog, on_failure, on_success
 
 __all__ = ["ConditionalWeightStore", "conditional_on_success", "conditional_on_failure"]
@@ -118,22 +118,23 @@ def _pair_chain(arcs: Sequence[OrArc]) -> list[PairKey]:
 
 class _PairView:
     """A :class:`ConditionalWeightStore` keyed by whole pairs, the shape
-    :mod:`repro.weights.update`'s rules read and write."""
+    :mod:`repro.weights.update`'s rules read and write.  Pair entries
+    keep no generation, so the view's stays 0."""
 
     chain_keys = staticmethod(_pair_chain)
+    generation = 0
 
     def __init__(self, store: ConditionalWeightStore):
         self.store = store
         self.n = store.n
+        self.infinity_value = store.marginal.infinity_value
 
     def entry(self, pair: PairKey) -> WeightEntry:
         return self.store.entry(*pair)
 
-    def set_known(self, pair: PairKey, value: float) -> None:
-        self.store.set_known(*pair, value)
-
-    def set_infinite(self, pair: PairKey) -> None:
-        self.store.set_infinite(*pair)
+    def apply_delta(self, delta: StoreDelta) -> int:
+        self.store._pairs.update(cast(dict[PairKey, WeightEntry], delta.entries))
+        return len(delta.entries)
 
 
 def _arc_keyed(log: UpdateLog) -> UpdateLog:

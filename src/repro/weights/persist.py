@@ -16,6 +16,7 @@ here, at the disk.
 from __future__ import annotations
 
 import json
+import math
 import os
 from pathlib import Path
 from typing import Iterable, Union
@@ -118,19 +119,31 @@ def store_to_dict(store: WeightStore) -> dict:
     return {"format": STORE_FORMAT, "n": store.n, "a": store.a, "entries": entries}
 
 
-def store_from_dict(data: dict) -> WeightStore:
-    """Rebuild a store from :func:`store_to_dict` output."""
+def store_from_dict(data: dict, generation: int = 0) -> WeightStore:
+    """Rebuild a store from :func:`store_to_dict` output, as one delta.
+
+    Builtin keys and UNKNOWN entries are skipped, KNOWN values clamp at
+    0 and INFINITE ones take the store's A·N; a non-finite KNOWN value
+    raises ValueError.  The store's generation is its entry count, or
+    ``generation`` (a snapshot's saved counter) if that is higher.
+    """
     if data.get("format") != STORE_FORMAT:
         raise ValueError(f"unrecognized weight store format {data.get('format')!r}")
     store = WeightStore(n=data["n"], a=data["a"])
+    entries: dict[ArcKey, WeightEntry] = {}
     for item in data["entries"]:
         key = _key_from_json(item["key"])
         state = WeightState(item["state"])
+        if key.kind == "builtin" or state is WeightState.UNKNOWN:
+            continue
         if state is WeightState.INFINITE:
-            store.set_infinite(key)
-        elif state is WeightState.KNOWN:
-            store.set_known(key, item["value"])
-        # UNKNOWN entries are never stored
+            entries[key] = WeightEntry(state, store.infinity_value)
+            continue
+        value = float(item["value"])
+        if not math.isfinite(value):
+            raise ValueError(f"known weight {value} is not finite")
+        entries[key] = WeightEntry(state, max(0.0, value))
+    store.apply_delta(StoreDelta(0, max(len(entries), generation), entries))
     return store
 
 

@@ -51,10 +51,11 @@ class WeightEntry:
 class StoreDelta:
     """Entries one store writes into another, as of ``generation``.
 
-    ``entries`` maps each written key to its entry; an UNKNOWN entry is
-    a tombstone (the key was dropped by ``forget`` / ``clear``).  A
+    ``entries`` maps each written key to its entry.  A rule update, a
     session's delta and a merge are the writes after generation
-    ``base``; a lane sync has None (its mirror's is not tracked).
+    ``base``; a lane sync has None (its mirror's is not tracked).  No
+    current writer makes an UNKNOWN entry, but one is a tombstone: it
+    drops its key (journals written by earlier versions may hold one).
     """
 
     base: Optional[int]
@@ -88,11 +89,11 @@ class WeightStore:
         #: the entry every absent non-builtin key reads, shared by all of
         #: them (N is fixed for the store's life)
         self._unknown = WeightEntry(WeightState.UNKNOWN, self.unknown_value)
-        #: Monotonic mutation counter.  Every write that actually changes
-        #: the store (set_known / set_infinite / forget / clear) bumps it,
-        #: so callers — notably the serving layer's answer cache — can
-        #: detect "weights moved" (e.g. after a session merge) with an
-        #: integer compare instead of deep-comparing entries.
+        #: Monotonic mutation counter, set by :meth:`apply_delta`: a rule
+        #: update advances it by one per key written, a merge to its
+        #: delta's generation.  Callers — notably the serving layer's
+        #: answer cache — detect "weights moved" with an integer compare
+        #: instead of deep-comparing entries.
         self.generation: int = 0
         #: the sessions open on this store; each gets the before-image of
         #: an entry about to change
@@ -158,37 +159,10 @@ class WeightStore:
         return key in self._entries
 
     # -- writes -------------------------------------------------------------------
-    def set_known(self, key: ArcKey, value: float) -> None:
-        """Record a known (successful-search) weight; clamped at >= 0."""
-        if key.kind == "builtin":
-            return  # builtins stay at probability 1
-        self._set(key, WeightEntry(WeightState.KNOWN, max(0.0, float(value))))
-        self.generation += 1
-
-    def set_infinite(self, key: ArcKey) -> None:
-        """Record a failure weight (A·N encoding)."""
-        if key.kind == "builtin":
-            return
-        self._set(key, WeightEntry(WeightState.INFINITE, self.infinity_value))
-        self.generation += 1
-
-    def forget(self, key: ArcKey) -> None:
-        """Drop a key back to UNKNOWN."""
-        if key in self:
-            self._set(key, self._unknown)
-            self.generation += 1
-
-    def clear(self) -> None:
-        dropped = list(self.keys())
-        for key in dropped:
-            self._set(key, self._unknown)
-        if dropped:
-            self.generation += 1
-
     def apply_delta(self, delta: StoreDelta) -> int:
-        """Write another store's ``delta`` into this one in place.
+        """Write ``delta`` into this store in place: its only mutator.
 
-        Entries are written directly (tombstones delete) and the
+        Entries are written as given (tombstones delete) and the
         generation jumps to the delta's.  Returns how many entries were
         applied.
         """
@@ -234,7 +208,7 @@ class SessionStore(WeightStore):
     """A session's local store (§5): an overlay on the store ``base``.
 
     Opening one copies nothing: the session's writes land in its own
-    entries (``forget`` / ``clear`` as UNKNOWN tombstones) and any other
+    entries (a tombstone as an UNKNOWN entry) and any other
     key reads through, at one dict lookup more than a plain store.
     Until :meth:`close`, a write to ``base`` first saves here the entry
     it replaces, unless the session has its own, so the session reads

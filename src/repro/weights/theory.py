@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from ..ortree.tree import ArcKey, NodeStatus, OrTree
-from .store import WeightStore
+from .store import StoreDelta, WeightEntry, WeightState, WeightStore
 
 __all__ = ["TheoryResult", "solve_weights", "verify_assignment", "store_from_theory"]
 
@@ -156,15 +156,20 @@ def store_from_theory(
 ) -> WeightStore:
     """Materialize a :class:`WeightStore` from a theory solution.
 
-    Finite weights become KNOWN entries; infinite arcs use the store's
-    A·N encoding.  ``n`` defaults to the theory target (rounded up to at
+    Finite weights become KNOWN entries (clamped at 0) and infinite arcs
+    use the store's A·N encoding, applied as one delta; builtin keys are
+    skipped.  ``n`` defaults to the theory target (rounded up to at
     least 1 so the store's encodings stay ordered).
     """
     if n is None:
         n = max(result.target, 1.0)
     store = WeightStore(n=n, a=a)
-    for key, w in result.finite_weights.items():
-        store.set_known(key, w)
-    for key in result.infinite_arcs:
-        store.set_infinite(key)
+    infinite = WeightEntry(WeightState.INFINITE, store.infinity_value)
+    entries = {
+        key: WeightEntry(WeightState.KNOWN, max(0.0, w))
+        for key, w in result.finite_weights.items()
+        if key.kind != "builtin"
+    }
+    entries.update((key, infinite) for key in result.infinite_arcs if key.kind != "builtin")
+    store.apply_delta(StoreDelta(0, len(entries), entries))
     return store

@@ -18,7 +18,8 @@ open, and :mod:`repro.weights.conditional` runs the same rules over
 conditioned pairs.  Both rules take the chain's arcs root→leaf
 (``OrTree.chain_arcs``) and update the keys ``store.chain_keys`` picks
 from them; builtin arcs are transparent (always weight 0, never
-updated).
+updated).  A rule commits its writes as one :class:`StoreDelta`, which
+advances the store's generation by one per key written.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Protocol, Sequence
 
 from ..ortree.tree import ArcKey, OrArc
-from .store import WeightEntry, WeightState
+from .store import StoreDelta, WeightEntry, WeightState
 
 __all__ = ["UpdateLog", "Learner", "on_failure", "on_success", "apply_outcome"]
 
@@ -47,11 +48,18 @@ class RuleStore(Protocol):
     keyed by arcs, or a conditional store's pair-keyed view."""
 
     n: float
+    generation: int
 
+    @property
+    def infinity_value(self) -> float: ...
     def chain_keys(self, arcs: Sequence[OrArc]) -> list[Any]: ...
     def entry(self, key: Any) -> WeightEntry: ...
-    def set_known(self, key: Any, value: float) -> None: ...
-    def set_infinite(self, key: Any) -> None: ...
+    def apply_delta(self, delta: StoreDelta) -> int: ...
+
+
+def _commit(store: RuleStore, writes: dict[Any, WeightEntry]) -> None:
+    g = store.generation
+    store.apply_delta(StoreDelta(g, g + len(writes), writes))
 
 
 #: The §5 learning hook: ``learn(arcs, solved)`` applies a rule to the
@@ -88,9 +96,9 @@ def on_failure(store: RuleStore, arcs: Sequence[OrArc], blame: str = "leafmost")
         targets = unknowns
     else:
         raise ValueError(f"unknown blame policy {blame!r}")
-    for key in targets:
-        store.set_infinite(key)
-        log.set_infinite.append(key)
+    infinite = WeightEntry(WeightState.INFINITE, store.infinity_value)
+    _commit(store, dict.fromkeys(targets, infinite))
+    log.set_infinite = targets
     return log
 
 
@@ -117,10 +125,7 @@ def on_success(
     budget = store.n - known_sum
     if budget < 0:
         log.anomaly = True
-        for key in resettable:
-            store.set_known(key, 0.0)
-            log.set_known.append((key, 0.0))
-        return log
+        budget = 0.0  # every reset arc gets 0
     k = len(resettable)
     if distribute == "equal":
         shares = [1.0] * k
@@ -131,10 +136,8 @@ def on_success(
     else:
         raise ValueError(f"unknown distribute policy {distribute!r}")
     total = sum(shares)
-    for key, share in zip(resettable, shares):
-        value = budget * share / total
-        store.set_known(key, value)
-        log.set_known.append((key, value))
+    log.set_known = [(key, budget * share / total) for key, share in zip(resettable, shares)]
+    _commit(store, {key: WeightEntry(WeightState.KNOWN, value) for key, value in log.set_known})
     return log
 
 

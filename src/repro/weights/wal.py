@@ -344,13 +344,18 @@ class DurableStore:
                     f"snapshot {snap} has format {data.get('format')!r}, "
                     f"expected {SNAPSHOT_FORMAT!r}"
                 )
-            store = store_from_dict(data["store"])
-            # store_from_dict rebuilds entry by entry, restarting the
-            # generation counter; restore the live counter or a post-
-            # recovery merge could reuse a generation an older journal
-            # record already holds for the same session — and the
-            # (session, generation) dedupe would then wrongly skip it
-            store.generation = max(store.generation, int(data.get("generation", 0)))
+            # load at the live counter, or a post-recovery merge could
+            # reuse a generation an older journal record already holds
+            # for the same session — and the (session, generation)
+            # dedupe would then wrongly skip it
+            try:
+                store = store_from_dict(
+                    data["store"], generation=int(data.get("generation", 0))
+                )
+            except (ValueError, KeyError, TypeError) as exc:
+                raise StoreCorruptError(
+                    f"snapshot {snap} is structurally invalid: {exc}"
+                ) from exc
             info.snapshot_loaded = True
             info.snapshot_seq = int(data.get("seq", 0))
             self.applied = {str(k): int(v) for k, v in data.get("applied", {}).items()}

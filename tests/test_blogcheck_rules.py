@@ -47,7 +47,7 @@ class TestRegistry:
 
 
 class TestStoreMutation:
-    BAD = "def f(store, w):\n    store.set_known('arc', w)\n"
+    BAD = "def f(store, d):\n    store.apply_delta(d)\n"
 
     def test_flags_mutator_outside_whitelist(self, tmp_path):
         result = lint_snippet(tmp_path, "repro/ortree/bad.py", self.BAD)
@@ -61,11 +61,6 @@ class TestStoreMutation:
         # scripts/tests exercise mutators directly; the contract governs repro/
         result = lint_snippet(tmp_path, "scratch.py", self.BAD)
         assert result.ok
-
-    def test_clear_needs_storelike_receiver(self, tmp_path):
-        src = "def f(self):\n    self.marks.clear()\n    self.store.clear()\n"
-        result = lint_snippet(tmp_path, "repro/spd/x.py", src)
-        assert codes(result) == ["BLG001"]  # only self.store.clear()
 
 
 class TestBlockingAsync:
@@ -176,7 +171,7 @@ class TestAtomicWrite:
 
 
 class TestSuppressions:
-    BAD = "def f(store, w):\n    store.set_known('arc', w){comment}\n"
+    BAD = "def f(store, d):\n    store.apply_delta(d){comment}\n"
 
     def test_same_line_suppression(self, tmp_path):
         src = self.BAD.format(comment="  # blogcheck: ignore[BLG001] — test fixture")
@@ -186,9 +181,9 @@ class TestSuppressions:
 
     def test_comment_line_above_suppresses_next_line(self, tmp_path):
         src = (
-            "def f(store, w):\n"
+            "def f(store, d):\n"
             "    # blogcheck: ignore[BLG001]\n"
-            "    store.set_known('arc', w)\n"
+            "    store.apply_delta(d)\n"
         )
         result = lint_snippet(tmp_path, "repro/ortree/x.py", src)
         assert result.ok and len(result.suppressed) == 1
@@ -227,7 +222,7 @@ class TestReporting:
 
 class TestCli:
     SEEDS = {
-        "BLG001": "def f(store, w):\n    store.set_known('a', w)\n",
+        "BLG001": "def f(store, d):\n    store.apply_delta(d)\n",
         "BLG002": "import time\nasync def f():\n    time.sleep(1)\n",
         "BLG005": "def f(g):\n    try:\n        g()\n    except Exception:\n        pass\n",
         "BLG007": "import json\ndef f(store, path):\n    path.write_text(json.dumps(store))\n",

@@ -128,6 +128,27 @@ class TestStorePersistence:
         cold = int(out3.split("(")[1].split()[0])
         assert warm <= cold
 
+    @pytest.mark.parametrize("engine", ["blog", "machine"])
+    def test_a_missing_or_corrupt_store_is_a_usage_error(self, tmp_path, engine):
+        missing = tmp_path / "missing.json"
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text('{"format": "blog-weights-v1", "n": 16')
+        for path in (missing, corrupt):
+            code, out = run_cli(
+                "--demo", "--engine", engine, "--query", "gf(sam, G)",
+                "--load-store", str(path),
+            )
+            assert code == 2
+            assert out.startswith("error: ") and out.count("\n") == 1
+            assert str(path) in out
+
+    def test_the_shell_refuses_a_corrupt_store(self, tmp_path, monkeypatch):
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text("not json")
+        monkeypatch.setattr("builtins.input", lambda prompt="": ":quit")
+        code, out = run_cli("--demo", "--load-store", str(corrupt))
+        assert code == 2
+        assert out.startswith("error: weight store ") and out.count("\n") == 1
 
     def test_machine_query_learns_into_the_saved_store(self, tmp_path):
         """--engine machine learns through the engine's hook and honours

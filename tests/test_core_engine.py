@@ -8,6 +8,8 @@ from repro.ortree import OrTree
 from repro.weights import WeightStore, solve_weights, store_from_theory
 from repro.workloads import comb_tree, scaled_family, synthetic_tree
 
+from .store_writes import put_known
+
 
 class TestBasicQueries:
     def test_figure1_answers(self, figure1):
@@ -173,7 +175,7 @@ class TestSessions:
         rule_key = ArcKey("pointer", (-1, 0, 1))
 
         eng = BLogEngine(figure1)
-        eng.sessions.global_store.set_known(f_key, 2.0)
+        put_known(eng.sessions.global_store, f_key, 2.0)
         eng.run_session(["gf(sam, G)"])
         # f_key was known, so the failure blamed rule_key in the local
         # store; conservative merge adopts it into the (unknown) global
@@ -181,8 +183,8 @@ class TestSessions:
         assert eng.sessions.global_store.is_infinite(rule_key)
 
         eng2 = BLogEngine(figure1)
-        eng2.sessions.global_store.set_known(f_key, 2.0)
-        eng2.sessions.global_store.set_known(rule_key, 2.0)
+        put_known(eng2.sessions.global_store, f_key, 2.0)
+        put_known(eng2.sessions.global_store, rule_key, 2.0)
         eng2.begin_session()
         eng2.query("gf(sam, G)")
         # both failure-chain pointers known: the §5 rule records a noop

@@ -11,6 +11,8 @@ from repro.spd import Record, SearchProcessor, SemanticPagingDisk, Track
 from repro.weights import WeightStore, on_failure, on_success
 from repro.workloads import family_program, synthetic_tree
 
+from .store_writes import put_infinite
+
 
 class TestDiskFaults:
     def _sp(self):
@@ -148,7 +150,7 @@ class TestPathologicalWeights:
         for caller in range(-1, 12):
             for lit in range(3):
                 for callee in range(12):
-                    store.set_infinite(ArcKey("pointer", (caller, lit, callee)))
+                    put_infinite(store, ArcKey("pointer", (caller, lit, callee)))
         eng = BLogEngine(figure1, BLogConfig(n=8, a=16), global_store=store)
         res = eng.query("gf(sam, G)", update_weights=False)
         assert sorted(str(a["G"]) for a in res.answers) == ["den", "doug"]

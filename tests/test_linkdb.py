@@ -7,6 +7,8 @@ from repro.logic import Program, parse_clause
 from repro.ortree import ArcKey
 from repro.weights import WeightStore
 
+from .store_writes import put_known
+
 
 class TestFigure4Structure:
     """The §5 worked example: a :- b, c, d.  b :- e.  b :- f. ..."""
@@ -63,7 +65,7 @@ class TestWeights:
         db = LinkedDatabase(section5_program, store)
         a_block = db.block(0)
         k = a_block.pointers[1].arc_key(0)
-        store.set_known(k, 3.0)
+        put_known(store, k, 3.0)
         db.refresh_weights()
         assert a_block.pointers[1].weight == 3.0
 

@@ -23,6 +23,8 @@ from repro.ortree import ArcKey, OrArc
 from repro.weights import WeightStore, on_failure, on_success
 from repro.andpar import independence_groups, hash_join, nested_loop_join, semi_join
 
+from .store_writes import put_known
+
 
 # ---------------------------------------------------------------- term strategies
 atoms = st.sampled_from(list("abcdefg")).map(Atom)
@@ -133,7 +135,7 @@ class TestWeightProperties:
         # pre-populate a random subset as known
         known = data.draw(st.sets(st.sampled_from(keys)))
         for k in known:
-            store.set_known(ArcKey("pointer", (0, 0, k)), 1.0)
+            put_known(store, ArcKey("pointer", (0, 0, k)), 1.0)
         before = sum(
             1 for k in keys if store.is_infinite(ArcKey("pointer", (0, 0, k)))
         )

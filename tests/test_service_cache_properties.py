@@ -11,9 +11,9 @@ few hundred randomly generated cases from a seeded ``random.Random``
    functors, constants, arities, or variable-sharing patterns) never
    share a cache key; renamings of the *same* structure always do.
 3. **Generation guarding** — every effective weight-store mutation
-   (set/forget/clear that changes anything) invalidates dependent
-   entries; ineffective operations (forgetting an absent key, clearing
-   an empty store, writing a builtin arc) never do.
+   (a delta that writes anything) invalidates dependent entries;
+   ineffective operations (a rule update or a merge that writes
+   nothing) never do.
 """
 
 import random
@@ -22,9 +22,13 @@ import pytest
 
 from repro.logic.parser import parse_query
 from repro.logic.terms import NIL, Atom, Int, Struct, Var, make_list
-from repro.ortree.tree import ArcKey
+from repro.ortree.tree import ArcKey, OrArc
 from repro.service import AnswerCache, MetricsRegistry, cache_key, canonical_query
-from repro.weights.store import WeightStore
+from repro.weights.session import plan_merge
+from repro.weights.store import WeightEntry, WeightState, WeightStore
+from repro.weights.update import on_failure, on_success
+
+from .store_writes import put_infinite, put_known, tombstone
 
 # -- random query structures -------------------------------------------------
 
@@ -277,48 +281,49 @@ class TestGenerationGuarding:
             cache = AnswerCache(capacity=64, registry=MetricsRegistry())
             # pre-populate the store a little
             for i in range(rng.randint(0, 5)):
-                store.set_known(arc(i), rng.uniform(0.0, 8.0))
+                put_known(store, arc(i), rng.uniform(0.0, 8.0))
             key = ("p", f"q{case}", (), None)
             cache.put(key, store.generation, [{"_C1": "a"}])
             assert cache.get(key, store.generation) is not None
 
             op = rng.randrange(3)
             if op == 0:
-                store.set_known(arc(rng.randrange(8)), rng.uniform(0.0, 8.0))
+                put_known(store, arc(rng.randrange(8)), rng.uniform(0.0, 8.0))
             elif op == 1:
-                store.set_infinite(arc(rng.randrange(8)))
+                put_infinite(store, arc(rng.randrange(8)))
             else:
                 victim = arc(rng.randrange(8))
                 if victim not in store:
-                    store.set_known(victim, 1.0)  # make the forget effective
-                store.forget(victim)
+                    put_known(store, victim, 1.0)  # make the drop effective
+                tombstone(store, victim)
             assert cache.get(key, store.generation) is None, (
                 f"case {case}: op {op} did not invalidate"
             )
 
     def test_ineffective_operations_never_invalidate(self):
-        """No-ops — forgetting an absent key, clearing an empty store,
-        writing a builtin arc — must not evict anything."""
+        """No-ops — a failure on a chain already priced in, a success
+        on an all-known chain, a merge that writes nothing — must not
+        evict anything."""
         rng = random.Random(406)
         for case in range(200):
             store = WeightStore()
-            for i in range(rng.randint(0, 4)):
-                store.set_known(arc(i), float(i))
+            n = rng.randint(0, 4)
+            for i in range(n):
+                put_known(store, arc(i), float(i))
+            chain = [OrArc(i, i + 1, arc(i), 0.0) for i in range(n)]
             cache = AnswerCache(capacity=8, registry=MetricsRegistry())
             key = ("p", "q", (), None)
             cache.put(key, store.generation, [{"_C1": "a"}])
 
             op = rng.randrange(3)
             if op == 0:
-                store.forget(arc(99))  # absent: ineffective
+                assert on_failure(store, chain).kind == "noop"
             elif op == 1:
-                store.clear()  # effective when entries existed — so
-                cache.put(key, store.generation, [{"_C1": "a"}])  # refill
-                store.clear()  # ...and clearing the now-empty store: no-op
+                assert on_success(store, chain).kind == "noop"
             else:
-                store.set_known(
-                    ArcKey("builtin", ("is", case)), rng.uniform(0.0, 4.0)
-                )  # builtins never enter the store
+                unknown = {arc(9): WeightEntry(WeightState.UNKNOWN, store.unknown_value)}
+                delta, _ = plan_merge(store, unknown)
+                store.apply_delta(delta)
             assert cache.get(key, store.generation) is not None, (
                 f"case {case}: ineffective op {op} invalidated the entry"
             )

@@ -31,6 +31,8 @@ from repro.service import BLogService, QueryRequest
 from repro.weights import DurableStore, SessionManager, WeightState
 from repro.workloads import family_program
 
+from .store_writes import put_infinite, put_known
+
 BACKEND = os.environ.get("BLOG_SERVICE_BACKEND", "thread")
 QUERY = "gf(sam, G)"
 
@@ -277,9 +279,9 @@ class TestConcurrentCommits:
             local = mgr.begin_session()
             for key, e in entries.items():
                 if e.state is WeightState.KNOWN:
-                    local.set_known(key, e.value)
+                    put_known(local, key, e.value)
                 elif e.state is WeightState.INFINITE:
-                    local.set_infinite(key)
+                    put_infinite(local, key)
             expected.append(mgr.end_session())
         in_order = sorted(reports, key=lambda r: r.generation)
         assert in_order == expected

@@ -31,6 +31,8 @@ from repro.weights.session import plan_merge
 from repro.weights.store import StoreDelta, WeightStore
 from repro.workloads import scaled_family
 
+from .store_writes import put_infinite, put_known, tombstone
+
 
 class CopySession(WeightStore):
     """The reference: a session store that copies the whole mirror at
@@ -42,24 +44,9 @@ class CopySession(WeightStore):
         self.generation = mirror.generation
         self.written: dict[ArcKey, None] = {}
 
-    def set_known(self, key: ArcKey, value: float) -> None:
-        super().set_known(key, value)
-        if key.kind != "builtin":
-            self.written[key] = None
-
-    def set_infinite(self, key: ArcKey) -> None:
-        super().set_infinite(key)
-        if key.kind != "builtin":
-            self.written[key] = None
-
-    def forget(self, key: ArcKey) -> None:
-        if key in self:
-            self.written[key] = None
-        super().forget(key)
-
-    def clear(self) -> None:
-        self.written.update(dict.fromkeys(self.keys()))
-        super().clear()
+    def apply_delta(self, delta: StoreDelta) -> int:
+        self.written.update(dict.fromkeys(delta.entries))
+        return super().apply_delta(delta)
 
     def delta_entries(self) -> dict:
         return {k: self.entry(k) for k in self.written}
@@ -119,15 +106,17 @@ def test_overlay_sessions_match_copied_sessions(seed):
             write = rng.choice(("forget", "set_infinite", "set_known", "clear"))
             if write == "set_known":
                 value = rng.uniform(0.0, 20.0)
-                store.set_known(key, value)
-                ref_store.set_known(key, value)
-            elif write == "clear":
-                if rng.random() < 0.2:
-                    store.clear()
-                    ref_store.clear()
-            else:
-                getattr(store, write)(key)
-                getattr(ref_store, write)(key)
+                put_known(store, key, value)
+                put_known(ref_store, key, value)
+            elif write == "set_infinite":
+                put_infinite(store, key)
+                put_infinite(ref_store, key)
+            elif write == "forget":
+                tombstone(store, key)
+                tombstone(ref_store, key)
+            elif rng.random() < 0.2:  # clear: a tombstone for every key
+                tombstone(store, *store.keys())
+                tombstone(ref_store, *ref_store.keys())
         elif op < 0.8:
             sync = None
             if missing:
@@ -166,7 +155,7 @@ def bytes_per_open(mirror_keys: int, opens: int = 8) -> float:
     worker = LaneWorker(lane=0)
     entries = WeightStore(n=CONFIG.n, a=CONFIG.a)
     for i in range(mirror_keys):
-        entries.set_known(ArcKey("pointer", (-1 - i, 0, i)), 1.0 + i % 7)
+        put_known(entries, ArcKey("pointer", (-1 - i, 0, i)), 1.0 + i % 7)
     load = LoadProgram("fam", FAMILY.program, CONFIG, MachineConfig())
     sync = StoreDelta(None, entries.generation, entries.snapshot())
     true = parse_query("true")

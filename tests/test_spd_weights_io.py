@@ -10,6 +10,8 @@ from repro.spd.weights_io import write_back_weights
 from repro.weights import WeightStore
 from repro.workloads import family_program
 
+from .store_writes import put_known
+
 
 @pytest.fixture
 def setup():
@@ -33,7 +35,7 @@ class TestWriteBack:
         # rule 0 (gf via f-f), literal 0, some f fact target
         target = db.block(0).pointers[0].target
         key = ArcKey("pointer", (0, 0, target))
-        store.set_known(key, 2.5)
+        put_known(store, key, 2.5)
         report = write_back_weights(spd, store)
         assert report.dirty_pointers == 1
         assert report.blocks_touched == 1
@@ -48,20 +50,20 @@ class TestWriteBack:
         program, store, db, spd = setup
         p0 = db.block(0).pointers[0]
         key = p0.arc_key(0)
-        store.set_known(key, 3.25)
+        put_known(store, key, 3.25)
         write_back_weights(spd, store)
         assert db.block(0).pointers[0].weight == 3.25
 
     def test_query_pseudo_block_skipped(self, setup):
         _, store, _, spd = setup
-        store.set_known(ArcKey("pointer", (-1, 0, 0)), 1.0)
+        put_known(store, ArcKey("pointer", (-1, 0, 0)), 1.0)
         report = write_back_weights(spd, store)
         assert report.dirty_pointers == 0
 
     def test_idempotent_second_writeback_cheap(self, setup):
         program, store, db, spd = setup
         key = db.block(0).pointers[0].arc_key(0)
-        store.set_known(key, 2.0)
+        put_known(store, key, 2.0)
         first = write_back_weights(spd, store)
         second = write_back_weights(spd, store)
         # same track already cached; no changed words
@@ -74,7 +76,7 @@ class TestWriteBack:
         program, store, db, spd = setup
         block = db.block(0)
         for p in block.pointers:
-            store.set_known(p.arc_key(0), 1.0)
+            put_known(store, p.arc_key(0), 1.0)
         report = write_back_weights(spd, store)
         assert report.dirty_pointers == len(block.pointers)
         assert report.blocks_touched == 1

@@ -25,6 +25,8 @@ from repro.weights.persist import _key_from_json, _key_to_json
 from repro.weights.store import SessionStore, StoreDelta, WeightState, WeightStore
 from repro.workloads import nqueens_program, nqueens_query, nrev_program, nrev_query
 
+from .store_writes import put_infinite, put_known, tombstone
+
 IS = ArcKey("builtin", (("is", 2),))
 GT = ArcKey("builtin", ((">", 2),))
 
@@ -74,23 +76,23 @@ def test_weight_agrees_with_entry_in_every_state(seed):
         k = rng.choice(keys)
         target = rng.choice((store, session))
         if op == 0:
-            target.set_known(k, rng.uniform(-2.0, 20.0))
+            put_known(target, k, rng.uniform(0.0, 20.0))
         elif op == 1:
-            target.set_infinite(k)
+            put_infinite(target, k)
         elif op == 2:
-            target.forget(k)
+            tombstone(target, k)
         elif op == 3 and rng.random() < 0.3:
-            target.clear()
+            tombstone(target, *target.keys())
         elif op == 4:
             # a mirror catching up with one committed entry, or with a
             # tombstone deleting it
             if rng.random() < 0.5:
-                source.set_known(k, rng.uniform(0.0, 8.0))
+                put_known(source, k, rng.uniform(0.0, 8.0))
             else:
-                source.forget(k)
+                tombstone(source, k)
             store.apply_delta(StoreDelta(None, source.generation, {k: source.entry(k)}))
         else:
-            source.set_infinite(k)
+            put_infinite(source, k)
             store.apply_delta(StoreDelta(None, source.generation, source.snapshot()))
         _check_reads(store, keys)
         _check_reads(session, keys)
@@ -178,7 +180,7 @@ def test_arc_key_prints_and_compares_as_before():
 
 def test_arc_key_keys_the_stores():
     store = WeightStore(n=16, a=16)
-    store.set_known(ArcKey("pointer", (0, 1, 5)), 2.5)
+    put_known(store, ArcKey("pointer", (0, 1, 5)), 2.5)
     assert store.weight(ArcKey("pointer", (0, 1, 5))) == 2.5
     assert ArcKey("pointer", (0, 1, 5)) in store
     cond = ConditionalWeightStore(n=16, a=16)

@@ -9,6 +9,8 @@ from repro.weights.metrics import chain_bound, store_distance, store_summary
 from repro.workloads import family_program
 from repro.workloads.hanoi import hanoi_moves, hanoi_query, hanoi_program, solve_hanoi
 
+from .store_writes import put_infinite, put_known
+
 
 def key(i):
     return ArcKey("pointer", (0, 0, i))
@@ -21,9 +23,9 @@ class TestSummary:
 
     def test_counts(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 2.0)
-        store.set_known(key(2), 6.0)
-        store.set_infinite(key(3))
+        put_known(store, key(1), 2.0)
+        put_known(store, key(2), 6.0)
+        put_infinite(store, key(3))
         s = store_summary(store)
         assert s.known == 2
         assert s.infinite == 1
@@ -35,7 +37,7 @@ class TestSummary:
 class TestDistance:
     def test_identical_stores_zero(self):
         a = WeightStore(n=8, a=4)
-        a.set_known(key(1), 2.0)
+        put_known(a, key(1), 2.0)
         assert store_distance(a, a.copy()) == 0.0
 
     def test_empty_stores_zero(self):
@@ -43,14 +45,14 @@ class TestDistance:
 
     def test_known_difference(self):
         a, b = WeightStore(n=8, a=4), WeightStore(n=8, a=4)
-        a.set_known(key(1), 2.0)
-        b.set_known(key(1), 6.0)
+        put_known(a, key(1), 2.0)
+        put_known(b, key(1), 6.0)
         assert store_distance(a, b) == pytest.approx(4.0)
 
     def test_symmetry(self):
         a, b = WeightStore(n=8, a=4), WeightStore(n=8, a=4)
-        a.set_known(key(1), 1.0)
-        b.set_infinite(key(2))
+        put_known(a, key(1), 1.0)
+        put_infinite(b, key(2))
         assert store_distance(a, b) == store_distance(b, a)
 
     def test_session_learning_approaches_theory(self):
@@ -72,7 +74,7 @@ class TestDistance:
 class TestChainBound:
     def test_sums_non_builtin(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 3.0)
+        put_known(store, key(1), 3.0)
         keys = [key(1), ArcKey("builtin", (("is", 2),)), key(2)]
         # key(2) unknown -> N+1 = 9
         assert chain_bound(store, keys) == pytest.approx(12.0)

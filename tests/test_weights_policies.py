@@ -14,6 +14,8 @@ from repro.weights import (
     on_success_policy,
 )
 
+from .store_writes import put_known
+
 
 def arcs(*ids):
     return [
@@ -47,7 +49,7 @@ class TestBlamePolicies:
 
     def test_known_arcs_never_blamed(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 1.0)
+        put_known(store, key(1), 1.0)
         log = on_failure_policy(store, arcs(1, 2), "rootmost")
         assert log.set_infinite == [key(2)]
 
@@ -82,7 +84,7 @@ class TestDistributePolicies:
 
     def test_overshoot_anomaly(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 10.0)
+        put_known(store, key(1), 10.0)
         log = on_success_policy(store, arcs(1, 2), "leaf-weighted")
         assert log.anomaly
         assert store.weight(key(2)) == 0.0
@@ -124,13 +126,13 @@ fin_b(m2).
 class TestConditionalStore:
     def test_backoff_to_marginal(self):
         store = ConditionalWeightStore(n=8, a=4)
-        store.marginal.set_known(key(1), 3.0)
+        put_known(store.marginal, key(1), 3.0)
         assert store.weight(None, key(1)) == 3.0
         assert store.weight(key(9), key(1)) == 3.0
 
     def test_pair_overrides_marginal(self):
         store = ConditionalWeightStore(n=8, a=4)
-        store.marginal.set_known(key(1), 3.0)
+        put_known(store.marginal, key(1), 3.0)
         store.set_infinite(key(2), key(1))
         assert store.is_infinite(key(2), key(1))
         assert store.weight(None, key(1)) == 3.0  # other contexts intact

@@ -18,6 +18,8 @@ from repro.weights import (
 )
 from repro.workloads import family_program
 
+from .store_writes import put_infinite, put_known, tombstone
+
 
 def key(i):
     return ArcKey("pointer", (0, 0, i))
@@ -33,21 +35,21 @@ def commit(g, entries, **kw):
 class TestConservativeMerge:
     def test_unknown_local_leaves_global(self):
         g, l = WeightStore(), WeightStore()
-        g.set_known(key(1), 3.0)
+        put_known(g, key(1), 3.0)
         report = commit(g, l.snapshot())
         assert g.weight(key(1)) == 3.0
         assert report.adopted == report.averaged == 0
 
     def test_adopt_known_into_unknown(self):
         g, l = WeightStore(), WeightStore()
-        l.set_known(key(1), 4.0)
+        put_known(l, key(1), 4.0)
         report = commit(g, l.snapshot())
         assert g.weight(key(1)) == 4.0
         assert report.adopted == 1
 
     def test_adopt_infinity_into_unknown(self):
         g, l = WeightStore(), WeightStore()
-        l.set_infinite(key(1))
+        put_infinite(l, key(1))
         report = commit(g, l.snapshot())
         assert g.is_infinite(key(1))
         assert report.adopted == 1
@@ -56,8 +58,8 @@ class TestConservativeMerge:
         """The paper's explicit rule: 'no infinities will override
         previous non-infinite weights'."""
         g, l = WeightStore(), WeightStore()
-        g.set_known(key(1), 2.0)
-        l.set_infinite(key(1))
+        put_known(g, key(1), 2.0)
+        put_infinite(l, key(1))
         report = commit(g, l.snapshot())
         assert g.is_known(key(1))
         assert g.weight(key(1)) == 2.0
@@ -65,23 +67,23 @@ class TestConservativeMerge:
 
     def test_known_blend_averages(self):
         g, l = WeightStore(), WeightStore()
-        g.set_known(key(1), 2.0)
-        l.set_known(key(1), 6.0)
+        put_known(g, key(1), 2.0)
+        put_known(l, key(1), 6.0)
         report = commit(g, l.snapshot(), alpha=0.5)
         assert g.weight(key(1)) == pytest.approx(4.0)
         assert report.averaged == 1
 
     def test_alpha_one_adopts_local(self):
         g, l = WeightStore(), WeightStore()
-        g.set_known(key(1), 2.0)
-        l.set_known(key(1), 6.0)
+        put_known(g, key(1), 2.0)
+        put_known(l, key(1), 6.0)
         commit(g, l.snapshot(), alpha=1.0)
         assert g.weight(key(1)) == pytest.approx(6.0)
 
     def test_success_retracts_global_infinity(self):
         g, l = WeightStore(), WeightStore()
-        g.set_infinite(key(1))
-        l.set_known(key(1), 1.0)
+        put_infinite(g, key(1))
+        put_known(l, key(1), 1.0)
         report = commit(g, l.snapshot())
         assert g.is_known(key(1))
         assert report.retracted == 1
@@ -96,8 +98,8 @@ class TestConservativeMerge:
 
     def test_both_infinite_unchanged(self):
         g, l = WeightStore(), WeightStore()
-        g.set_infinite(key(1))
-        l.set_infinite(key(1))
+        put_infinite(g, key(1))
+        put_infinite(l, key(1))
         report = commit(g, l.snapshot())
         assert g.is_infinite(key(1))
         assert report.unchanged == 1
@@ -106,15 +108,15 @@ class TestConservativeMerge:
 class TestStrongMerge:
     def test_infinity_overrides_known(self):
         g, l = WeightStore(), WeightStore()
-        g.set_known(key(1), 2.0)
-        l.set_infinite(key(1))
+        put_known(g, key(1), 2.0)
+        put_infinite(l, key(1))
         commit(g, l.snapshot(), conservative=False)
         assert g.is_infinite(key(1))
 
     def test_local_known_wins(self):
         g, l = WeightStore(), WeightStore()
-        g.set_known(key(1), 2.0)
-        l.set_known(key(1), 9.0)
+        put_known(g, key(1), 2.0)
+        put_known(l, key(1), 9.0)
         commit(g, l.snapshot(), conservative=False)
         assert g.weight(key(1)) == 9.0
 
@@ -122,10 +124,10 @@ class TestStrongMerge:
 class TestSessionManager:
     def test_begin_copies_global(self):
         mgr = SessionManager(WeightStore(n=8, a=4))
-        mgr.global_store.set_known(key(1), 3.0)
+        put_known(mgr.global_store, key(1), 3.0)
         local = mgr.begin_session()
         assert local.weight(key(1)) == 3.0
-        local.set_known(key(1), 5.0)
+        put_known(local, key(1), 5.0)
         assert mgr.global_store.weight(key(1)) == 3.0  # untouched
 
     def test_active_store_switches(self):
@@ -139,7 +141,7 @@ class TestSessionManager:
     def test_end_merges_and_counts(self):
         mgr = SessionManager(WeightStore(n=8, a=4), alpha=0.5)
         local = mgr.begin_session()
-        local.set_known(key(1), 4.0)
+        put_known(local, key(1), 4.0)
         mgr.end_session()
         assert mgr.global_store.weight(key(1)) == 4.0
         assert mgr.sessions_completed == 1
@@ -157,16 +159,16 @@ class TestSessionManager:
     def test_abort_discards(self):
         mgr = SessionManager(WeightStore(n=8, a=4))
         local = mgr.begin_session()
-        local.set_known(key(1), 4.0)
+        put_known(local, key(1), 4.0)
         mgr.abort_session()
         assert key(1) not in mgr.global_store
         assert not mgr.in_session
 
     def test_non_conservative_end(self):
         mgr = SessionManager(WeightStore(n=8, a=4))
-        mgr.global_store.set_known(key(1), 2.0)
+        put_known(mgr.global_store, key(1), 2.0)
         local = mgr.begin_session()
-        local.set_infinite(key(1))
+        put_infinite(local, key(1))
         mgr.end_session(conservative=False)
         assert mgr.global_store.is_infinite(key(1))
 
@@ -174,10 +176,10 @@ class TestSessionManager:
         """Repeated sessions reporting the same local value pull the
         global weight toward it geometrically."""
         mgr = SessionManager(WeightStore(n=16, a=4), alpha=0.5)
-        mgr.global_store.set_known(key(1), 0.0)
+        put_known(mgr.global_store, key(1), 0.0)
         for _ in range(6):
             local = mgr.begin_session()
-            local.set_known(key(1), 8.0)
+            put_known(local, key(1), 8.0)
             mgr.end_session()
         assert mgr.global_store.weight(key(1)) == pytest.approx(8.0, abs=0.2)
 
@@ -185,9 +187,9 @@ class TestSessionManager:
 class TestPlanMerge:
     def test_plan_writes_nothing(self):
         g, l = WeightStore(), WeightStore()
-        g.set_known(key(1), 2.0)
-        l.set_known(key(1), 6.0)
-        l.set_known(key(2), 1.0)
+        put_known(g, key(1), 2.0)
+        put_known(l, key(1), 6.0)
+        put_known(l, key(2), 1.0)
         before, gen = g.snapshot(), g.generation
         delta, report = plan_merge(g, l.snapshot())
         assert g.snapshot() == before and g.generation == gen
@@ -203,7 +205,7 @@ class TestPlanMerge:
 
     def test_unchanged_average_is_still_a_write(self):
         g = WeightStore()
-        g.set_known(key(1), 5.0)
+        put_known(g, key(1), 5.0)
         delta, report = plan_merge(g, {key(1): WeightEntry(WeightState.KNOWN, 5.0)})
         assert report.averaged == 1
         assert delta.generation == g.generation + 1 and key(1) in delta.entries
@@ -220,6 +222,18 @@ class TestPlanMerge:
 # -- the in-place merges plan_merge replaced, kept as a reference ----------
 
 
+def old_set_known(store, k, value):
+    """The store setter these merges were written against: builtin keys
+    are ignored and KNOWN values clamp at 0."""
+    if k.kind != "builtin":
+        put_known(store, k, max(0.0, value))
+
+
+def old_set_infinite(store, k):
+    if k.kind != "builtin":
+        put_infinite(store, k)
+
+
 def reference_conservative(global_store, entries, alpha=0.5):
     report = MergeReport()
     for k, local in entries.items():
@@ -229,7 +243,7 @@ def reference_conservative(global_store, entries, alpha=0.5):
         glob = global_store.entry(k)
         if local.state is WeightState.INFINITE:
             if glob.state is WeightState.UNKNOWN:
-                global_store.set_infinite(k)
+                old_set_infinite(global_store, k)
                 report.adopted += 1
             elif glob.state is WeightState.INFINITE:
                 report.unchanged += 1
@@ -237,13 +251,13 @@ def reference_conservative(global_store, entries, alpha=0.5):
                 report.suppressed_infinities += 1
             continue
         if glob.state is WeightState.UNKNOWN:
-            global_store.set_known(k, local.value)
+            old_set_known(global_store, k, local.value)
             report.adopted += 1
         elif glob.state is WeightState.INFINITE:
-            global_store.set_known(k, local.value)
+            old_set_known(global_store, k, local.value)
             report.retracted += 1
         else:
-            global_store.set_known(k, (1.0 - alpha) * glob.value + alpha * local.value)
+            old_set_known(global_store, k, (1.0 - alpha) * glob.value + alpha * local.value)
             report.averaged += 1
     report.generation = global_store.generation
     return report
@@ -255,10 +269,10 @@ def reference_strong(global_store, entries):
         if local.state is WeightState.UNKNOWN:
             report.unchanged += 1
         elif local.state is WeightState.INFINITE:
-            global_store.set_infinite(k)
+            old_set_infinite(global_store, k)
             report.adopted += 1
         else:
-            global_store.set_known(k, local.value)
+            old_set_known(global_store, k, local.value)
             report.adopted += 1
     report.generation = global_store.generation
     return report
@@ -269,12 +283,12 @@ def random_store(rng, keys):
     for k in rng.sample(keys, rng.randrange(len(keys))):
         roll = rng.random()
         if roll < 0.45:
-            store.set_known(k, rng.uniform(-2.0, 20.0))
+            old_set_known(store, k, rng.uniform(-2.0, 20.0))
         elif roll < 0.8:
-            store.set_infinite(k)
+            old_set_infinite(store, k)
         else:
-            store.set_known(k, 1.0)
-            store.forget(k)  # a tombstone in the journal
+            old_set_known(store, k, 1.0)
+            tombstone(store, k)
     return store
 
 

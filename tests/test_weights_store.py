@@ -6,7 +6,9 @@ import pytest
 
 from repro.ortree import ArcKey
 from repro.weights import WeightState, WeightStore
-from repro.weights.store import WeightEntry
+from repro.weights.store import SessionStore, WeightEntry
+
+from .store_writes import put_infinite, put_known, tombstone
 
 
 def key(i: int) -> ArcKey:
@@ -21,7 +23,7 @@ class TestEncodings:
 
     def test_infinity_is_a_times_n(self):
         store = WeightStore(n=16, a=16)
-        store.set_infinite(key(1))
+        put_infinite(store, key(1))
         assert store.weight(key(1)) == 256.0
         assert store.is_infinite(key(1))
 
@@ -35,10 +37,6 @@ class TestEncodings:
         bk = ArcKey("builtin", (("is", 2),))
         assert store.weight(bk) == 0.0
         assert store.is_known(bk)
-        store.set_known(bk, 5.0)  # ignored
-        assert store.weight(bk) == 0.0
-        store.set_infinite(bk)  # ignored
-        assert store.weight(bk) == 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -50,33 +48,29 @@ class TestEncodings:
 class TestWrites:
     def test_set_known(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 2.5)
+        put_known(store, key(1), 2.5)
         assert store.weight(key(1)) == 2.5
         assert store.is_known(key(1))
 
-    def test_known_clamped_nonnegative(self):
-        store = WeightStore()
-        store.set_known(key(1), -3.0)
-        assert store.weight(key(1)) == 0.0
-
     def test_forget_returns_to_unknown(self):
+        """A tombstone forgets its key: it reads UNKNOWN again."""
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 1.0)
-        store.forget(key(1))
+        put_known(store, key(1), 1.0)
+        tombstone(store, key(1))
         assert store.is_unknown(key(1))
         assert store.weight(key(1)) == 9.0
 
     def test_clear(self):
         store = WeightStore()
-        store.set_known(key(1), 1.0)
-        store.set_infinite(key(2))
-        store.clear()
+        put_known(store, key(1), 1.0)
+        put_infinite(store, key(2))
+        tombstone(store, *store.keys())
         assert len(store) == 0
 
     def test_overwrite_infinite_with_known(self):
         store = WeightStore()
-        store.set_infinite(key(1))
-        store.set_known(key(1), 2.0)
+        put_infinite(store, key(1))
+        put_known(store, key(1), 2.0)
         assert store.is_known(key(1))
         assert store.weight(key(1)) == 2.0
 
@@ -84,10 +78,10 @@ class TestWrites:
 class TestCopies:
     def test_copy_is_independent(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 1.0)
+        put_known(store, key(1), 1.0)
         local = store.copy()
-        local.set_known(key(2), 3.0)
-        local.set_infinite(key(1))
+        put_known(local, key(2), 3.0)
+        put_infinite(local, key(1))
         assert store.is_known(key(1))
         assert key(2) not in store
         assert local.is_infinite(key(1))
@@ -99,31 +93,38 @@ class TestCopies:
 
     def test_snapshot(self):
         store = WeightStore()
-        store.set_known(key(1), 1.0)
+        put_known(store, key(1), 1.0)
         snap = store.snapshot()
-        store.set_known(key(1), 9.0)
+        put_known(store, key(1), 9.0)
         assert snap[key(1)].value == 1.0
 
     def test_weight_fn_hook(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 2.0)
+        put_known(store, key(1), 2.0)
         fn = store.weight_fn()
         assert fn(key(1)) == 2.0
         assert fn(key(99)) == 9.0
 
     def test_contains_and_keys(self):
         store = WeightStore()
-        store.set_known(key(1), 1.0)
+        put_known(store, key(1), 1.0)
         assert key(1) in store
         assert key(2) not in store
         assert list(store.keys()) == [key(1)]
 
     def test_repr_summary(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(1), 1.0)
-        store.set_infinite(key(2))
+        put_known(store, key(1), 1.0)
+        put_infinite(store, key(2))
         assert "known=1" in repr(store)
         assert "infinite=1" in repr(store)
+
+
+class TestOneMutator:
+    @pytest.mark.parametrize("cls", [WeightStore, SessionStore])
+    def test_apply_delta_is_the_only_writer(self, cls):
+        for name in ("set_known", "set_infinite", "forget", "clear"):
+            assert not hasattr(cls, name), name
 
 
 class TestSlottedRecords:

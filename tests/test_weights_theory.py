@@ -183,6 +183,12 @@ class TestStoreFromTheory:
         for k in res.infinite_arcs:
             assert store.is_infinite(k)
 
+    def test_generation_is_the_entry_count(self, figure1):
+        res = solve_weights(full_tree(figure1, "gf(sam, G)"), target=8.0)
+        store = store_from_theory(res, n=8.0, a=16)
+        assert len(store) == len(res.finite_weights) + len(res.infinite_arcs) > 0
+        assert store.generation == len(store)
+
     def test_default_n_at_least_one(self, figure1):
         tree = full_tree(figure1, "gf(sam, den)")
         res = solve_weights(tree)

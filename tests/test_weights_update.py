@@ -5,6 +5,8 @@ import pytest
 from repro.ortree import ArcKey, OrArc
 from repro.weights import WeightStore, apply_outcome, on_failure, on_success
 
+from .store_writes import put_infinite, put_known
+
 
 def arcs(*ids, kind="pointer"):
     """A chain of arcs root->leaf with the given key ids."""
@@ -30,13 +32,13 @@ class TestFailureRule:
 
     def test_skips_known_arcs(self):
         store = WeightStore(n=8, a=4)
-        store.set_known(key(3), 2.0)  # leafmost is known
+        put_known(store, key(3), 2.0)  # leafmost is known
         log = on_failure(store, arcs(1, 2, 3))
         assert log.set_infinite == [key(2)]
 
     def test_noop_when_chain_already_infinite(self):
         store = WeightStore(n=8, a=4)
-        store.set_infinite(key(2))
+        put_infinite(store, key(2))
         log = on_failure(store, arcs(1, 2, 3))
         assert log.kind == "noop"
         assert store.is_unknown(key(3))
@@ -44,7 +46,7 @@ class TestFailureRule:
     def test_all_known_failed_chain_is_anomaly(self):
         store = WeightStore(n=8, a=4)
         for i in (1, 2):
-            store.set_known(key(i), 1.0)
+            put_known(store, key(i), 1.0)
         log = on_failure(store, arcs(1, 2))
         assert log.kind == "noop"
         assert log.anomaly
@@ -74,7 +76,7 @@ class TestSuccessRule:
 
     def test_accounts_for_existing_known(self):
         store = WeightStore(n=12, a=4)
-        store.set_known(key(1), 6.0)
+        put_known(store, key(1), 6.0)
         on_success(store, arcs(1, 2, 3))
         assert store.weight(key(2)) == 3.0
         assert store.weight(key(3)) == 3.0
@@ -83,23 +85,23 @@ class TestSuccessRule:
 
     def test_resets_infinite_arcs(self):
         store = WeightStore(n=12, a=4)
-        store.set_infinite(key(2))
+        put_infinite(store, key(2))
         on_success(store, arcs(1, 2))
         assert store.is_known(key(2))
         assert store.weight(key(2)) == 6.0
 
     def test_overshoot_clamps_to_zero_with_anomaly(self):
         store = WeightStore(n=10, a=4)
-        store.set_known(key(1), 7.0)
-        store.set_known(key(2), 7.0)  # M=14 > N=10
+        put_known(store, key(1), 7.0)
+        put_known(store, key(2), 7.0)  # M=14 > N=10
         log = on_success(store, arcs(1, 2, 3))
         assert log.anomaly
         assert store.weight(key(3)) == 0.0
 
     def test_all_known_chain_is_noop(self):
         store = WeightStore(n=10, a=4)
-        store.set_known(key(1), 5.0)
-        store.set_known(key(2), 5.0)
+        put_known(store, key(1), 5.0)
+        put_known(store, key(2), 5.0)
         log = on_success(store, arcs(1, 2))
         assert log.kind == "noop"
         assert log.set_known == []
@@ -109,7 +111,7 @@ class TestSuccessRule:
         total weight equals N."""
         store = WeightStore(n=16, a=8)
         chain = arcs(1, 2, 3, 4)
-        store.set_known(key(2), 4.0)
+        put_known(store, key(2), 4.0)
         log = on_success(store, chain)
         assert not log.anomaly
         total = sum(store.weight(key(i)) for i in (1, 2, 3, 4))

@@ -26,6 +26,8 @@ from repro.weights.persist import StoreCorruptError, load_store, save_store
 from repro.weights.store import SessionStore, StoreDelta
 from repro.weights.wal import DurableStore, WalCorruptError, WeightWal
 
+from .store_writes import put_infinite, put_known, tombstone
+
 
 def key(i: int) -> ArcKey:
     return ArcKey("pointer", (i, 0, i + 1))
@@ -48,7 +50,7 @@ def learned_delta(store: WeightStore, n: int = 3, offset: int = 0) -> StoreDelta
     """Mutate ``store`` like a merge would and return the acked delta."""
     session = SessionStore(store)
     for i in range(n):
-        session.set_known(key(offset + i), 1.0 + i)
+        put_known(session, key(offset + i), 1.0 + i)
     return commit(store, session)
 
 
@@ -229,6 +231,17 @@ class TestDurableStoreRecovery:
         with pytest.raises(StoreCorruptError, match="snapshot"):
             ds.recover()
 
+    def test_snapshot_with_a_non_finite_weight_raises(self, tmp_path):
+        store = WeightStore(n=8, a=16)
+        put_known(store, key(1), 2.0)
+        ds = DurableStore(tmp_path / "p", n=8, a=16)
+        ds.write_checkpoint(ds.capture(store))
+        ds.close()
+        text = ds.snapshot_path.read_text()
+        ds.snapshot_path.write_text(text.replace('"value": 2.0', '"value": NaN'))
+        with pytest.raises(StoreCorruptError, match="snapshot.json"):
+            DurableStore(tmp_path / "p", n=8, a=16).recover()
+
     def test_wrong_snapshot_format_raises(self, tmp_path):
         ds = DurableStore(tmp_path / "p", n=8, a=16)
         ds.snapshot_path.write_text('{"format": "blog-weights-v1"}')
@@ -262,13 +275,13 @@ class TestAtomicSaveStore:
 
         monkeypatch.setattr(os, "fsync", recording)
         store = WeightStore(n=8, a=16)
-        store.set_known(key(1), 2.0)
+        put_known(store, key(1), 2.0)
         save_store(store, tmp_path / "w.json")
         assert synced == [False, True]  # the file's data, then its rename
 
     def test_save_leaves_no_tmp_file(self, tmp_path):
         store = WeightStore(n=8, a=16)
-        store.set_known(key(1), 2.0)
+        put_known(store, key(1), 2.0)
         path = tmp_path / "w.json"
         save_store(store, path)
         assert load_store(path).weight(key(1)) == 2.0
@@ -277,10 +290,10 @@ class TestAtomicSaveStore:
     def test_save_overwrites_previous(self, tmp_path):
         path = tmp_path / "w.json"
         a = WeightStore(n=8, a=16)
-        a.set_known(key(1), 1.0)
+        put_known(a, key(1), 1.0)
         save_store(a, path)
         b = WeightStore(n=8, a=16)
-        b.set_known(key(2), 2.0)
+        put_known(b, key(2), 2.0)
         save_store(b, path)
         loaded = load_store(path)
         assert loaded.weight(key(2)) == 2.0
@@ -289,7 +302,7 @@ class TestAtomicSaveStore:
     def test_truncated_json_raises_store_corrupt(self, tmp_path):
         path = tmp_path / "w.json"
         store = WeightStore(n=8, a=16)
-        store.set_known(key(1), 2.0)
+        put_known(store, key(1), 2.0)
         save_store(store, path)
         text = path.read_text()
         path.write_text(text[: len(text) // 2])
@@ -332,8 +345,8 @@ class TestGoalKeysOnDisk:
     @pytest.mark.parametrize("k", GOAL_KEYS, ids=str)
     def test_save_load_round_trip(self, tmp_path, k):
         store = WeightStore(n=8, a=16)
-        store.set_known(k, 2.5)
-        store.set_infinite(key(1))
+        put_known(store, k, 2.5)
+        put_infinite(store, key(1))
         save_store(store, tmp_path / "w.json")
         assert entries(load_store(tmp_path / "w.json")) == entries(store)
 
@@ -342,7 +355,7 @@ class TestGoalKeysOnDisk:
         ds = DurableStore(tmp_path / "p", n=8, a=16)
         for i, k in enumerate(GOAL_KEYS):
             session = SessionStore(live)
-            session.set_known(k, 1.0 + i)
+            put_known(session, k, 1.0 + i)
             ds.log_merge(f"s{i}", live.generation, commit(live, session))
         ds.close()
         recovered, info = DurableStore(tmp_path / "p", n=8, a=16).recover()
@@ -379,12 +392,11 @@ def frame(payload: str) -> bytes:
 class TestOnDiskFormat:
     def test_pointer_merge_bytes_are_unchanged(self, tmp_path):
         live = WeightStore(n=8, a=16)
-        live.set_known(ArcKey("pointer", (-1, 0, 3)), 2.0)
+        put_known(live, ArcKey("pointer", (-1, 0, 3)), 2.0)
         session = SessionStore(live)
-        session.forget(ArcKey("pointer", (-1, 0, 3)))  # a tombstone
-        session.set_known(ArcKey("pointer", (0, 1, 5)), 7.25)
-        session.set_known(ArcKey("builtin", (("is", 2),)), 0.0)  # ignored write
-        session.set_infinite(ArcKey("pointer", (2, 0, 4)))
+        tombstone(session, ArcKey("pointer", (-1, 0, 3)))
+        put_known(session, ArcKey("pointer", (0, 1, 5)), 7.25)
+        put_infinite(session, ArcKey("pointer", (2, 0, 4)))
         delta = commit(live, session)
         ds = DurableStore(tmp_path / "p", n=8, a=16)
         ds.log_merge("alice", live.generation, delta)
@@ -415,13 +427,13 @@ def goal_key(text: str, callee: int) -> ArcKey:
 
 
 def mixed_store(n: int) -> WeightStore:
-    """A store holding every key kind and entry state, ``n`` keys each."""
+    """A store holding every learned key kind and entry state, ``n``
+    keys each."""
     store = WeightStore(n=8, a=16)
     for i in range(n):
-        store.set_known(key(i), 0.5 * i)
-        store.set_infinite(ArcKey("pointer", (-1, i, 2 * i)))
-        store.set_known(goal_key(f"gf(p{i}, f(X, [a, {i}|T]), X)", callee=i), 3.0)
-    store.set_known(ArcKey("builtin", (("is", 2),)), 1.0)
+        put_known(store, key(i), 0.5 * i)
+        put_infinite(store, ArcKey("pointer", (-1, i, 2 * i)))
+        put_known(store, goal_key(f"gf(p{i}, f(X, [a, {i}|T]), X)", callee=i), 3.0)
     return store
 
 
@@ -452,8 +464,8 @@ class TestStreamedCheckpoint:
         ds = DurableStore(tmp_path / "p", n=8, a=16)
         before = json.dumps(ds.capture(store).document(), indent=1)
         snapshot = ds.capture(store)
-        store.set_known(key(0), 99.0)  # a merge lands between capture and write
-        store.forget(key(1))
+        put_known(store, key(0), 99.0)  # a merge lands between capture and write
+        tombstone(store, key(1))
         ds.write_checkpoint(snapshot)
         ds.close()
         assert ds.snapshot_path.read_text() == before
